@@ -65,6 +65,7 @@ from .sweep import (
     freeze_snapshot,
     load_plan,
     materialize_map,
+    persist_plan,
     plan_sweep,
     refine_boundary,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "open_store",
     "parse_identifier",
     "payload_hash",
+    "persist_plan",
     "persist_policy",
     "plan_sweep",
     "refine_boundary",

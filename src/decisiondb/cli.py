@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from . import canon, replay, routing, sweep
-from .errors import CanonicalizationError, DecisionDBError
+from .errors import CanonicalizationError, DecisionDBError, ValidationError
 from .policy import EquivalencePolicy, persist_policy
 from .store import Store, open_store
 
@@ -233,23 +233,7 @@ def cmd_freeze(store: Store, args) -> int:
 
 
 def cmd_demo_generate(store: Store, args) -> int:
-    arena = routing.demo_arena(args.seed)
-    sweep.freeze_snapshot(store, arena.artifacts, arena.time_window)
-    persist_policy(store, arena.policy)
-    for plan in arena.plans:
-        sweep.plan_sweep(
-            store,
-            snapshot_id=plan.snapshot_id,
-            factory_name=plan.factory_name,
-            factory_version=plan.factory_version,
-            axes=plan.axes,
-            fixed_params=plan.fixed_params,
-            engine_name=plan.engine_name,
-            engine_version=plan.engine_version,
-            query=plan.query,
-            policy_id=plan.policy_id,
-            experiment_id=plan.experiment_id,
-        )
+    arena = routing.persist_demo(store, args.seed)
     payload = {
         "experiment_id": arena.experiment_id,
         "seed": arena.seed,
@@ -295,26 +279,11 @@ def cmd_demo_sweep(store: Store, args) -> int:
 
 def ingest_plan_file(store: Store, source: str, experiment_id: str) -> sweep.SweepPlan:
     """Persist a plan shipped as a payload file and return it, validated."""
-    payload = load_payload_file(source)
-    if not isinstance(payload, Mapping):
-        raise DecisionDBError(f"{source} does not hold a plan object")
     try:
-        return sweep.plan_sweep(
-            store,
-            snapshot_id=payload["snapshot_id"],
-            factory_name=payload["factory_name"],
-            factory_version=payload["factory_version"],
-            axes=payload["axes"],
-            fixed_params=payload["fixed_params"],
-            engine_name=payload["engine_name"],
-            engine_version=payload["engine_version"],
-            query=payload["query"],
-            policy_id=payload["policy_id"],
-            experiment_id=experiment_id,
-            version=payload.get("version", canon.SCHEMA_VERSION),
-        )
-    except KeyError as exc:
-        raise DecisionDBError(f"{source} is missing plan field {exc}") from exc
+        plan = sweep.SweepPlan.from_payload(load_payload_file(source), experiment_id)
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
+    return sweep.persist_plan(store, plan)
 
 
 def cmd_sweep_run(store: Store, args) -> int:
@@ -355,9 +324,8 @@ def cmd_sweep_run(store: Store, args) -> int:
 
 
 def cmd_sweep_report(store: Store, args) -> int:
-    plan = sweep.load_plan(store, args.plan, args.experiment)
-    dmap = sweep.materialize_map(store, plan.plan_id, args.experiment)
-    axis = sweep_axis_name(plan, args.axis)
+    dmap = sweep.materialize_map(store, args.plan, args.experiment)
+    axis = sweep_axis_name(dmap.plan, args.axis)
     payload = axis_report_payload(store, dmap, axis)
     if args.json:
         emit_json(payload)
@@ -370,8 +338,8 @@ def cmd_sweep_report(store: Store, args) -> int:
 
 
 def cmd_map(store: Store, args) -> int:
-    plan = sweep.load_plan(store, args.plan, args.experiment)
-    dmap = sweep.materialize_map(store, plan.plan_id, args.experiment)
+    dmap = sweep.materialize_map(store, args.plan, args.experiment)
+    plan = dmap.plan
     points = [
         {
             "params": dict(point.params),

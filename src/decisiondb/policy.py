@@ -9,13 +9,13 @@ decision identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
 from .errors import CanonicalizationError, ExtractionError, ValidationError
-from .store import Store
+from .store import DecisionRecord, Store
 
 CANONICALIZATION_RULES = ("canonical_json_utf8",)
 MATCH_RULES = ("sha256_equality",)
@@ -51,7 +51,9 @@ class EquivalencePolicy:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "EquivalencePolicy":
+    def from_payload(cls, payload: Any) -> "EquivalencePolicy":
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"policy payload is a {type(payload).__name__}, not a mapping")
         try:
             return cls(
                 hash_source=tuple(payload["hash_source"]),
@@ -80,7 +82,7 @@ def dotted(path: Sequence[str]) -> str:
     return ".".join(path)
 
 
-def extract_decision(raw: Mapping[str, Any], policy: EquivalencePolicy) -> DecisionIdentity:
+def extracted_hash(raw: Any, policy: EquivalencePolicy) -> str:
     """Resolve the policy's key path in a raw output and hash the value."""
     value: Any = raw
     for i, part in enumerate(policy.hash_source):
@@ -96,13 +98,19 @@ def extract_decision(raw: Mapping[str, Any], policy: EquivalencePolicy) -> Decis
         raise CanonicalizationError(
             f"value at {dotted(policy.hash_source)!r} is not canonical: {exc}"
         ) from exc
-    digest = canon.payload_hash(encoded)
-    pol_id = policy_identifier(policy)
-    dec_id = canon.content_id(
-        "dec",
-        {"policy_id": str(pol_id), "payload_hash": digest, "version": SCHEMA_VERSION},
+    return canon.payload_hash(encoded)
+
+
+def extract_decision(raw: Mapping[str, Any], policy: EquivalencePolicy) -> DecisionIdentity:
+    """The decision a policy assigns to one raw output."""
+    record = DecisionRecord(
+        decision_id=None,
+        policy_id=policy_identifier(policy),
+        payload_hash=extracted_hash(raw, policy),
+        version=SCHEMA_VERSION,
+        created_at="",
     )
-    return DecisionIdentity(decision_id=dec_id, policy_id=pol_id, payload_hash=digest)
+    return DecisionIdentity(record.derived_id(), record.policy_id, record.payload_hash)
 
 
 def same_decision(a: DecisionIdentity, b: DecisionIdentity) -> bool:
@@ -128,7 +136,4 @@ def load_policy(store: Store, policy_id: Union[str, Identifier]) -> EquivalenceP
     if policy_id.prefix != "pol":
         raise ValidationError(f"not a policy identifier: {policy_id}")
     data = store.get_blob(policy_id.digest16)
-    payload = canon.canonical_decode(data)
-    if not isinstance(payload, Mapping):
-        raise ValidationError(f"policy spec {policy_id} is not a mapping")
-    return EquivalencePolicy.from_payload(payload)
+    return EquivalencePolicy.from_payload(canon.canonical_decode(data))

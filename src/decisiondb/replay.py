@@ -23,10 +23,11 @@ from .canon import Identifier, SCHEMA_VERSION
 from .errors import (
     BrokenChainError,
     CanonicalizationError,
+    ExtractionError,
     ValidationError,
 )
-from .policy import EquivalencePolicy
-from .store import FMapEntry, Store
+from .policy import EquivalencePolicy, extracted_hash
+from .store import DecisionRecord, FMapEntry, Store
 
 
 @dataclass(frozen=True)
@@ -85,34 +86,25 @@ class ReplayReport:
         }
 
 
-def _extracted_hash(raw_bytes: bytes, policy: EquivalencePolicy) -> Optional[str]:
-    """Hash of the policy-selected value, or None when it cannot be reached."""
-    try:
-        payload = canon.canonical_decode(raw_bytes)
-    except CanonicalizationError:
-        return None
-    value = payload
-    for part in policy.hash_source:
-        if not isinstance(value, Mapping) or part not in value:
-            return None
-        value = value[part]
-    try:
-        return canon.payload_hash(canon.canonical_encode(value))
-    except CanonicalizationError:
-        return None
-
-
 def _decode_policy(pol_bytes: bytes) -> Optional[EquivalencePolicy]:
     try:
-        payload = canon.canonical_decode(pol_bytes)
-    except CanonicalizationError:
+        return EquivalencePolicy.from_payload(canon.canonical_decode(pol_bytes))
+    except (CanonicalizationError, ValidationError):
         return None
-    if not isinstance(payload, Mapping):
-        return None
-    try:
-        return EquivalencePolicy.from_payload(payload)
-    except ValidationError:
-        return None
+
+
+def _row(store: Store, ident: Identifier, what: str):
+    record = store.get_record(ident)
+    if record is None:
+        raise BrokenChainError(f"{what} row {ident} is missing")
+    return record
+
+
+def _blob(store: Store, ref: str, what: str) -> bytes:
+    data = store.read_blob_unverified(ref)
+    if data is None:
+        raise BrokenChainError(f"{what} blob {ref} is missing")
+    return data
 
 
 def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayReport:
@@ -125,58 +117,40 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
     row-to-row links.
     """
     counts_before = store.table_counts()
-    run = store.get_record(entry.run_id)
-    if run is None:
-        raise BrokenChainError(f"engine run row {entry.run_id} is missing")
-    decision = store.get_record(entry.decision_id)
-    if decision is None:
-        raise BrokenChainError(f"decision row {entry.decision_id} is missing")
-
-    raw_bytes = store.read_blob_unverified(run.raw_output_ref)
-    if raw_bytes is None:
-        raise BrokenChainError(f"raw output blob {run.raw_output_ref} is missing")
+    run = _row(store, entry.run_id, "engine run")
+    decision = _row(store, entry.decision_id, "decision")
+    raw_bytes = _blob(store, run.raw_output_ref, "raw output")
     raw_actual = canon.payload_hash(raw_bytes)
-
-    pol_bytes = store.read_blob_unverified(decision.policy_id.digest16)
-    if pol_bytes is None:
-        raise BrokenChainError(f"policy blob {decision.policy_id} is missing")
-    pol_actual = "pol_" + canon.payload_hash(pol_bytes)
+    pol_bytes = _blob(store, decision.policy_id.digest16, "policy")
+    pol_actual_hash = canon.payload_hash(pol_bytes)
 
     policy = _decode_policy(pol_bytes)
-    recomputed_hash = None
+    recomputed_hash = raw_actual
     if raw_actual == run.raw_output_ref and policy is not None:
-        recomputed_hash = _extracted_hash(raw_bytes, policy)
-    if recomputed_hash is None:
-        recomputed_hash = raw_actual
+        try:
+            recomputed_hash = extracted_hash(canon.canonical_decode(raw_bytes), policy)
+        except (ExtractionError, CanonicalizationError):
+            pass
 
-    recomputed_decision = canon.content_id(
-        "dec",
-        {
-            "policy_id": pol_actual,
-            "payload_hash": recomputed_hash,
-            "version": decision.version,
-        },
-    )
+    recomputed_decision = DecisionRecord(
+        decision_id=None,
+        policy_id=Identifier("pol", pol_actual_hash),
+        payload_hash=recomputed_hash,
+        version=decision.version,
+        created_at="",
+    ).derived_id()
 
     checks = [
         FieldCheck("raw_output_ref", run.raw_output_ref, raw_actual),
-        FieldCheck("policy_id", str(decision.policy_id), pol_actual),
+        FieldCheck("policy_id", str(decision.policy_id), f"pol_{pol_actual_hash}"),
         FieldCheck("payload_hash", decision.payload_hash, recomputed_hash),
         FieldCheck("decision_id", str(entry.decision_id), str(recomputed_decision)),
     ]
 
     if deep:
-        rep = store.get_record(entry.repr_id)
-        if rep is None:
-            raise BrokenChainError(f"representation row {entry.repr_id} is missing")
-        snapshot = store.get_record(entry.snapshot_id)
-        if snapshot is None:
-            raise BrokenChainError(f"snapshot row {entry.snapshot_id} is missing")
-        encoded = store.read_blob_unverified(rep.encoded_artifact_ref)
-        if encoded is None:
-            raise BrokenChainError(
-                f"encoded artifact blob {rep.encoded_artifact_ref} is missing"
-            )
+        rep = _row(store, entry.repr_id, "representation")
+        snapshot = _row(store, entry.snapshot_id, "snapshot")
+        encoded = _blob(store, rep.encoded_artifact_ref, "encoded artifact")
         checks.append(
             FieldCheck(
                 "encoded_artifact_ref",
@@ -185,11 +159,7 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
             )
         )
         for manifest_entry in snapshot.artifact_manifest:
-            artifact = store.read_blob_unverified(manifest_entry.artifact_ref)
-            if artifact is None:
-                raise BrokenChainError(
-                    f"snapshot artifact blob {manifest_entry.artifact_ref} is missing"
-                )
+            artifact = _blob(store, manifest_entry.artifact_ref, "snapshot artifact")
             checks.append(
                 FieldCheck(
                     f"artifact:{manifest_entry.name}",
@@ -197,28 +167,18 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
                     canon.payload_hash(artifact),
                 )
             )
+        rows = (
+            ("snapshot_row", entry.snapshot_id, snapshot),
+            ("representation_row", entry.repr_id, rep),
+            ("run_row", entry.run_id, run),
+            ("decision_row", entry.decision_id, decision),
+        )
+        checks.extend(
+            FieldCheck(field, str(ident), str(record.derived_id()))
+            for field, ident, record in rows
+        )
         checks.extend(
             [
-                FieldCheck(
-                    "snapshot_row",
-                    str(entry.snapshot_id),
-                    str(canon.content_id("snap", snapshot.identifying_payload())),
-                ),
-                FieldCheck(
-                    "representation_row",
-                    str(entry.repr_id),
-                    str(canon.content_id("repr", rep.identifying_payload())),
-                ),
-                FieldCheck(
-                    "run_row",
-                    str(entry.run_id),
-                    str(canon.content_id("run", run.identifying_payload())),
-                ),
-                FieldCheck(
-                    "decision_row",
-                    str(entry.decision_id),
-                    str(canon.content_id("dec", decision.identifying_payload())),
-                ),
                 FieldCheck(
                     "run_links_representation",
                     str(entry.repr_id),

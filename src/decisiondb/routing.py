@@ -19,7 +19,7 @@ from typing import Any, Mapping
 from . import canon, sweep
 from .canon import SCHEMA_VERSION, decimal_string
 from .errors import EngineFailure, UnreachableError, ValidationError
-from .policy import EquivalencePolicy, policy_identifier
+from .policy import EquivalencePolicy, persist_policy, policy_identifier
 from .store import ManifestEntry, SnapshotRecord
 
 TWELVE_PLACES = Decimal("0.000000000001")
@@ -423,29 +423,21 @@ def demo_arena(seed: int = DEMO_SEED) -> DemoArena:
     )
 
 
-def run_demo(store, seed: int = DEMO_SEED) -> DemoArena:
-    """Freeze, declare, and execute both demo sweeps into a store."""
-    from .policy import persist_policy
-
+def persist_demo(store, seed: int = DEMO_SEED) -> DemoArena:
+    """Freeze the demo snapshot and persist its policy and both plans."""
     arena = demo_arena(seed)
     frozen = sweep.freeze_snapshot(store, arena.artifacts, arena.time_window)
     assert frozen.snapshot_id == arena.snapshot_record.snapshot_id
     persist_policy(store, arena.policy)
     for plan in arena.plans:
-        persisted = sweep.plan_sweep(
-            store,
-            snapshot_id=plan.snapshot_id,
-            factory_name=plan.factory_name,
-            factory_version=plan.factory_version,
-            axes=plan.axes,
-            fixed_params=plan.fixed_params,
-            engine_name=plan.engine_name,
-            engine_version=plan.engine_version,
-            query=plan.query,
-            policy_id=plan.policy_id,
-            experiment_id=plan.experiment_id,
-        )
-        assert persisted.plan_id == plan.plan_id
+        sweep.persist_plan(store, plan)
+    return arena
+
+
+def run_demo(store, seed: int = DEMO_SEED) -> DemoArena:
+    """Freeze, declare, and execute both demo sweeps into a store."""
+    arena = persist_demo(store, seed)
+    for plan in arena.plans:
         sweep.declare_representations(store, plan, arena.factory)
         sweep.execute_sweep(store, plan, arena.engine)
     return arena

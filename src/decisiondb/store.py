@@ -2,8 +2,9 @@
 
 A store is a directory holding one SQLite database and a ``blobs/`` tree
 fanned out by content hash. Rows are keyed by content-derived
-identifiers and inserted with insert-or-ignore, so re-storing the same
-entity is a no-op and nothing is ever updated or deleted.
+identifiers; a row whose primary key is already stored is skipped, so
+re-storing the same entity is a no-op and nothing is ever updated or
+deleted.
 """
 
 from __future__ import annotations
@@ -11,15 +12,26 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    ClassVar,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+    get_type_hints,
+)
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
 from .errors import (
     BlobCorruptionError,
+    DecisionDBError,
     IdentifierFormatError,
     IntegrityError,
     ReferentialError,
@@ -29,15 +41,6 @@ from .errors import (
 DB_FILENAME = "store.sqlite"
 BLOB_DIRNAME = "blobs"
 STORE_FORMAT_VERSION = "1"
-
-TABLES = ("snapshots", "representations", "engine_runs", "decisions", "f_map")
-
-_PREFIX_TABLE = {
-    "snap": "snapshots",
-    "repr": "representations",
-    "run": "engine_runs",
-    "dec": "decisions",
-}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -121,8 +124,111 @@ class ManifestEntry:
     artifact_ref: str
 
 
+# Record class -> Table, in the order tables are listed and counted.
+_TABLES: dict[type, "Table"] = {}
+
+
+class Table:
+    """How a record class maps onto its table; decorates the record class.
+
+    Columns follow the record's fields in order, and an identified
+    record's first field is its key. A ``split`` field spreads its tuple
+    over the named columns. A ``json`` field is stored as the canonical
+    encoding of its entry in the identifying payload and read back
+    through the given converter (None keeps the decoded value).
+    ``references`` lists identifier fields that must name an existing
+    row; each is the key column of the table it points into. ``blobs``
+    gives the blob hashes a record references; a policy or plan spec
+    blob is addressed by its identifier's digest.
+    """
+
+    def __init__(self, name, blobs, prefix=None, json=None, split=None, references=()):
+        self.name = name
+        self.blobs = blobs
+        self.prefix = prefix
+        self.json = json or {}
+        self.split = split or {}
+        self.references = references
+
+    def __call__(self, cls):
+        """Work out the record class's columns and SQL text once, and register it."""
+        name = self.name
+        self.cls = cls
+        self.key = fields(cls)[0].name if self.prefix else None
+        self.values_of = attrgetter(*(f.name for f in fields(cls)))
+        hints = get_type_hints(cls)
+        columns = []
+        self.splits = []
+        self.ids = []
+        self.jsons = []
+        for at, f in enumerate(fields(cls)):
+            if f.name in self.split:
+                self.splits.append((at, len(columns), len(self.split[f.name])))
+                columns.extend(self.split[f.name])
+                continue
+            columns.append(f.name)
+            if f.name in self.json:
+                self.jsons.append((at, f.name))
+            elif hints[f.name] is Identifier:
+                self.ids.append(at)
+        names = ", ".join(columns)
+        marks = ", ".join("?" * len(columns))
+        self.insert_sql = (
+            f"INSERT INTO {name} ({names}) VALUES ({marks}) ON CONFLICT DO NOTHING"
+        )
+        self.select_sql = f"SELECT {names} FROM {name}"
+        if self.key:
+            self.select_by_key_sql = f"{self.select_sql} WHERE {self.key} = ?"
+            self.exists_sql = f"SELECT 1 FROM {name} WHERE {self.key} = ? LIMIT 1"
+        cls.TABLE = _TABLES[cls] = self
+        return cls
+
+    def row(self, record, payload: Optional[Mapping[str, Any]]) -> list:
+        """Column values in insert order; JSON columns come from ``payload``."""
+        values = list(self.values_of(record))
+        for at in self.ids:
+            values[at] = str(values[at])
+        for at, name in self.jsons:
+            values[at] = canon.canonical_encode(payload[name]).decode("utf-8")
+        for at, _, _ in reversed(self.splits):
+            values[at : at + 1] = values[at]
+        return values
+
+    def record(self, row: Sequence[Any]):
+        values = list(row)
+        for _, at, width in reversed(self.splits):
+            values[at : at + width] = [tuple(values[at : at + width])]
+        for at in self.ids:
+            values[at] = Identifier.parse(values[at])
+        for at, name in self.jsons:
+            value = canon.canonical_decode(values[at].encode("utf-8"))
+            values[at] = value if self.json[name] is None else self.json[name](value)
+        return self.cls(*values)
+
+
+class _Record:
+    """Behaviour shared by the five row classes; ``TABLE`` describes each."""
+
+    TABLE: ClassVar[Table]
+
+    def derived_id(self) -> Identifier:
+        """The identifier this record's identifying payload hashes to."""
+        return canon.content_id(self.TABLE.prefix, self.identifying_payload())
+
+    def _identified(self):
+        object.__setattr__(self, self.TABLE.key, self.derived_id())
+        return self
+
+
+@Table(
+    "snapshots",
+    blobs=lambda r: [e.artifact_ref for e in r.artifact_manifest],
+    prefix="snap",
+    json={"artifact_manifest": lambda value: tuple(ManifestEntry(**e) for e in value)},
+    split={"time_window": ("time_window_start", "time_window_end")},
+)
 @dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(_Record):
     snapshot_id: Identifier
     time_window: tuple[str, str]
     artifact_manifest: tuple[ManifestEntry, ...]
@@ -147,20 +253,24 @@ class SnapshotRecord:
         version: str = SCHEMA_VERSION,
     ) -> "SnapshotRecord":
         manifest = tuple(sorted(artifact_manifest, key=lambda e: e.name))
-        record = cls(
-            snapshot_id=Identifier("snap", "0" * 16),
+        return cls(
+            snapshot_id=None,
             time_window=(time_window[0], time_window[1]),
             artifact_manifest=manifest,
             version=version,
             created_at=_now(),
-        )
-        ident = canon.content_id("snap", record.identifying_payload())
-        object.__setattr__(record, "snapshot_id", ident)
-        return record
+        )._identified()
 
 
+@Table(
+    "representations",
+    blobs=lambda r: [r.encoded_artifact_ref],
+    prefix="repr",
+    json={"params": None},
+    references=("snapshot_id",),
+)
 @dataclass(frozen=True)
-class RepresentationRecord:
+class RepresentationRecord(_Record):
     repr_id: Identifier
     snapshot_id: Identifier
     factory_name: str
@@ -191,8 +301,8 @@ class RepresentationRecord:
         encoded_artifact_ref: str,
         version: str = SCHEMA_VERSION,
     ) -> "RepresentationRecord":
-        record = cls(
-            repr_id=Identifier("repr", "0" * 16),
+        return cls(
+            repr_id=None,
             snapshot_id=snapshot_id,
             factory_name=factory_name,
             factory_version=factory_version,
@@ -200,14 +310,18 @@ class RepresentationRecord:
             encoded_artifact_ref=encoded_artifact_ref,
             version=version,
             created_at=_now(),
-        )
-        ident = canon.content_id("repr", record.identifying_payload())
-        object.__setattr__(record, "repr_id", ident)
-        return record
+        )._identified()
 
 
+@Table(
+    "engine_runs",
+    blobs=lambda r: [r.raw_output_ref],
+    prefix="run",
+    json={"query": None},
+    references=("repr_id",),
+)
 @dataclass(frozen=True)
-class EngineRunRecord:
+class EngineRunRecord(_Record):
     run_id: Identifier
     repr_id: Identifier
     engine_name: str
@@ -241,8 +355,8 @@ class EngineRunRecord:
         status: str = "ok",
         version: str = SCHEMA_VERSION,
     ) -> "EngineRunRecord":
-        record = cls(
-            run_id=Identifier("run", "0" * 16),
+        return cls(
+            run_id=None,
             repr_id=repr_id,
             engine_name=engine_name,
             engine_version=engine_version,
@@ -252,14 +366,12 @@ class EngineRunRecord:
             status=status,
             version=version,
             created_at=_now(),
-        )
-        ident = canon.content_id("run", record.identifying_payload())
-        object.__setattr__(record, "run_id", ident)
-        return record
+        )._identified()
 
 
+@Table("decisions", blobs=lambda r: [r.policy_id.digest16], prefix="dec")
 @dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(_Record):
     decision_id: Identifier
     policy_id: Identifier
     payload_hash: str
@@ -280,20 +392,22 @@ class DecisionRecord:
         payload_hash: str,
         version: str = SCHEMA_VERSION,
     ) -> "DecisionRecord":
-        record = cls(
-            decision_id=Identifier("dec", "0" * 16),
+        return cls(
+            decision_id=None,
             policy_id=policy_id,
             payload_hash=payload_hash,
             version=version,
             created_at=_now(),
-        )
-        ident = canon.content_id("dec", record.identifying_payload())
-        object.__setattr__(record, "decision_id", ident)
-        return record
+        )._identified()
 
 
+@Table(
+    "f_map",
+    blobs=lambda r: [r.plan_id.digest16],
+    references=("snapshot_id", "repr_id", "run_id", "decision_id"),
+)
 @dataclass(frozen=True)
-class FMapEntry:
+class FMapEntry(_Record):
     """One materialized map row: grid point, run, and resulting decision."""
 
     experiment_id: str
@@ -325,9 +439,9 @@ class FMapEntry:
         )
 
 
-Record = Union[
-    SnapshotRecord, RepresentationRecord, EngineRunRecord, DecisionRecord, FMapEntry
-]
+TABLES = tuple(table.name for table in _TABLES.values())
+_BY_PREFIX = {t.prefix: t for t in _TABLES.values() if t.prefix}
+_BY_KEY = {t.key: t for t in _TABLES.values() if t.key}
 
 
 class Store:
@@ -451,156 +565,60 @@ class Store:
 
     # -- rows --------------------------------------------------------------
 
-    def _row_exists(self, table: str, column: str, value: str) -> bool:
-        cur = self._conn.execute(
-            f"SELECT 1 FROM {table} WHERE {column} = ? LIMIT 1", (value,)
-        )
-        return cur.fetchone() is not None
-
-    def _require_row(self, table: str, column: str, ident: Identifier, owner: str) -> None:
-        if not self._row_exists(table, column, str(ident)):
+    def _require_row(self, column: str, ident: Identifier, owner: str) -> None:
+        cur = self._conn.execute(_BY_KEY[column].exists_sql, (str(ident),))
+        if cur.fetchone() is None:
             raise ReferentialError(f"{owner} references missing {column} {ident}")
 
-    def _require_blob(self, ref: str, owner: str) -> None:
-        if not self.has_blob(ref):
-            raise ReferentialError(f"{owner} references missing blob {ref}")
-
-    def _verify_identity(self, record, field: str, prefix: str) -> None:
-        recomputed = canon.content_id(prefix, record.identifying_payload())
-        stored = getattr(record, field)
-        if recomputed != stored:
+    def _check_fmap_links(self, entry: FMapEntry) -> None:
+        rep = self.get_record(entry.repr_id)
+        if rep.snapshot_id != entry.snapshot_id:
             raise IntegrityError(
-                f"stored identifier {stored} does not match recomputed {recomputed}"
+                f"f_map entry snapshot {entry.snapshot_id} does not match "
+                f"representation snapshot {rep.snapshot_id}"
+            )
+        run = self.get_record(entry.run_id)
+        if run.repr_id != entry.repr_id:
+            raise IntegrityError(
+                f"f_map entry representation {entry.repr_id} does not match "
+                f"run representation {run.repr_id}"
             )
 
-    def put_record(self, record: Record) -> str:
+    def put_record(self, record: _Record) -> str:
         """Insert a record, returning "inserted" or "ignored".
 
         The record's identifier is recomputed from its identifying
         payload and every reference is checked before the write, so the
-        tables stay closed under the chain invariants.
+        tables stay closed under the chain invariants. Only a row whose
+        primary key is already stored is ignored; any other failed
+        constraint raises DecisionDBError.
         """
-        if isinstance(record, SnapshotRecord):
-            self._verify_identity(record, "snapshot_id", "snap")
-            for entry in record.artifact_manifest:
-                self._require_blob(entry.artifact_ref, f"snapshot {record.snapshot_id}")
-            sql = (
-                "INSERT OR IGNORE INTO snapshots "
-                "(snapshot_id, time_window_start, time_window_end, artifact_manifest, version, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?)"
-            )
-            args = (
-                str(record.snapshot_id),
-                record.time_window[0],
-                record.time_window[1],
-                canon.canonical_encode(
-                    [
-                        {"name": e.name, "artifact_ref": e.artifact_ref}
-                        for e in record.artifact_manifest
-                    ]
-                ).decode("utf-8"),
-                record.version,
-                record.created_at,
-            )
-        elif isinstance(record, RepresentationRecord):
-            self._verify_identity(record, "repr_id", "repr")
-            self._require_row(
-                "snapshots", "snapshot_id", record.snapshot_id, f"representation {record.repr_id}"
-            )
-            self._require_blob(record.encoded_artifact_ref, f"representation {record.repr_id}")
-            sql = (
-                "INSERT OR IGNORE INTO representations "
-                "(repr_id, snapshot_id, factory_name, factory_version, params, encoded_artifact_ref, version, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-            )
-            args = (
-                str(record.repr_id),
-                str(record.snapshot_id),
-                record.factory_name,
-                record.factory_version,
-                canon.canonical_encode(dict(record.params)).decode("utf-8"),
-                record.encoded_artifact_ref,
-                record.version,
-                record.created_at,
-            )
-        elif isinstance(record, EngineRunRecord):
-            self._verify_identity(record, "run_id", "run")
-            self._require_row(
-                "representations", "repr_id", record.repr_id, f"engine run {record.run_id}"
-            )
-            self._require_blob(record.raw_output_ref, f"engine run {record.run_id}")
-            sql = (
-                "INSERT OR IGNORE INTO engine_runs "
-                "(run_id, repr_id, engine_name, engine_version, query, raw_output_ref, exec_time_ms, status, version, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-            )
-            args = (
-                str(record.run_id),
-                str(record.repr_id),
-                record.engine_name,
-                record.engine_version,
-                canon.canonical_encode(record.query).decode("utf-8"),
-                record.raw_output_ref,
-                record.exec_time_ms,
-                record.status,
-                record.version,
-                record.created_at,
-            )
-        elif isinstance(record, DecisionRecord):
-            self._verify_identity(record, "decision_id", "dec")
-            self._require_blob(
-                record.policy_id.digest16, f"decision {record.decision_id} (policy spec)"
-            )
-            sql = (
-                "INSERT OR IGNORE INTO decisions "
-                "(decision_id, policy_id, payload_hash, version, created_at) "
-                "VALUES (?, ?, ?, ?, ?)"
-            )
-            args = (
-                str(record.decision_id),
-                str(record.policy_id),
-                record.payload_hash,
-                record.version,
-                record.created_at,
-            )
-        elif isinstance(record, FMapEntry):
-            owner = f"f_map entry for {record.decision_id}"
-            self._require_row("snapshots", "snapshot_id", record.snapshot_id, owner)
-            self._require_row("representations", "repr_id", record.repr_id, owner)
-            self._require_row("engine_runs", "run_id", record.run_id, owner)
-            self._require_row("decisions", "decision_id", record.decision_id, owner)
-            self._require_blob(record.plan_id.digest16, f"{owner} (plan spec)")
-            rep = self.get_record(record.repr_id)
-            if rep.snapshot_id != record.snapshot_id:
-                raise IntegrityError(
-                    f"f_map entry snapshot {record.snapshot_id} does not match "
-                    f"representation snapshot {rep.snapshot_id}"
-                )
-            run = self.get_record(record.run_id)
-            if run.repr_id != record.repr_id:
-                raise IntegrityError(
-                    f"f_map entry representation {record.repr_id} does not match "
-                    f"run representation {run.repr_id}"
-                )
-            sql = (
-                "INSERT OR IGNORE INTO f_map "
-                "(experiment_id, snapshot_id, repr_id, run_id, decision_id, plan_id, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)"
-            )
-            args = (
-                record.experiment_id,
-                str(record.snapshot_id),
-                str(record.repr_id),
-                str(record.run_id),
-                str(record.decision_id),
-                str(record.plan_id),
-                record.created_at,
-            )
-        else:
+        table = _TABLES.get(type(record))
+        if table is None:
             raise TypeError(f"not a storable record: {type(record).__name__}")
-
-        with self._lock, self._conn:
-            cur = self._conn.execute(sql, args)
+        owner = f"{table.name} row"
+        payload = None
+        if table.prefix is not None:
+            payload = record.identifying_payload()
+            stored = getattr(record, table.key)
+            recomputed = canon.content_id(table.prefix, payload)
+            if recomputed != stored:
+                raise IntegrityError(
+                    f"stored identifier {stored} does not match recomputed {recomputed}"
+                )
+            owner = f"{owner} {stored}"
+        for column in table.references:
+            self._require_row(column, getattr(record, column), owner)
+        for ref in table.blobs(record):
+            if not self.has_blob(ref):
+                raise ReferentialError(f"{owner} references missing blob {ref}")
+        if isinstance(record, FMapEntry):
+            self._check_fmap_links(record)
+        try:
+            with self._lock, self._conn:
+                cur = self._conn.execute(table.insert_sql, table.row(record, payload))
+        except sqlite3.Error as exc:
+            raise DecisionDBError(f"cannot write {owner}: {exc}") from exc
         return "inserted" if cur.rowcount else "ignored"
 
     def get_record(self, ident: Union[str, Identifier]):
@@ -611,77 +629,11 @@ class Store:
         """
         if isinstance(ident, str):
             ident = Identifier.parse(ident)
-        table = _PREFIX_TABLE.get(ident.prefix)
+        table = _BY_PREFIX.get(ident.prefix)
         if table is None:
             return None
-        pk = {"snapshots": "snapshot_id", "representations": "repr_id",
-              "engine_runs": "run_id", "decisions": "decision_id"}[table]
-        row = self._conn.execute(
-            f"SELECT * FROM {table} WHERE {pk} = ?", (str(ident),)
-        ).fetchone()
-        if row is None:
-            return None
-        return self._record_from_row(table, row)
-
-    @staticmethod
-    def _record_from_row(table: str, row: sqlite3.Row):
-        if table == "snapshots":
-            manifest = tuple(
-                ManifestEntry(name=e["name"], artifact_ref=e["artifact_ref"])
-                for e in canon.canonical_decode(row["artifact_manifest"].encode("utf-8"))
-            )
-            return SnapshotRecord(
-                snapshot_id=Identifier.parse(row["snapshot_id"]),
-                time_window=(row["time_window_start"], row["time_window_end"]),
-                artifact_manifest=manifest,
-                version=row["version"],
-                created_at=row["created_at"],
-            )
-        if table == "representations":
-            return RepresentationRecord(
-                repr_id=Identifier.parse(row["repr_id"]),
-                snapshot_id=Identifier.parse(row["snapshot_id"]),
-                factory_name=row["factory_name"],
-                factory_version=row["factory_version"],
-                params=canon.canonical_decode(row["params"].encode("utf-8")),
-                encoded_artifact_ref=row["encoded_artifact_ref"],
-                version=row["version"],
-                created_at=row["created_at"],
-            )
-        if table == "engine_runs":
-            return EngineRunRecord(
-                run_id=Identifier.parse(row["run_id"]),
-                repr_id=Identifier.parse(row["repr_id"]),
-                engine_name=row["engine_name"],
-                engine_version=row["engine_version"],
-                query=canon.canonical_decode(row["query"].encode("utf-8")),
-                raw_output_ref=row["raw_output_ref"],
-                exec_time_ms=row["exec_time_ms"],
-                status=row["status"],
-                version=row["version"],
-                created_at=row["created_at"],
-            )
-        if table == "decisions":
-            return DecisionRecord(
-                decision_id=Identifier.parse(row["decision_id"]),
-                policy_id=Identifier.parse(row["policy_id"]),
-                payload_hash=row["payload_hash"],
-                version=row["version"],
-                created_at=row["created_at"],
-            )
-        raise AssertionError(table)
-
-    @staticmethod
-    def _fmap_from_row(row: sqlite3.Row) -> FMapEntry:
-        return FMapEntry(
-            experiment_id=row["experiment_id"],
-            snapshot_id=Identifier.parse(row["snapshot_id"]),
-            repr_id=Identifier.parse(row["repr_id"]),
-            run_id=Identifier.parse(row["run_id"]),
-            decision_id=Identifier.parse(row["decision_id"]),
-            plan_id=Identifier.parse(row["plan_id"]),
-            created_at=row["created_at"],
-        )
+        row = self._conn.execute(table.select_by_key_sql, (str(ident),)).fetchone()
+        return None if row is None else table.record(row)
 
     def table_counts(self) -> dict[str, int]:
         counts = {}
@@ -707,7 +659,7 @@ class Store:
         plan_id: Optional[Union[str, Identifier]] = None,
     ) -> list[FMapEntry]:
         """Map rows for an experiment, sorted by repr then run then plan."""
-        sql = "SELECT * FROM f_map WHERE experiment_id = ?"
+        sql = f"{FMapEntry.TABLE.select_sql} WHERE experiment_id = ?"
         args: list[str] = [experiment_id]
         if snapshot_id is not None:
             sql += " AND snapshot_id = ?"
@@ -716,23 +668,16 @@ class Store:
             sql += " AND plan_id = ?"
             args.append(str(_as_identifier(plan_id, "plan")))
         sql += " ORDER BY repr_id, run_id, plan_id"
-        return [self._fmap_from_row(row) for row in self._conn.execute(sql, args)]
+        return [FMapEntry.TABLE.record(row) for row in self._conn.execute(sql, args)]
 
     def fmap_for_decision(self, decision_id: Union[str, Identifier]) -> list[FMapEntry]:
         ident = _as_identifier(decision_id, "dec")
         cur = self._conn.execute(
-            "SELECT * FROM f_map WHERE decision_id = ? "
+            f"{FMapEntry.TABLE.select_sql} WHERE decision_id = ? "
             "ORDER BY experiment_id, repr_id, run_id, plan_id",
             (str(ident),),
         )
-        return [self._fmap_from_row(row) for row in cur.fetchall()]
-
-    def experiment_plan_ids(self, experiment_id: str) -> list[Identifier]:
-        cur = self._conn.execute(
-            "SELECT DISTINCT plan_id FROM f_map WHERE experiment_id = ? ORDER BY plan_id",
-            (experiment_id,),
-        )
-        return [Identifier.parse(row[0]) for row in cur.fetchall()]
+        return [FMapEntry.TABLE.record(row) for row in cur.fetchall()]
 
 
 def open_store(location: Union[str, Path]) -> Store:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any, Iterable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Mapping, Optional, Protocol, Sequence, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -94,6 +94,50 @@ class SweepPlan:
             "version": self.version,
         }
 
+    @classmethod
+    def from_payload(cls, payload: Any, experiment_id: str) -> "SweepPlan":
+        """Rebuild a plan from its payload form, as stored or as shipped in a file.
+
+        A missing ``version`` means the current schema version. A payload
+        that is not a mapping, or lacks a field, or holds one of the wrong
+        type raises ValidationError naming the field.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"plan payload is a {type(payload).__name__}, not a mapping")
+        fields = {"version": SCHEMA_VERSION, **payload}
+        for name, kind in _PLAN_FIELD_TYPES.items():
+            if name not in fields:
+                raise ValidationError(f"plan payload is missing field {name!r}")
+            if not isinstance(fields[name], kind):
+                raise ValidationError(f"plan field {name!r} is not a {kind.__name__}")
+        axes = []
+        for axis in fields["axes"]:
+            if not (
+                isinstance(axis, Mapping)
+                and isinstance(axis.get("param"), str)
+                and isinstance(axis.get("values"), list)
+            ):
+                raise ValidationError(f"plan axis {axis!r} is not a {{param, values}} mapping")
+            axes.append(Axis(param=axis["param"], values=tuple(axis["values"])))
+        kwargs = {name: fields[name] for name in _PLAN_FIELD_TYPES}
+        return build_plan(**kwargs | {"axes": axes}, experiment_id=experiment_id)
+
+    def repr_id(self, params: Mapping[str, str]) -> Identifier:
+        """Identifier of the representation this plan declares for one grid point.
+
+        The encoded artifact is not identifying, so no bytes are needed.
+        """
+        return RepresentationRecord(
+            repr_id=None,
+            snapshot_id=self.snapshot_id,
+            factory_name=self.factory_name,
+            factory_version=self.factory_version,
+            params=params,
+            encoded_artifact_ref="",
+            version=SCHEMA_VERSION,
+            created_at="",
+        ).derived_id()
+
     def grid_points(self) -> list[dict[str, str]]:
         """Parameter assignments in grid order: declared axes, values ascending."""
         if not self.axes:
@@ -105,6 +149,20 @@ class SweepPlan:
                 params[axis.param] = value
             points.append(params)
         return points
+
+
+_PLAN_FIELD_TYPES = {
+    "snapshot_id": str,
+    "factory_name": str,
+    "factory_version": str,
+    "axes": list,
+    "fixed_params": Mapping,
+    "engine_name": str,
+    "engine_version": str,
+    "query": object,
+    "policy_id": str,
+    "version": str,
+}
 
 
 def _normalize_axis(axis: Axis) -> Axis:
@@ -132,7 +190,7 @@ def build_plan(
     snapshot_id: Union[str, Identifier],
     factory_name: str,
     factory_version: str,
-    axes: Sequence[Union[Axis, Mapping[str, Any]]],
+    axes: Sequence[Axis],
     fixed_params: Mapping[str, str],
     engine_name: str,
     engine_version: str,
@@ -151,8 +209,6 @@ def build_plan(
     norm_axes = []
     seen_params = set(fixed_params)
     for axis in axes:
-        if isinstance(axis, Mapping):
-            axis = Axis(param=axis["param"], values=tuple(axis["values"]))
         axis = _normalize_axis(axis)
         if axis.param in seen_params:
             raise ValidationError(f"parameter {axis.param!r} declared more than once")
@@ -193,15 +249,19 @@ def freeze_snapshot(
     return record
 
 
-def plan_sweep(store: Store, **kwargs) -> SweepPlan:
-    """Validate references, persist the plan spec as a blob, return the plan."""
-    plan = build_plan(**kwargs)
+def persist_plan(store: Store, plan: SweepPlan) -> SweepPlan:
+    """Validate a plan's references and persist its spec as a blob."""
     if store.get_record(plan.snapshot_id) is None:
         raise ReferentialError(f"plan references missing snapshot {plan.snapshot_id}")
     if not store.has_blob(plan.policy_id.digest16):
         raise ReferentialError(f"plan references missing policy {plan.policy_id}")
     store.put_blob(canon.canonical_encode(plan.payload()))
     return plan
+
+
+def plan_sweep(store: Store, **kwargs) -> SweepPlan:
+    """Build a plan from ``build_plan`` keywords and persist it."""
+    return persist_plan(store, build_plan(**kwargs))
 
 
 def load_plan(
@@ -214,38 +274,12 @@ def load_plan(
     data = store.read_blob_unverified(plan_id.digest16)
     if data is None:
         raise PlanNotFoundError(f"no persisted plan {plan_id}")
-    payload = canon.canonical_decode(data)
-    plan = build_plan(
-        snapshot_id=payload["snapshot_id"],
-        factory_name=payload["factory_name"],
-        factory_version=payload["factory_version"],
-        axes=payload["axes"],
-        fixed_params=payload["fixed_params"],
-        engine_name=payload["engine_name"],
-        engine_version=payload["engine_version"],
-        query=payload["query"],
-        policy_id=payload["policy_id"],
-        experiment_id=experiment_id,
-        version=payload["version"],
-    )
+    plan = SweepPlan.from_payload(canon.canonical_decode(data), experiment_id)
     if plan.plan_id != plan_id:
         raise PlanNotFoundError(
             f"stored plan spec re-derives to {plan.plan_id}, not {plan_id}"
         )
     return plan
-
-
-def _repr_identifier(plan: SweepPlan, params: Mapping[str, str]) -> Identifier:
-    return canon.content_id(
-        "repr",
-        {
-            "snapshot_id": str(plan.snapshot_id),
-            "factory_name": plan.factory_name,
-            "factory_version": plan.factory_version,
-            "params": dict(params),
-            "version": SCHEMA_VERSION,
-        },
-    )
 
 
 def _load_artifacts(store: Store, plan: SweepPlan) -> dict[str, bytes]:
@@ -313,25 +347,12 @@ def _run_point(
     """Evaluate one declared point; returns (entry, None) or (None, failure)."""
     encoded = store.get_blob(rep.encoded_artifact_ref)
     started = time.perf_counter()
+    failure = None
     try:
         raw = engine.evaluate(encoded, plan.query)
     except EngineFailure as exc:
-        elapsed = f"{(time.perf_counter() - started) * 1000:.3f}"
-        message = str(exc)
-        err_ref = store.put_blob(
-            canon.canonical_encode({"error": message, "version": SCHEMA_VERSION})
-        )
-        run = EngineRunRecord.create(
-            rep.repr_id,
-            plan.engine_name,
-            plan.engine_version,
-            plan.query,
-            err_ref.hash,
-            elapsed,
-            status="failed",
-        )
-        store.put_record(run)
-        return None, message
+        failure = str(exc)
+        raw = {"error": failure, "version": SCHEMA_VERSION}
     elapsed = f"{(time.perf_counter() - started) * 1000:.3f}"
     if not isinstance(raw, Mapping):
         raise ValidationError(
@@ -345,12 +366,13 @@ def _run_point(
         plan.query,
         raw_ref.hash,
         elapsed,
-        status="ok",
+        status="ok" if failure is None else "failed",
     )
     store.put_record(run)
+    if failure is not None:
+        return None, failure
     identity = extract_decision(raw, pol)
     decision = DecisionRecord.create(identity.policy_id, identity.payload_hash)
-    assert decision.decision_id == identity.decision_id
     store.put_record(decision)
     entry = FMapEntry.create(
         plan.experiment_id,
@@ -384,7 +406,7 @@ def execute_sweep(
     entries = []
     failures = []
     for params in plan.grid_points():
-        rep_id = _repr_identifier(plan, params)
+        rep_id = plan.repr_id(params)
         rep = store.get_record(rep_id)
         if rep is None:
             raise ReferentialError(
@@ -445,7 +467,7 @@ def materialize_map(
     }
     points = {}
     for params in plan.grid_points():
-        entry = by_repr.get(str(_repr_identifier(plan, params)))
+        entry = by_repr.get(str(plan.repr_id(params)))
         if entry is not None:
             points[params_key(params)] = MapPoint(
                 params=dict(params),
@@ -574,7 +596,7 @@ def _point_decision(
 ) -> Identifier:
     """Decision at a parameter point, evaluating through the full pipeline
     and persisting the chain when the point is not already on the map."""
-    rep_id = _repr_identifier(plan, params)
+    rep_id = plan.repr_id(params)
     for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
         if entry.repr_id == rep_id:
             return entry.decision_id

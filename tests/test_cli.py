@@ -148,6 +148,20 @@ class TestDemo:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["map"], ["sweep", "report"]])
+    def test_non_plan_blob_under_plan_prefix_exits_one(self, demo_db, capsys, command):
+        code, payload = run_json(capsys, ["demo", "generate", "--db", str(demo_db)])
+        assert code == 0
+        # The policy spec blob is stored, but it is not a plan payload.
+        plan_id = "plan_" + payload["policy_id"].split("_", 1)[1]
+        code = cli.main(
+            command + ["--db", str(demo_db), "--plan", plan_id, "--experiment", "demo"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'snapshot_id'" in err
+
 
 class TestReplayCommand:
     def test_clean_replay_exits_zero(self, demo_db, capsys):
@@ -340,6 +354,29 @@ class TestFileWorkflow:
         )
         assert code == 1
         assert "missing policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mangle, named",
+        [
+            (lambda payload: [payload], "not a mapping"),
+            (lambda payload: {**payload, "axes": [1]}, "plan axis 1"),
+            (lambda payload: {k: v for k, v in payload.items() if k != "engine_name"}, "'engine_name'"),
+        ],
+        ids=["not-a-mapping", "axis-not-a-mapping", "missing-field"],
+    )
+    def test_malformed_plan_file_exits_one(self, tmp_path, capsys, world_files, mangle, named):
+        root, graph_file, _, pol_id = world_files
+        db = str(root / "db")
+        snap_id = self.freeze(db, graph_file, capsys)
+        plan_path = self.plan_file(root, snap_id, pol_id)
+        plan_path.write_text(json.dumps(mangle(json.loads(plan_path.read_text()))))
+        code = cli.main(
+            ["sweep", "run", "--db", db, "--plan", str(plan_path), "--experiment", "x"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
 
     def test_missing_plan_file_named_plainly(self, tmp_path, capsys, world_files):
         root, graph_file, _, _ = world_files

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,12 +6,15 @@ import pytest
 from decisiondb import canon
 from decisiondb.errors import (
     BlobCorruptionError,
+    DecisionDBError,
     IdentifierFormatError,
     IntegrityError,
     ReferentialError,
     StoreOpenError,
+    SweepExecutionError,
 )
 from decisiondb.store import (
+    TABLES,
     DecisionRecord,
     EngineRunRecord,
     FMapEntry,
@@ -19,6 +23,7 @@ from decisiondb.store import (
     SnapshotRecord,
     open_store,
 )
+from toy_arena import StepEngine, make_plan, run_plan, setup_world
 
 WINDOW = ("2025-01-01T00:00:00Z", "2025-01-08T00:00:00Z")
 
@@ -286,6 +291,17 @@ class TestRecords:
         with pytest.raises(ReferentialError):
             store.put_record(entry)
 
+    def test_constraint_failure_raises_instead_of_ignoring(self, store):
+        chain = build_chain(store)
+        run = EngineRunRecord.create(
+            chain["representation"].repr_id, "eng", "1", {"q": 2},
+            chain["raw_ref"].hash, "1.0", status="bogus",
+        )
+        before = store.table_counts()
+        with pytest.raises(DecisionDBError):
+            store.put_record(run)
+        assert store.table_counts() == before
+
     def test_unknown_record_type_rejected(self, store):
         with pytest.raises(TypeError):
             store.put_record({"not": "a record"})
@@ -348,3 +364,37 @@ class TestLookups:
         assert len(rows) == 1
         with pytest.raises(ValueError):
             store.table_rows("sqlite_master")
+
+
+# Digest of every row (created_at and exec_time_ms left out) and every
+# blob hash of the toy chain below. It pins the exact column text the
+# insert path writes, the JSON columns included; any change to a stored
+# byte changes it.
+GOLDEN_STORE_DIGEST = "2773a01456303b8deb4e214e9848e1a7e59eb23c4a11802bc0edacc91654121c"
+
+
+def store_digest(store):
+    rows = []
+    for table in TABLES:
+        for row in store.table_rows(table):
+            row.pop("created_at")
+            row.pop("exec_time_ms", None)
+            rows.append(canon.canonical_encode({"table": table, "row": row, "version": "1"}))
+    digest = hashlib.sha256()
+    for encoded in sorted(rows):
+        digest.update(encoded + b"\n")
+    for ref in store.iter_blob_hashes():
+        digest.update(ref.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+class TestStoredBytes:
+    def test_toy_chain_digest_is_frozen(self, store):
+        snap, pol_id = setup_world(store)
+        plan = make_plan(store, snap, pol_id, fixed={"gain": "1"})
+        with pytest.raises(SweepExecutionError):
+            run_plan(store, plan, StepEngine(refuse={"3"}))
+        run_plan(store, plan)
+        runs = store.table_rows("engine_runs")
+        assert sorted(row["status"] for row in runs) == ["failed", "ok", "ok", "ok", "ok"]
+        assert store_digest(store) == GOLDEN_STORE_DIGEST
