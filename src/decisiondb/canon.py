@@ -69,6 +69,33 @@ def is_payload_hash(text: str) -> bool:
     return isinstance(text, str) and _PAYLOAD_HASH_RE.match(text) is not None
 
 
+_PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _is_plain(value: Any) -> bool:
+    """True if the tree holds only exact dict/list/tuple/str/int/bool/None
+    with str keys: the common case, checked without building paths.
+
+    Anything else, valid or not, is left to _validate.
+    """
+    kind = type(value)
+    if kind is dict:
+        for key in value:
+            if type(key) is not str:
+                return False
+        value = value.values()
+    elif kind is not list and kind is not tuple:
+        return kind in _PLAIN_SCALARS
+    for item in value:
+        kind = type(item)
+        if kind in _PLAIN_SCALARS:
+            continue
+        if (kind is dict or kind is list or kind is tuple) and _is_plain(item):
+            continue
+        return False
+    return True
+
+
 def _validate(value: Any, path: str) -> None:
     if value is None or isinstance(value, bool):
         return
@@ -103,7 +130,8 @@ def canonical_encode(value: CanonicalValue) -> bytes:
     Mapping key insertion order never affects the output; keys are sorted
     by code point, which is identical to byte-wise UTF-8 order.
     """
-    _validate(value, "$")
+    if not _is_plain(value):
+        _validate(value, "$")
     if isinstance(value, tuple):
         value = list(value)
     text = json.dumps(

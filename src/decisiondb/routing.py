@@ -9,6 +9,7 @@ which makes the route itself, not just its cost, reproducible.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -192,19 +193,17 @@ def _parse_weight(name: str, value: str) -> Decimal:
     return weight
 
 
-def build_cost_representation(
-    graph: GraphSnapshot, neighbor_weight: str, second_order_weight: str
-) -> CostRepresentation:
-    """Price every edge by its baseline scaled with downstream stress.
+# Node ids, then (tail, head, baseline, N1(head), N2(head)) per edge.
+_Prepared = tuple[tuple[int, ...], tuple[tuple[int, int, Decimal, Decimal, Decimal], ...]]
 
-    cost(e) = baseline(e) * (1 + nw * N1(e) + sw * N2(e)), where N1 is
-    the mean stress over edges leaving e's head and N2 the mean over
-    edges leaving the heads of those edges; an empty edge set
-    contributes 0. Every product and mean is quantized to 12 fractional
-    digits, round half even.
+
+def _prepare(graph: GraphSnapshot) -> _Prepared:
+    """The weight-independent half of the cost formula.
+
+    Returns the node ids and, per edge in (tail, head) order, the tuple
+    (tail, head, baseline, N1(head), N2(head)), with N1 and N2 quantized
+    as in build_cost_representation.
     """
-    nw = _parse_weight("neighbor_weight", neighbor_weight)
-    sw = _parse_weight("second_order_weight", second_order_weight)
     with localcontext() as ctx:
         ctx.prec = 50
         out_edges: dict[int, list[Edge]] = {n.id: [] for n in graph.nodes}
@@ -235,21 +234,61 @@ def build_cost_representation(
                 return Decimal(0)
             return _q12(total / count)
 
-        costs = {}
-        for edge in graph.edges:
-            n1 = mean_one_hop(edge.head)
-            n2 = mean_two_hop(edge.head)
-            multiplier = Decimal(1) + nw * n1 + sw * n2
-            cost = _q12(Decimal(edge.baseline_cost) * multiplier)
-            costs[(edge.tail, edge.head)] = decimal_string(cost)
+        means = {
+            node_id: (mean_one_hop(node_id), mean_two_hop(node_id)) for node_id in out_edges
+        }
+        edges = tuple(
+            (edge.tail, edge.head, Decimal(edge.baseline_cost), *means[edge.head])
+            for edge in sorted(graph.edges, key=lambda e: (e.tail, e.head))
+        )
+    return tuple(n.id for n in graph.nodes), edges
+
+
+def _price(
+    prepared: _Prepared,
+    neighbor_weight: str,
+    second_order_weight: str,
+) -> CostRepresentation:
+    """The per-point half: q12(baseline * (1 + nw * N1 + sw * N2)) per edge."""
+    nw = _parse_weight("neighbor_weight", neighbor_weight)
+    sw = _parse_weight("second_order_weight", second_order_weight)
+    node_ids, edges = prepared
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one = Decimal(1)
+        costs = {
+            (tail, head): decimal_string(_q12(baseline * (one + nw * n1 + sw * n2)))
+            for tail, head, baseline, n1, n2 in edges
+        }
     return CostRepresentation(
         params={
             "neighbor_weight": neighbor_weight,
             "second_order_weight": second_order_weight,
         },
-        node_ids=tuple(n.id for n in graph.nodes),
+        node_ids=node_ids,
         edge_costs=costs,
     )
+
+
+def build_cost_representation(
+    graph: GraphSnapshot, neighbor_weight: str, second_order_weight: str
+) -> CostRepresentation:
+    """Price every edge by its baseline scaled with downstream stress.
+
+    cost(e) = baseline(e) * (1 + nw * N1(e) + sw * N2(e)), where N1 is
+    the mean stress over edges leaving e's head and N2 the mean over
+    edges leaving the heads of those edges; an empty edge set
+    contributes 0. Every product and mean is quantized to 12 fractional
+    digits, round half even.
+    """
+    return _price(_prepare(graph), neighbor_weight, second_order_weight)
+
+
+@functools.lru_cache(maxsize=1)
+def _prepared_graph(graph_bytes: bytes) -> _Prepared:
+    # One entry: a sweep prices every point of one snapshot, and the
+    # determinism check prices each point twice.
+    return _prepare(GraphSnapshot.from_payload(canon.canonical_decode(graph_bytes)))
 
 
 @dataclass(frozen=True)
@@ -330,9 +369,10 @@ class CostSurfaceFactory:
         for required in ("neighbor_weight", "second_order_weight"):
             if required not in params:
                 raise ValidationError(f"params are missing {required!r}")
-        graph = GraphSnapshot.from_payload(canon.canonical_decode(artifacts["graph"]))
-        rep = build_cost_representation(
-            graph, params["neighbor_weight"], params["second_order_weight"]
+        rep = _price(
+            _prepared_graph(artifacts["graph"]),
+            params["neighbor_weight"],
+            params["second_order_weight"],
         )
         return canon.canonical_encode(rep.to_payload())
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 from typing import (
@@ -98,7 +98,7 @@ CREATE TABLE IF NOT EXISTS f_map (
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _as_identifier(value: Union[str, Identifier], expected_prefix: str) -> Identifier:

@@ -171,7 +171,7 @@ def _normalize_axis(axis: Axis) -> Axis:
         raise ValidationError("axis parameter name must not be empty")
     if not axis.values:
         raise ValidationError(f"axis {axis.param!r} has no values")
-    seen: list[tuple[Decimal, str]] = []
+    first_spelling: dict[Decimal, str] = {}
     for value in axis.values:
         try:
             num = Decimal(value)
@@ -179,10 +179,11 @@ def _normalize_axis(axis: Axis) -> Axis:
             raise ValidationError(
                 f"axis {axis.param!r} value {value!r} is not a decimal string"
             ) from exc
-        if not any(num == prior for prior, _ in seen):
-            seen.append((num, value))
-    seen.sort(key=lambda pair: pair[0])
-    return Axis(param=axis.param, values=tuple(text for _, text in seen))
+        if num.is_nan():
+            raise ValidationError(f"axis {axis.param!r} value {value!r} is not a number")
+        first_spelling.setdefault(num, value)
+    ordered = sorted(first_spelling.items(), key=lambda pair: pair[0])
+    return Axis(param=axis.param, values=tuple(text for _, text in ordered))
 
 
 def build_plan(
@@ -317,6 +318,14 @@ def _declare_point(
     return record
 
 
+def _require_plugin(kind: str, plugin: Any, name: str, version: str) -> None:
+    """Refuse a factory or engine whose (name, version) is not the plan's."""
+    if (plugin.name, plugin.version) != (name, version):
+        raise ValidationError(
+            f"{kind} {plugin.name}/{plugin.version} does not match plan's {name}/{version}"
+        )
+
+
 def declare_representations(
     store: Store, plan: SweepPlan, factory: RepresentationFactory
 ) -> list[RepresentationRecord]:
@@ -325,11 +334,7 @@ def declare_representations(
     Every point is encoded twice; differing bytes mean the factory is not
     deterministic and the declaration is refused.
     """
-    if (factory.name, factory.version) != (plan.factory_name, plan.factory_version):
-        raise ValidationError(
-            f"factory {factory.name}/{factory.version} does not match plan's "
-            f"{plan.factory_name}/{plan.factory_version}"
-        )
+    _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
     artifacts = _load_artifacts(store, plan)
     return [
         _declare_point(store, plan, factory, artifacts, params)
@@ -395,11 +400,7 @@ def execute_sweep(
     summary error listing the failed points is raised at the end, with
     the completed entries attached.
     """
-    if (engine.name, engine.version) != (plan.engine_name, plan.engine_version):
-        raise ValidationError(
-            f"engine {engine.name}/{engine.version} does not match plan's "
-            f"{plan.engine_name}/{plan.engine_version}"
-        )
+    _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
     if not store.has_blob(plan.plan_id.digest16):
         raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
     pol = load_policy(store, plan.policy_id)
@@ -632,6 +633,8 @@ def refine_boundary(
     of the starting span) or when a midpoint's decision matches neither
     endpoint, which reports the interval as multi-region.
     """
+    _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
+    _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
     base = _single_axis_base(plan, axis)
     if not store.has_blob(plan.plan_id.digest16):
         raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import OrderedDict
 from decimal import Decimal
 from pathlib import Path
 
@@ -149,6 +150,32 @@ def test_encode_decode_round_trip(payload):
 @given(_payloads)
 def test_encode_matches_reference(payload):
     assert canon.canonical_encode(payload) == _ref_encode(payload)
+
+
+_OPAQUE = object()
+_mixed = st.recursive(
+    _scalars | st.floats() | st.just(_OPAQUE),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_text, children, max_size=4).map(OrderedDict)
+    | st.dictionaries(_text | st.integers() | st.booleans(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(_mixed)
+def test_encode_agrees_with_path_tracking_validation(value):
+    # canonical_encode checks the common exact types without building
+    # paths; whatever it accepts or rejects must match _validate alone.
+    try:
+        canon._validate(value, "$")
+    except CanonicalizationError as exc:
+        with pytest.raises(CanonicalizationError) as raised:
+            canon.canonical_encode(value)
+        assert str(raised.value) == str(exc)
+    else:
+        assert canon.canonical_encode(value) == _ref_encode(value)
 
 
 @given(st.integers(), st.integers())

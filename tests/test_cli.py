@@ -361,8 +361,12 @@ class TestFileWorkflow:
             (lambda payload: [payload], "not a mapping"),
             (lambda payload: {**payload, "axes": [1]}, "plan axis 1"),
             (lambda payload: {k: v for k, v in payload.items() if k != "engine_name"}, "'engine_name'"),
+            (
+                lambda payload: {**payload, "axes": [{"param": "neighbor_weight", "values": ["NaN"]}]},
+                "'NaN' is not a number",
+            ),
         ],
-        ids=["not-a-mapping", "axis-not-a-mapping", "missing-field"],
+        ids=["not-a-mapping", "axis-not-a-mapping", "missing-field", "nan-axis-value"],
     )
     def test_malformed_plan_file_exits_one(self, tmp_path, capsys, world_files, mangle, named):
         root, graph_file, _, pol_id = world_files

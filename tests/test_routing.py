@@ -286,6 +286,15 @@ class TestDijkstra:
         assert first.route_nodes[-1] == routing.DEMO_QUERY["end"]
 
 
+# Payload hashes of the demo graph's representations at the README grid
+# points; a change here changes every stored demo identifier.
+DEMO_REPRESENTATION_HASHES = {
+    ("0.5", "0.25"): "eff0e7f645d57bb4",
+    ("1.0", "0.25"): "5afa87d4e4c5a685",
+    ("0.5", "0.5"): "8936aa196937f8fc",
+}
+
+
 class TestAdapters:
     @pytest.fixture()
     def artifacts(self):
@@ -296,6 +305,26 @@ class TestAdapters:
         factory = routing.CostSurfaceFactory()
         params = {"neighbor_weight": "0.5", "second_order_weight": "0.25"}
         assert factory.encode(artifacts, params) == factory.encode(artifacts, params)
+
+    @pytest.mark.parametrize("nw,sow", [("0", "0"), ("0.5", "0.25"), ("0.5", "0.5"), ("1", "0.999")])
+    def test_factory_matches_build_cost_representation(self, nw, sow):
+        # Alternating graphs: the factory's cached preparation must follow
+        # the artifact it is given.
+        factory = routing.CostSurfaceFactory()
+        params = {"neighbor_weight": nw, "second_order_weight": sow}
+        for seed in (6, 7, 6):
+            graph = generate_demo_graph(seed, 40)
+            artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
+            expected = build_cost_representation(graph, nw, sow).to_payload()
+            assert factory.encode(artifacts, params) == canon.canonical_encode(expected)
+
+    @pytest.mark.parametrize("nw,sow", sorted(DEMO_REPRESENTATION_HASHES))
+    def test_demo_representation_bytes_are_frozen(self, nw, sow):
+        graph = generate_demo_graph(routing.DEMO_SEED)
+        artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
+        params = {"neighbor_weight": nw, "second_order_weight": sow}
+        encoded = routing.CostSurfaceFactory().encode(artifacts, params)
+        assert canon.payload_hash(encoded) == DEMO_REPRESENTATION_HASHES[(nw, sow)]
 
     def test_factory_requires_graph_artifact(self):
         factory = routing.CostSurfaceFactory()

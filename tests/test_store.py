@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -212,6 +213,13 @@ class TestRecords:
         assert store.put_record(later) == "ignored"
         stored = store.get_record(snap.snapshot_id)
         assert stored.created_at == snap.created_at
+
+    def test_created_at_is_utc_to_the_second(self, store):
+        chain = build_chain(store)
+        for name in ("snapshot", "representation", "run", "decision", "entry"):
+            assert re.fullmatch(
+                r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", chain[name].created_at
+            )
 
     def test_identifier_mismatch_rejected(self, store):
         art = store.put_blob(b"a1")

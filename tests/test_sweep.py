@@ -69,6 +69,8 @@ class TestPlans:
     def test_axis_values_deduplicated_keeping_first_spelling(self, st, world):
         plan = make_plan(st, *world, xs=("0.50", "1.0", "0.5", "0.25"))
         assert plan.axes[0].values == ("0.25", "0.50", "1.0")
+        plan = make_plan(st, *world, xs=("1.0", "0.50", "1", "0.5"))
+        assert plan.axes[0].values == ("0.50", "1.0")
 
     def test_experiment_id_not_part_of_identity(self, st, world):
         a = make_plan(st, *world, experiment="exp-a")
@@ -113,6 +115,11 @@ class TestPlans:
     def test_non_decimal_axis_value_rejected(self, st, world):
         with pytest.raises(ValidationError, match="decimal"):
             make_plan(st, *world, xs=("1", "fast"))
+
+    @pytest.mark.parametrize("value", ["NaN", "sNaN"])
+    def test_nan_axis_value_rejected(self, st, world, value):
+        with pytest.raises(ValidationError, match="not a number"):
+            make_plan(st, *world, xs=("1", value))
 
     def test_plan_requires_frozen_snapshot(self, st, world):
         _, pol_id = world
@@ -439,6 +446,20 @@ class TestRefine:
         # Endpoints are lo and peak; the first midpoint lands on hi.
         assert result.multi_region
         assert result.evaluations == 1
+
+    @pytest.mark.parametrize("renamed", ["engine", "factory"])
+    def test_plugin_identity_must_match_plan(self, st, world, renamed):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        engine, factory = StepEngine(), StepFactory()
+        if renamed == "engine":
+            engine.name = "some-other-engine"
+        else:
+            factory.name = "other-factory"
+        before = (st.table_counts(), st.blob_count())
+        with pytest.raises(ValidationError, match="does not match"):
+            sweep.refine_boundary(st, plan, "x", ("1", "9"), engine, factory, 3)
+        assert (st.table_counts(), st.blob_count()) == before
 
     def test_engine_failure_surfaces(self, st, world):
         engine = StepEngine(refuse={"5"})
