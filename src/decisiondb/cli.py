@@ -412,13 +412,6 @@ def cmd_replay(store: Store, args) -> int:
     return 0 if aggregate.ok else 2
 
 
-def cmd_demo_replay(store: Store, args) -> int:
-    args.decision = None
-    args.experiment = routing.DEMO_EXPERIMENT
-    args.plan = None
-    return cmd_replay(store, args)
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="decisiondb", description=__doc__)
     common = Parser(add_help=False)
@@ -469,7 +462,9 @@ def build_parser() -> Parser:
         "replay", parents=[common], help="verify every demo decision by recomputation"
     )
     p.add_argument("--deep", action="store_true", help="also verify upstream blobs and rows")
-    p.set_defaults(handler=cmd_demo_replay)
+    p.set_defaults(
+        handler=cmd_replay, decision=None, experiment=routing.DEMO_EXPERIMENT, plan=None
+    )
 
     swp = sub.add_parser("sweep", help="run or report a persisted plan").add_subparsers(
         dest="sweep_command", required=True

@@ -65,15 +65,6 @@ class EquivalencePolicy:
             raise ValidationError(f"malformed policy payload: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DecisionIdentity:
-    """The content-derived identity a policy assigns to one raw output."""
-
-    decision_id: Identifier
-    policy_id: Identifier
-    payload_hash: str
-
-
 def policy_identifier(policy: EquivalencePolicy) -> Identifier:
     return canon.content_id("pol", policy.payload())
 
@@ -101,21 +92,9 @@ def extracted_hash(raw: Any, policy: EquivalencePolicy) -> str:
     return canon.payload_hash(encoded)
 
 
-def extract_decision(raw: Mapping[str, Any], policy: EquivalencePolicy) -> DecisionIdentity:
-    """The decision a policy assigns to one raw output."""
-    record = DecisionRecord(
-        decision_id=None,
-        policy_id=policy_identifier(policy),
-        payload_hash=extracted_hash(raw, policy),
-        version=SCHEMA_VERSION,
-        created_at="",
-    )
-    return DecisionIdentity(record.derived_id(), record.policy_id, record.payload_hash)
-
-
-def same_decision(a: DecisionIdentity, b: DecisionIdentity) -> bool:
-    """True when both identities were produced by the same policy and match."""
-    return a.policy_id == b.policy_id and a.payload_hash == b.payload_hash
+def extract_decision(raw: Mapping[str, Any], policy: EquivalencePolicy) -> DecisionRecord:
+    """The decision record a policy assigns to one raw output."""
+    return DecisionRecord.create(policy_identifier(policy), extracted_hash(raw, policy))
 
 
 def persist_policy(store: Store, policy: EquivalencePolicy) -> Identifier:

@@ -133,11 +133,7 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
             pass
 
     recomputed_decision = DecisionRecord(
-        decision_id=None,
-        policy_id=Identifier("pol", pol_actual_hash),
-        payload_hash=recomputed_hash,
-        version=decision.version,
-        created_at="",
+        None, Identifier("pol", pol_actual_hash), recomputed_hash, decision.version
     ).derived_id()
 
     checks = [

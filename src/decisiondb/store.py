@@ -13,7 +13,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import (
@@ -207,17 +207,28 @@ class Table:
 
 
 class _Record:
-    """Behaviour shared by the five row classes; ``TABLE`` describes each."""
+    """Behaviour shared by the five row classes; ``TABLE`` describes each.
+
+    ``created_at`` is left out of comparisons, so two builds of the same
+    content are equal records.
+    """
 
     TABLE: ClassVar[Table]
+
+    @classmethod
+    def create(cls, *fields, **named):
+        """Build a record from its fields in order, less the key and
+        ``created_at``; stamps the time and derives a keyed table's key."""
+        key = cls.TABLE.key
+        if key is None:
+            return cls(*fields, **named, created_at=_now())
+        record = cls(None, *fields, **named, created_at=_now())
+        object.__setattr__(record, key, record.derived_id())
+        return record
 
     def derived_id(self) -> Identifier:
         """The identifier this record's identifying payload hashes to."""
         return canon.content_id(self.TABLE.prefix, self.identifying_payload())
-
-    def _identified(self):
-        object.__setattr__(self, self.TABLE.key, self.derived_id())
-        return self
 
 
 @Table(
@@ -232,8 +243,14 @@ class SnapshotRecord(_Record):
     snapshot_id: Identifier
     time_window: tuple[str, str]
     artifact_manifest: tuple[ManifestEntry, ...]
-    version: str
-    created_at: str
+    version: str = SCHEMA_VERSION
+    created_at: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        """Window as a tuple, manifest sorted by name: built and loaded agree."""
+        manifest =tuple(sorted(self.artifact_manifest, key=attrgetter("name")))
+        object.__setattr__(self, "time_window", tuple(self.time_window))
+        object.__setattr__(self, "artifact_manifest", manifest)
 
     def identifying_payload(self) -> dict:
         return {
@@ -244,22 +261,6 @@ class SnapshotRecord(_Record):
             ],
             "version": self.version,
         }
-
-    @classmethod
-    def create(
-        cls,
-        time_window: tuple[str, str],
-        artifact_manifest: Sequence[ManifestEntry],
-        version: str = SCHEMA_VERSION,
-    ) -> "SnapshotRecord":
-        manifest = tuple(sorted(artifact_manifest, key=lambda e: e.name))
-        return cls(
-            snapshot_id=None,
-            time_window=(time_window[0], time_window[1]),
-            artifact_manifest=manifest,
-            version=version,
-            created_at=_now(),
-        )._identified()
 
 
 @Table(
@@ -277,8 +278,8 @@ class RepresentationRecord(_Record):
     factory_version: str
     params: Mapping[str, str]
     encoded_artifact_ref: str
-    version: str
-    created_at: str
+    version: str = SCHEMA_VERSION
+    created_at: str = field(default="", compare=False)
 
     def identifying_payload(self) -> dict:
         # The encoded artifact is a deterministic function of the other
@@ -290,27 +291,6 @@ class RepresentationRecord(_Record):
             "params": dict(self.params),
             "version": self.version,
         }
-
-    @classmethod
-    def create(
-        cls,
-        snapshot_id: Identifier,
-        factory_name: str,
-        factory_version: str,
-        params: Mapping[str, str],
-        encoded_artifact_ref: str,
-        version: str = SCHEMA_VERSION,
-    ) -> "RepresentationRecord":
-        return cls(
-            repr_id=None,
-            snapshot_id=snapshot_id,
-            factory_name=factory_name,
-            factory_version=factory_version,
-            params=dict(params),
-            encoded_artifact_ref=encoded_artifact_ref,
-            version=version,
-            created_at=_now(),
-        )._identified()
 
 
 @Table(
@@ -329,9 +309,9 @@ class EngineRunRecord(_Record):
     query: Any
     raw_output_ref: str
     exec_time_ms: str
-    status: str
-    version: str
-    created_at: str
+    status: str = "ok"
+    version: str = SCHEMA_VERSION
+    created_at: str = field(default="", compare=False)
 
     def identifying_payload(self) -> dict:
         return {
@@ -343,31 +323,6 @@ class EngineRunRecord(_Record):
             "version": self.version,
         }
 
-    @classmethod
-    def create(
-        cls,
-        repr_id: Identifier,
-        engine_name: str,
-        engine_version: str,
-        query: Any,
-        raw_output_ref: str,
-        exec_time_ms: str,
-        status: str = "ok",
-        version: str = SCHEMA_VERSION,
-    ) -> "EngineRunRecord":
-        return cls(
-            run_id=None,
-            repr_id=repr_id,
-            engine_name=engine_name,
-            engine_version=engine_version,
-            query=query,
-            raw_output_ref=raw_output_ref,
-            exec_time_ms=exec_time_ms,
-            status=status,
-            version=version,
-            created_at=_now(),
-        )._identified()
-
 
 @Table("decisions", blobs=lambda r: [r.policy_id.digest16], prefix="dec")
 @dataclass(frozen=True)
@@ -375,8 +330,8 @@ class DecisionRecord(_Record):
     decision_id: Identifier
     policy_id: Identifier
     payload_hash: str
-    version: str
-    created_at: str
+    version: str = SCHEMA_VERSION
+    created_at: str = field(default="", compare=False)
 
     def identifying_payload(self) -> dict:
         return {
@@ -384,21 +339,6 @@ class DecisionRecord(_Record):
             "payload_hash": self.payload_hash,
             "version": self.version,
         }
-
-    @classmethod
-    def create(
-        cls,
-        policy_id: Identifier,
-        payload_hash: str,
-        version: str = SCHEMA_VERSION,
-    ) -> "DecisionRecord":
-        return cls(
-            decision_id=None,
-            policy_id=policy_id,
-            payload_hash=payload_hash,
-            version=version,
-            created_at=_now(),
-        )._identified()
 
 
 @Table(
@@ -416,27 +356,7 @@ class FMapEntry(_Record):
     run_id: Identifier
     decision_id: Identifier
     plan_id: Identifier
-    created_at: str = ""
-
-    @classmethod
-    def create(
-        cls,
-        experiment_id: str,
-        snapshot_id: Identifier,
-        repr_id: Identifier,
-        run_id: Identifier,
-        decision_id: Identifier,
-        plan_id: Identifier,
-    ) -> "FMapEntry":
-        return cls(
-            experiment_id=experiment_id,
-            snapshot_id=snapshot_id,
-            repr_id=repr_id,
-            run_id=run_id,
-            decision_id=decision_id,
-            plan_id=plan_id,
-            created_at=_now(),
-        )
+    created_at: str = field(default="", compare=False)
 
 
 TABLES = tuple(table.name for table in _TABLES.values())
@@ -523,7 +443,7 @@ class Store:
         path = self._blob_path(ref)
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".{ref}.{os.getpid()}.tmp"
+            tmp = path.parent / f".{ref}.{os.getpid()}.{threading.get_ident()}.tmp"
             tmp.write_bytes(data)
             os.replace(tmp, path)
         return BlobRef(hash=ref, length=len(data))

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .policy import EquivalencePolicy, extract_decision, load_policy
 from .store import (
-    DecisionRecord,
     EngineRunRecord,
     FMapEntry,
     ManifestEntry,
@@ -128,14 +127,7 @@ class SweepPlan:
         The encoded artifact is not identifying, so no bytes are needed.
         """
         return RepresentationRecord(
-            repr_id=None,
-            snapshot_id=self.snapshot_id,
-            factory_name=self.factory_name,
-            factory_version=self.factory_version,
-            params=params,
-            encoded_artifact_ref="",
-            version=SCHEMA_VERSION,
-            created_at="",
+            None, self.snapshot_id, self.factory_name, self.factory_version, params, ""
         ).derived_id()
 
     def grid_points(self) -> list[dict[str, str]]:
@@ -376,8 +368,7 @@ def _run_point(
     store.put_record(run)
     if failure is not None:
         return None, failure
-    identity = extract_decision(raw, pol)
-    decision = DecisionRecord.create(identity.policy_id, identity.payload_hash)
+    decision = extract_decision(raw, pol)
     store.put_record(decision)
     entry = FMapEntry.create(
         plan.experiment_id,
@@ -626,12 +617,12 @@ def refine_boundary(
     """Bisect a decision boundary down to a bracketing interval.
 
     Each midpoint runs through the full declare/execute/extract pipeline
-    and is persisted as a new grid point of the plan, so refinement
-    leaves the same provenance trail as the original sweep. Endpoint
-    evaluations do not count against max_evals; midpoints do. Stops
-    early when the interval width reaches the resolution (default: 1e-6
-    of the starting span) or when a midpoint's decision matches neither
-    endpoint, which reports the interval as multi-region.
+    and leaves an f_map row under the plan, the same provenance trail as
+    the original sweep, but it does not join the plan's declared grid.
+    Endpoint evaluations do not count against max_evals; midpoints do.
+    Stops early when the interval width reaches the resolution (default:
+    1e-6 of the starting span) or when a midpoint's decision matches
+    neither endpoint, which reports the interval as multi-region.
     """
     _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
     _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
@@ -643,17 +634,20 @@ def refine_boundary(
     try:
         lo = Decimal(interval[0])
         hi = Decimal(interval[1])
+        res = None if resolution is None else Decimal(resolution)
     except (InvalidOperation, TypeError) as exc:
-        raise ValidationError(f"interval endpoints must be decimal strings: {exc}") from exc
+        raise ValidationError(
+            f"interval endpoints and resolution must be decimal strings: {exc}"
+        ) from exc
+    if any(value is not None and not value.is_finite() for value in (lo, hi, res)):
+        raise ValidationError("interval endpoints and resolution must be finite")
     if not lo < hi:
         raise ValidationError(f"interval is empty: [{interval[0]}, {interval[1]}]")
     if max_evals < 0:
         raise ValidationError("max_evals must be non-negative")
     with localcontext() as ctx:
         ctx.prec = 60
-        if resolution is not None:
-            res = Decimal(resolution)
-        else:
+        if res is None:
             res = (hi - lo) * Decimal("0.000001")
 
         def decide(value: Decimal) -> Identifier:

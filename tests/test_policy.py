@@ -9,8 +9,8 @@ from decisiondb.errors import (
     ReferentialError,
     ValidationError,
 )
-from decisiondb.policy import DecisionIdentity, EquivalencePolicy
-from decisiondb.store import open_store
+from decisiondb.policy import EquivalencePolicy
+from decisiondb.store import DecisionRecord, open_store
 
 
 @pytest.fixture
@@ -48,14 +48,13 @@ def test_extract_ignores_fields_outside_hash_source(route_policy):
     ia = policy.extract_decision(raw_a, route_policy)
     ib = policy.extract_decision(raw_b, route_policy)
     assert ia == ib
-    assert policy.same_decision(ia, ib)
+    assert ia.decision_id == ib.decision_id
 
 
 def test_extract_differs_when_value_differs(route_policy):
     ia = policy.extract_decision({"route_nodes": [1, 2, 3], "version": "1"}, route_policy)
     ib = policy.extract_decision({"route_nodes": [1, 2, 4], "version": "1"}, route_policy)
     assert ia.decision_id != ib.decision_id
-    assert not policy.same_decision(ia, ib)
 
 
 def test_extract_nested_path():
@@ -104,19 +103,14 @@ def test_same_decision_requires_same_policy():
     ib = policy.extract_decision(raw, pol_b)
     # Same extracted value, different policies: not the same decision.
     assert ia.payload_hash == ib.payload_hash
-    assert not policy.same_decision(ia, ib)
+    assert ia.policy_id != ib.policy_id
     assert ia.decision_id != ib.decision_id
 
 
 def test_identity_is_policy_id_plus_payload_hash():
     pol_a = EquivalencePolicy(hash_source=("x",))
     one = policy.extract_decision({"x": [9], "version": "1"}, pol_a)
-    two = DecisionIdentity(
-        decision_id=one.decision_id,
-        policy_id=one.policy_id,
-        payload_hash=one.payload_hash,
-    )
-    assert policy.same_decision(one, two)
+    assert DecisionRecord(None, one.policy_id, one.payload_hash).derived_id() == one.decision_id
 
 
 @given(

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -190,6 +192,35 @@ class TestBlobs:
         with pytest.raises(BlobCorruptionError):
             store.get_blob(ref.hash)
 
+    def test_threads_writing_the_same_blobs(self, store):
+        blobs = [f"shared blob {i}".encode() * 64 for i in range(300)]
+        start = threading.Barrier(4)
+        errors = []
+
+        def write_all():
+            start.wait(timeout=30)
+            try:
+                for data in blobs:
+                    store.put_blob(data)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for data in blobs:
+            assert store.get_blob(canon.payload_hash(data)) == data
+        assert list(store.blob_dir.rglob("*.tmp")) == []
+
 
 class TestRecords:
     def test_insert_then_ignore(self, store):
@@ -213,6 +244,15 @@ class TestRecords:
         assert store.put_record(later) == "ignored"
         stored = store.get_record(snap.snapshot_id)
         assert stored.created_at == snap.created_at
+
+    def test_manifest_order_does_not_change_snapshot(self, store):
+        a, b = store.put_blob(b"a1"), store.put_blob(b"b1")
+        entries = [ManifestEntry("a", a.hash), ManifestEntry("b", b.hash)]
+        snap = SnapshotRecord.create(WINDOW, entries)
+        backwards = SnapshotRecord.create(list(WINDOW), entries[::-1])
+        assert backwards.snapshot_id == snap.snapshot_id
+        store.put_record(backwards)
+        assert store.get_record(snap.snapshot_id) == backwards == snap
 
     def test_created_at_is_utc_to_the_second(self, store):
         chain = build_chain(store)

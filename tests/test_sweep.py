@@ -20,7 +20,7 @@ from decisiondb.errors import (
     SweepExecutionError,
     ValidationError,
 )
-from decisiondb.policy import EquivalencePolicy
+from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy
 from decisiondb.store import open_store
 from toy_arena import (
     WINDOW,
@@ -196,6 +196,15 @@ class TestExecute:
         hi = dmap.get({"x": "7"}).decision_id
         assert dmap.get({"x": "9"}).decision_id == hi
         assert lo != hi
+
+    def test_extracted_decision_equals_stored_row(self, st, world):
+        plan = make_plan(st, *world)
+        entries = run_plan(st, plan)
+        pol = load_policy(st, plan.policy_id)
+        for entry in entries:
+            run = st.get_record(entry.run_id)
+            raw = canon.canonical_decode(st.get_blob(run.raw_output_ref))
+            assert extract_decision(raw, pol) == st.get_record(entry.decision_id)
 
     def test_reexecution_adds_nothing(self, st, world):
         plan = make_plan(st, *world)
@@ -439,6 +448,33 @@ class TestRefine:
             sweep.refine_boundary(
                 st, plan, "x", ("9", "1"), StepEngine(), StepFactory(), 4
             )
+
+    @pytest.mark.parametrize(
+        "interval, resolution",
+        [
+            (("NaN", "9"), None),
+            (("1", "sNaN"), None),
+            (("1", "9"), "abc"),
+            (("1", "9"), "NaN"),
+            (("1", "Infinity"), None),
+        ],
+        ids=[
+            "nan-endpoint",
+            "snan-endpoint",
+            "non-decimal-resolution",
+            "nan-resolution",
+            "infinite-endpoint",
+        ],
+    )
+    def test_bad_decimal_input_rejected(self, st, world, interval, resolution):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        before = (st.table_counts(), st.blob_count())
+        with pytest.raises(ValidationError):
+            sweep.refine_boundary(
+                st, plan, "x", interval, StepEngine(), StepFactory(), 3, resolution=resolution
+            )
+        assert (st.table_counts(), st.blob_count()) == before
 
     def test_third_decision_marks_multi_region(self, st, world):
         engine = StepEngine(peak_at="9")
