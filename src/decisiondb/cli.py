@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or execution error, 2 verification
-mismatch. Machine output (--json) is always the canonical encoding of
-the same payload the library APIs expose.
+mismatch. Each command returns one payload; --json prints it as its
+canonical encoding, the same payload the library APIs expose, and
+otherwise the command's text renderer lays it out as tables.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def emit_json(payload: Mapping[str, Any]) -> None:
-    print(canon.canonical_encode(payload).decode("utf-8"))
 
 
 def fmt_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -126,47 +123,59 @@ def axis_report_payload(
     return payload
 
 
-def print_axis_report(payload: Mapping[str, Any], letters: DecisionLetters) -> None:
-    axis = payload["axis"]
-    rows = []
-    previous = None
-    for point in payload["points"]:
-        decision = point["decision_id"]
-        if previous is None:
-            boundary = ""
+def render_axis_reports(reports: list[Mapping[str, Any]]) -> None:
+    letters = DecisionLetters()
+    for payload in reports:
+        axis = payload["axis"]
+        rows = []
+        previous = None
+        for point in payload["points"]:
+            decision = point["decision_id"]
+            if previous is None:
+                boundary = ""
+            else:
+                boundary = "yes" if decision != previous else "no"
+            nodes = point["route_nodes"]
+            rows.append(
+                [
+                    axis,
+                    point["params"][axis],
+                    letters.label(decision),
+                    "-" if nodes is None else str(nodes),
+                    boundary,
+                ]
+            )
+            previous = decision
+        print(f"plan {payload['plan_id']}")
+        print(fmt_table(["parameter", "value", "decision", "nodes", "boundary"], rows))
+        crossings = payload["boundaries"]
+        if crossings:
+            described = ", ".join(f"({b['between'][0]}, {b['between'][1]})" for b in crossings)
+            print(f"boundary intervals along {axis}: {described}")
         else:
-            boundary = "yes" if decision != previous else "no"
-        nodes = point["route_nodes"]
-        rows.append(
-            [
-                axis,
-                point["params"][axis],
-                letters.label(decision),
-                "-" if nodes is None else str(nodes),
-                boundary,
-            ]
-        )
-        previous = decision
-    print(f"plan {payload['plan_id']}")
-    print(fmt_table(["parameter", "value", "decision", "nodes", "boundary"], rows))
-    crossings = payload["boundaries"]
-    if crossings:
-        described = ", ".join(f"({b['between'][0]}, {b['between'][1]})" for b in crossings)
-        print(f"boundary intervals along {axis}: {described}")
-    else:
-        print(f"no boundary along {axis}")
-    print()
+            print(f"no boundary along {axis}")
+        print()
+    for line in letters.legend():
+        print(line)
 
 
-def print_replay_report(report: replay.ReplayReport) -> None:
-    entry = report.entry
-    print(f"decision {entry.decision_id} (run {entry.run_id})")
-    rows = [
-        [check.field, check.persisted, check.recomputed, "yes" if check.match else "NO"]
-        for check in report.checks
-    ]
-    print(fmt_table(["field", "persisted", "recomputed", "match"], rows))
-    print()
+def render_replay(store: Store, payload: Mapping[str, Any]) -> None:
+    for report in payload["reports"]:
+        entry = report["entry"]
+        print(f"decision {entry['decision_id']} (run {entry['run_id']})")
+        rows = [
+            [c["field"], c["persisted"], c["recomputed"], "yes" if c["match"] else "NO"]
+            for c in report["checks"]
+        ]
+        print(fmt_table(["field", "persisted", "recomputed", "match"], rows))
+        print()
+    for error in payload["errors"]:
+        print(f"broken chain {error['entry']}: {error['error']}")
+    print(
+        f"{payload['verified']} verified, {payload['matched']} matched, "
+        f"{payload['mismatched']} mismatched, {len(payload['errors'])} broken"
+    )
+    print("store unchanged" if payload["store_unchanged"] else "STORE MODIFIED")
 
 
 def load_payload_file(path: str) -> Any:
@@ -180,37 +189,21 @@ def load_payload_file(path: str) -> Any:
         raise DecisionDBError(f"{path}: {exc}") from exc
 
 
-def cmd_init(store: Store, args) -> int:
-    counts = store.table_counts()
-    if args.json:
-        emit_json(
-            {
-                "location": str(store.location),
-                "tables": counts,
-                "blobs": store.blob_count(),
-                "version": canon.SCHEMA_VERSION,
-            }
-        )
-    else:
-        print(f"store ready at {store.location}")
-    return 0
+def cmd_init(store: Store, args) -> dict:
+    return {"location": str(store.location), **cmd_inspect(store, args)}
 
 
-def cmd_inspect(store: Store, args) -> int:
-    counts = store.table_counts()
-    blobs = store.blob_count()
-    if args.json:
-        emit_json(
-            {"tables": counts, "blobs": blobs, "version": canon.SCHEMA_VERSION}
-        )
-        return 0
-    rows = [[name, str(count)] for name, count in counts.items()]
-    rows.append(["blobs", str(blobs)])
+def cmd_inspect(store: Store, args) -> dict:
+    return {"tables": store.table_counts(), "blobs": store.blob_count()}
+
+
+def render_inspect(store: Store, payload: Mapping[str, Any]) -> None:
+    rows = [[name, str(count)] for name, count in payload["tables"].items()]
+    rows.append(["blobs", str(payload["blobs"])])
     print(fmt_table(["table", "rows"], rows))
-    return 0
 
 
-def cmd_freeze(store: Store, args) -> int:
+def cmd_freeze(store: Store, args) -> dict:
     artifacts: dict[str, Any] = {}
     for item in args.artifacts:
         name, sep, path = item.partition("=")
@@ -218,63 +211,39 @@ def cmd_freeze(store: Store, args) -> int:
             raise DecisionDBError(f"artifact must be NAME=FILE, got {item!r}")
         artifacts[name] = load_payload_file(path)
     snap = sweep.freeze_snapshot(store, artifacts, tuple(args.window))
-    if args.json:
-        emit_json(
-            {
-                "snapshot_id": str(snap.snapshot_id),
-                "artifacts": sorted(artifacts),
-                "time_window": list(snap.time_window),
-                "version": canon.SCHEMA_VERSION,
-            }
-        )
-    else:
-        print(f"snapshot {snap.snapshot_id} ({len(artifacts)} artifact(s))")
-    return 0
+    return {
+        "snapshot_id": str(snap.snapshot_id),
+        "artifacts": sorted(artifacts),
+        "time_window": list(snap.time_window),
+    }
 
 
-def cmd_demo_generate(store: Store, args) -> int:
+def cmd_demo_generate(store: Store, args) -> dict:
     arena = routing.persist_demo(store, args.seed)
-    payload = {
+    return {
         "experiment_id": arena.experiment_id,
         "seed": arena.seed,
         "snapshot_id": str(arena.snapshot_record.snapshot_id),
         "policy_id": str(arena.plans[0].policy_id),
         "plan_ids": [str(plan.plan_id) for plan in arena.plans],
-        "version": canon.SCHEMA_VERSION,
     }
-    if args.json:
-        emit_json(payload)
-    else:
-        print(f"experiment: {payload['experiment_id']} (seed {payload['seed']})")
-        print(f"snapshot:   {payload['snapshot_id']}")
-        print(f"policy:     {payload['policy_id']}")
-        for plan_id in payload["plan_ids"]:
-            print(f"plan:       {plan_id}")
-    return 0
 
 
-def cmd_demo_sweep(store: Store, args) -> int:
+def render_demo_generate(store: Store, payload: Mapping[str, Any]) -> None:
+    print(f"experiment: {payload['experiment_id']} (seed {payload['seed']})")
+    print(f"snapshot:   {payload['snapshot_id']}")
+    print(f"policy:     {payload['policy_id']}")
+    for plan_id in payload["plan_ids"]:
+        print(f"plan:       {plan_id}")
+
+
+def cmd_demo_sweep(store: Store, args) -> dict:
     arena = routing.run_demo(store, args.seed)
-    letters = DecisionLetters()
     reports = []
     for plan in arena.plans:
         dmap = sweep.materialize_map(store, plan.plan_id, arena.experiment_id)
-        axis = sweep_axis_name(plan, None)
-        reports.append(axis_report_payload(store, dmap, axis))
-    if args.json:
-        emit_json(
-            {
-                "experiment_id": arena.experiment_id,
-                "plans": reports,
-                "version": canon.SCHEMA_VERSION,
-            }
-        )
-        return 0
-    for payload in reports:
-        print_axis_report(payload, letters)
-    for line in letters.legend():
-        print(line)
-    return 0
+        reports.append(axis_report_payload(store, dmap, sweep_axis_name(plan, None)))
+    return {"experiment_id": arena.experiment_id, "plans": reports}
 
 
 def ingest_plan_file(store: Store, source: str, experiment_id: str) -> sweep.SweepPlan:
@@ -286,7 +255,7 @@ def ingest_plan_file(store: Store, source: str, experiment_id: str) -> sweep.Swe
     return sweep.persist_plan(store, plan)
 
 
-def cmd_sweep_run(store: Store, args) -> int:
+def cmd_sweep_run(store: Store, args) -> dict:
     if args.policy:
         persist_policy(
             store, EquivalencePolicy.from_payload(load_payload_file(args.policy))
@@ -309,37 +278,20 @@ def cmd_sweep_run(store: Store, args) -> int:
         )
     sweep.declare_representations(store, plan, factory)
     entries = sweep.execute_sweep(store, plan, engine)
-    if args.json:
-        emit_json(
-            {
-                "plan_id": str(plan.plan_id),
-                "experiment_id": plan.experiment_id,
-                "entries": len(entries),
-                "version": canon.SCHEMA_VERSION,
-            }
-        )
-    else:
-        print(f"executed {len(entries)} grid points for plan {plan.plan_id}")
-    return 0
+    return {
+        "plan_id": str(plan.plan_id),
+        "experiment_id": plan.experiment_id,
+        "entries": len(entries),
+    }
 
 
-def cmd_sweep_report(store: Store, args) -> int:
+def cmd_sweep_report(store: Store, args) -> dict:
     dmap = sweep.materialize_map(store, args.plan, args.experiment)
-    axis = sweep_axis_name(dmap.plan, args.axis)
-    payload = axis_report_payload(store, dmap, axis)
-    if args.json:
-        emit_json(payload)
-        return 0
-    letters = DecisionLetters()
-    print_axis_report(payload, letters)
-    for line in letters.legend():
-        print(line)
-    return 0
+    return axis_report_payload(store, dmap, sweep_axis_name(dmap.plan, args.axis))
 
 
-def cmd_map(store: Store, args) -> int:
+def cmd_map(store: Store, args) -> dict:
     dmap = sweep.materialize_map(store, args.plan, args.experiment)
-    plan = dmap.plan
     points = [
         {
             "params": dict(point.params),
@@ -349,16 +301,16 @@ def cmd_map(store: Store, args) -> int:
         }
         for point in dmap.values()
     ]
-    if args.json:
-        emit_json(
-            {
-                "plan_id": str(plan.plan_id),
-                "experiment_id": args.experiment,
-                "points": points,
-                "version": canon.SCHEMA_VERSION,
-            }
-        )
-        return 0
+    return {
+        "plan_id": str(dmap.plan.plan_id),
+        "experiment_id": args.experiment,
+        "points": points,
+    }
+
+
+def render_map(store: Store, payload: Mapping[str, Any]) -> None:
+    plan = sweep.load_plan(store, payload["plan_id"], payload["experiment_id"])
+    points = payload["points"]
     letters = DecisionLetters()
     rows = [
         [
@@ -372,44 +324,14 @@ def cmd_map(store: Store, args) -> int:
     print(fmt_table(["params", "decision", "run"], rows))
     for line in letters.legend():
         print(line)
-    return 0
 
 
-def cmd_replay(store: Store, args) -> int:
+def cmd_replay(store: Store, args) -> dict:
     if args.decision:
-        reports = replay.replay_decision(store, args.decision, deep=args.deep)
-        ok = all(report.ok for report in reports)
-        if args.json:
-            emit_json(
-                {
-                    "decision_id": args.decision,
-                    "reports": [report.to_payload() for report in reports],
-                    "ok": ok,
-                    "version": canon.SCHEMA_VERSION,
-                }
-            )
-            return 0 if ok else 2
-        for report in reports:
-            print_replay_report(report)
-        print(f"{len(reports)} chain(s) replayed; " + ("all match" if ok else "MISMATCH"))
-        return 0 if ok else 2
-    aggregate = replay.replay_all(
+        return replay.replay_decision(store, args.decision, deep=args.deep).to_payload()
+    return replay.replay_all(
         store, args.experiment, plan_id=args.plan, deep=args.deep
-    )
-    if args.json:
-        emit_json(aggregate.to_payload())
-        return 0 if aggregate.ok else 2
-    for report in aggregate.reports:
-        print_replay_report(report)
-    for subject, message in aggregate.errors:
-        print(f"broken chain {subject}: {message}")
-    print(
-        f"{aggregate.verified} verified, {aggregate.matched} matched, "
-        f"{aggregate.verified - aggregate.matched} mismatched, "
-        f"{len(aggregate.errors)} broken"
-    )
-    print("store unchanged" if aggregate.store_unchanged else "STORE MODIFIED")
-    return 0 if aggregate.ok else 2
+    ).to_payload()
 
 
 def build_parser() -> Parser:
@@ -422,10 +344,13 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", parents=[common], help="create or open a store")
-    p.set_defaults(handler=cmd_init)
+    p.set_defaults(
+        handler=cmd_init,
+        render=lambda store, payload: print(f"store ready at {payload['location']}"),
+    )
 
     p = sub.add_parser("inspect", parents=[common], help="table and blob counts")
-    p.set_defaults(handler=cmd_inspect)
+    p.set_defaults(handler=cmd_inspect, render=render_inspect)
 
     p = sub.add_parser(
         "freeze", parents=[common], help="persist a snapshot from artifact payload files"
@@ -443,7 +368,12 @@ def build_parser() -> Parser:
         metavar="NAME=FILE",
         help="artifact payloads as JSON files",
     )
-    p.set_defaults(handler=cmd_freeze)
+    p.set_defaults(
+        handler=cmd_freeze,
+        render=lambda store, payload: print(
+            f"snapshot {payload['snapshot_id']} ({len(payload['artifacts'])} artifact(s))"
+        ),
+    )
 
     demo = sub.add_parser("demo", help="built-in routing demonstration").add_subparsers(
         dest="demo_command", required=True
@@ -452,18 +382,25 @@ def build_parser() -> Parser:
         "generate", parents=[common], help="freeze the demo snapshot, policy, and plans"
     )
     p.add_argument("--seed", type=int, default=routing.DEMO_SEED)
-    p.set_defaults(handler=cmd_demo_generate)
+    p.set_defaults(handler=cmd_demo_generate, render=render_demo_generate)
     p = demo.add_parser(
         "sweep", parents=[common], help="execute both demo sweeps and report the maps"
     )
     p.add_argument("--seed", type=int, default=routing.DEMO_SEED)
-    p.set_defaults(handler=cmd_demo_sweep)
+    p.set_defaults(
+        handler=cmd_demo_sweep,
+        render=lambda store, payload: render_axis_reports(payload["plans"]),
+    )
     p = demo.add_parser(
         "replay", parents=[common], help="verify every demo decision by recomputation"
     )
     p.add_argument("--deep", action="store_true", help="also verify upstream blobs and rows")
     p.set_defaults(
-        handler=cmd_replay, decision=None, experiment=routing.DEMO_EXPERIMENT, plan=None
+        handler=cmd_replay,
+        render=render_replay,
+        decision=None,
+        experiment=routing.DEMO_EXPERIMENT,
+        plan=None,
     )
 
     swp = sub.add_parser("sweep", help="run or report a persisted plan").add_subparsers(
@@ -473,24 +410,33 @@ def build_parser() -> Parser:
     p.add_argument("--plan", required=True, help="plan identifier or plan payload file")
     p.add_argument("--experiment", required=True, help="experiment the map rows belong to")
     p.add_argument("--policy", help="policy payload file to persist before execution")
-    p.set_defaults(handler=cmd_sweep_run)
+    p.set_defaults(
+        handler=cmd_sweep_run,
+        render=lambda store, payload: print(
+            f"executed {payload['entries']} grid points for plan {payload['plan_id']}"
+        ),
+    )
     p = swp.add_parser("report", parents=[common], help="axis structure of a plan's map")
     p.add_argument("--plan", required=True)
     p.add_argument("--experiment", required=True)
     p.add_argument("--axis", help="swept parameter (default: the only multi-valued axis)")
-    p.set_defaults(handler=cmd_sweep_report)
+    p.set_defaults(
+        handler=cmd_sweep_report,
+        render=lambda store, payload: render_axis_reports([payload]),
+    )
 
     p = sub.add_parser("map", parents=[common], help="list a plan's evaluated grid points")
     p.add_argument("--plan", required=True)
     p.add_argument("--experiment", required=True)
-    p.set_defaults(handler=cmd_map)
+    p.set_defaults(handler=cmd_map, render=render_map)
 
     p = sub.add_parser("replay", parents=[common], help="recompute and compare decisions")
-    p.add_argument("--experiment", help="replay every map entry of this experiment")
-    p.add_argument("--plan", help="restrict to one plan")
-    p.add_argument("--decision", help="replay the chains behind one decision id")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--experiment", help="replay every map entry of this experiment")
+    subject.add_argument("--decision", help="replay the chains behind one decision id")
+    p.add_argument("--plan", help="restrict --experiment to one plan")
     p.add_argument("--deep", action="store_true", help="also verify upstream blobs and rows")
-    p.set_defaults(handler=cmd_replay)
+    p.set_defaults(handler=cmd_replay, render=render_replay)
 
     return parser
 
@@ -498,17 +444,23 @@ def build_parser() -> Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "replay" and not args.decision and not args.experiment:
-        parser.error("replay needs --experiment or --decision")
+    if args.command == "replay" and args.decision and args.plan:
+        parser.error("argument --plan: not allowed with argument --decision")
     db = args.db or os.environ.get(ENV_DB)
     if not db:
         parser.error(f"no store given: pass --db or set {ENV_DB}")
     try:
         with open_store(db) as store:
-            return args.handler(store, args)
+            payload = args.handler(store, args)
+            if args.json:
+                payload = {**payload, "version": canon.SCHEMA_VERSION}
+                print(canon.canonical_encode(payload).decode("utf-8"))
+            else:
+                args.render(store, payload)
     except DecisionDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if payload.get("ok", True) else 2
 
 
 if __name__ == "__main__":

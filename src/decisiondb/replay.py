@@ -55,16 +55,10 @@ class ReplayReport:
 
     entry: FMapEntry
     checks: tuple[FieldCheck, ...]
-    counts_before: Mapping[str, int]
-    counts_after: Mapping[str, int]
 
     @property
     def ok(self) -> bool:
         return all(check.match for check in self.checks)
-
-    @property
-    def store_unchanged(self) -> bool:
-        return dict(self.counts_before) == dict(self.counts_after)
 
     def mismatches(self) -> tuple[FieldCheck, ...]:
         return tuple(check for check in self.checks if not check.match)
@@ -81,7 +75,6 @@ class ReplayReport:
             },
             "checks": [check.to_payload() for check in self.checks],
             "ok": self.ok,
-            "store_unchanged": self.store_unchanged,
             "version": SCHEMA_VERSION,
         }
 
@@ -116,7 +109,6 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
     every row identifier from its own columns, and re-checks the
     row-to-row links.
     """
-    counts_before = store.table_counts()
     run = _row(store, entry.run_id, "engine run")
     decision = _row(store, entry.decision_id, "decision")
     raw_bytes = _blob(store, run.raw_output_ref, "raw output")
@@ -188,35 +180,14 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
             ]
         )
 
-    return ReplayReport(
-        entry=entry,
-        checks=tuple(checks),
-        counts_before=counts_before,
-        counts_after=store.table_counts(),
-    )
-
-
-def replay_decision(
-    store: Store, decision_id: Union[str, Identifier], deep: bool = False
-) -> tuple[ReplayReport, ...]:
-    """Replay every map entry that produced the given decision."""
-    if isinstance(decision_id, str):
-        decision_id = Identifier.parse(decision_id)
-    if decision_id.prefix != "dec":
-        raise ValidationError(f"not a decision identifier: {decision_id}")
-    entries = store.fmap_for_decision(decision_id)
-    if not entries:
-        raise BrokenChainError(
-            f"decision {decision_id} has no map entry linking it to a run"
-        )
-    return tuple(replay_entry(store, entry, deep=deep) for entry in entries)
+    return ReplayReport(entry=entry, checks=tuple(checks))
 
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Replay outcomes for every entry in one experiment's map."""
+    """Replay outcomes for every entry of one experiment or one decision."""
 
-    experiment_id: str
+    subject: Mapping[str, str]
     reports: tuple[ReplayReport, ...]
     errors: tuple[tuple[str, str], ...]
     counts_before: Mapping[str, int]
@@ -240,19 +211,43 @@ class AggregateReport:
 
     def to_payload(self) -> dict:
         return {
-            "experiment_id": self.experiment_id,
+            **self.subject,
             "verified": self.verified,
             "matched": self.matched,
             "mismatched": self.verified - self.matched,
             "errors": [
-                {"entry": subject, "error": message}
-                for subject, message in self.errors
+                {"entry": entry, "error": message}
+                for entry, message in self.errors
             ],
             "reports": [report.to_payload() for report in self.reports],
             "ok": self.ok,
             "store_unchanged": self.store_unchanged,
-            "version": SCHEMA_VERSION,
         }
+
+
+def _replay(
+    store: Store, subject: Mapping[str, str], entries: list[FMapEntry], deep: bool
+) -> AggregateReport:
+    """Replay each entry, capturing a broken chain as an error line.
+
+    The store never deletes a row, so one count of the tables on each
+    side of the loop shows whether anything was written.
+    """
+    counts_before = store.table_counts()
+    reports = []
+    errors = []
+    for entry in entries:
+        try:
+            reports.append(replay_entry(store, entry, deep=deep))
+        except BrokenChainError as exc:
+            errors.append((f"{entry.run_id}/{entry.decision_id}", str(exc)))
+    return AggregateReport(
+        subject=subject,
+        reports=tuple(reports),
+        errors=tuple(errors),
+        counts_before=counts_before,
+        counts_after=store.table_counts(),
+    )
 
 
 def replay_all(
@@ -266,21 +261,23 @@ def replay_all(
     A broken chain on one entry becomes an error line and the rest of
     the map is still verified.
     """
-    counts_before = store.table_counts()
     entries = store.query_fmap(experiment_id, plan_id=plan_id)
     if not entries:
         raise ValidationError(f"experiment {experiment_id!r} has no map entries")
-    reports = []
-    errors = []
-    for entry in entries:
-        try:
-            reports.append(replay_entry(store, entry, deep=deep))
-        except BrokenChainError as exc:
-            errors.append((f"{entry.run_id}/{entry.decision_id}", str(exc)))
-    return AggregateReport(
-        experiment_id=experiment_id,
-        reports=tuple(reports),
-        errors=tuple(errors),
-        counts_before=counts_before,
-        counts_after=store.table_counts(),
-    )
+    return _replay(store, {"experiment_id": experiment_id}, entries, deep)
+
+
+def replay_decision(
+    store: Store, decision_id: Union[str, Identifier], deep: bool = False
+) -> AggregateReport:
+    """Replay every map entry behind one decision, like ``replay_all``."""
+    if isinstance(decision_id, str):
+        decision_id = Identifier.parse(decision_id)
+    if decision_id.prefix != "dec":
+        raise ValidationError(f"not a decision identifier: {decision_id}")
+    entries = store.fmap_for_decision(decision_id)
+    if not entries:
+        raise BrokenChainError(
+            f"decision {decision_id} has no map entry linking it to a run"
+        )
+    return _replay(store, {"decision_id": str(decision_id)}, entries, deep)

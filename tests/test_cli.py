@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,31 @@ def demo_plan_ids(capsys, demo_db):
     return payload["plan_ids"]
 
 
+def delete_raw_output(db):
+    """Delete one engine run's raw-output blob; return the decision it backs."""
+    st = open_store(db)
+    run = st.table_rows("engine_runs")[0]
+    decision = next(
+        row["decision_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
+    )
+    path = st._blob_path(run["raw_output_ref"])
+    st.close()
+    path.unlink()
+    return decision
+
+
+def readme_output(command):
+    """The output README's quickstart shows under ``$ decisiondb COMMAND``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(f"$ decisiondb {command} --db /tmp/demo") + 1
+    block = []
+    for line in lines[start:]:
+        if line.startswith(("```", "$ ")):
+            break
+        block.append(line)
+    return "\n".join(block).rstrip("\n") + "\n"
+
+
 class TestParsing:
     def test_no_command_exits_one(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -51,6 +77,20 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["replay", "--db", str(tmp_path / "db")])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize(
+        "subject",
+        [
+            ["--experiment", "nonexistent", "--decision", "dec_" + "ab" * 8],
+            ["--decision", "dec_" + "ab" * 8, "--plan", "plan_" + "cd" * 8],
+        ],
+        ids=["experiment-and-decision", "decision-and-plan"],
+    )
+    def test_replay_refuses_mixed_subjects(self, demo_db, capsys, subject):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["replay", "--db", str(demo_db), *subject])
+        assert excinfo.value.code == 1
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_missing_db_exits_one(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_DB, raising=False)
@@ -188,7 +228,9 @@ class TestReplayCommand:
         decision = payload["points"][0]["decision_id"]
         code = cli.main(["replay", "--db", str(demo_db), "--decision", decision])
         assert code == 0
-        assert "all match" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "3 verified, 3 matched, 0 mismatched, 0 broken" in out
+        assert "store unchanged" in out
 
     def test_corrupted_blob_exits_two(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"
@@ -209,14 +251,78 @@ class TestReplayCommand:
     def test_missing_blob_exits_two(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
-        st = open_store(db)
-        ref = st.table_rows("engine_runs")[0]["raw_output_ref"]
-        path = st._blob_path(ref)
-        st.close()
-        path.unlink()
+        delete_raw_output(db)
         code = cli.main(["demo", "replay", "--db", str(db)])
         assert code == 2
         assert "broken chain" in capsys.readouterr().out
+
+    def test_decision_with_broken_chain_exits_two(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        decision = delete_raw_output(db)
+        code = cli.main(["replay", "--db", str(db), "--decision", decision])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "broken chain" in out
+        assert "1 broken" in out
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["init", "--db", "{fresh}"],
+            ["inspect", "--db", "{db}"],
+            ["freeze", "--db", "{db}", "--window", "a", "b", "graph={artifact}"],
+            ["demo", "generate", "--db", "{db}"],
+            ["demo", "sweep", "--db", "{db}"],
+            ["sweep", "run", "--db", "{db}", "--plan", "{plan}", "--experiment", "demo"],
+            ["sweep", "report", "--db", "{db}", "--plan", "{plan}", "--experiment", "demo"],
+            ["map", "--db", "{db}", "--plan", "{plan}", "--experiment", "demo"],
+            ["replay", "--db", "{db}", "--experiment", "demo"],
+            ["replay", "--db", "{db}", "--decision", "{decision}"],
+        ],
+        ids=[
+            "init",
+            "inspect",
+            "freeze",
+            "demo-generate",
+            "demo-sweep",
+            "sweep-run",
+            "sweep-report",
+            "map",
+            "replay-experiment",
+            "replay-decision",
+        ],
+    )
+    def test_json_is_canonical_and_versioned(self, demo_db, tmp_path, capsys, argv):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        artifact = tmp_path / "graph.json"
+        artifact.write_bytes(canon.canonical_encode({"edges": []}))
+        plan = demo_plan_ids(capsys, db)[1]
+        _, mapped = run_json(
+            capsys, ["map", "--db", str(db), "--plan", plan, "--experiment", "demo"]
+        )
+        fields = {
+            "fresh": tmp_path / "fresh",
+            "db": db,
+            "artifact": artifact,
+            "plan": plan,
+            "decision": mapped["points"][1]["decision_id"],
+        }
+        assert cli.main([arg.format(**fields) for arg in argv] + ["--json"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out.endswith(b"\n") and out.count(b"\n") == 1
+        payload = canon.canonical_decode(out[:-1])
+        assert canon.canonical_encode(payload) == out[:-1]
+        assert payload["version"] == "1"
+
+    def test_text_matches_readme_quickstart(self, tmp_path, capsys):
+        db = str(tmp_path / "db")
+        for command in (["demo", "sweep"], ["inspect"]):
+            assert cli.main([*command, "--db", db]) == 0
+            assert capsys.readouterr().out == readme_output(" ".join(command))
 
 
 class TestSweepRun:
