@@ -58,7 +58,6 @@ from .sweep import (
     BoundaryRefinement,
     DecisionMap,
     SweepPlan,
-    build_plan,
     classify_axis,
     declare_representations,
     execute_sweep,
@@ -106,7 +105,6 @@ __all__ = [
     "SweepPlan",
     "UnreachableError",
     "ValidationError",
-    "build_plan",
     "canonical_decode",
     "canonical_encode",
     "classify_axis",

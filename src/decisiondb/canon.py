@@ -14,9 +14,9 @@ import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Optional, Union
 
-from .errors import CanonicalizationError, IdentifierFormatError
+from .errors import CanonicalizationError, IdentifierFormatError, ValidationError
 
 # Schema version stamped into every content-addressed payload this
 # package builds. Bump only with a migration story.
@@ -51,17 +51,28 @@ class Identifier:
     def __str__(self) -> str:
         return f"{self.prefix}_{self.digest16}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Identifier":
-        m = _IDENTIFIER_RE.match(text)
+
+_KINDS = dict(snap="snapshot", repr="representation", run="engine run",
+              dec="decision", pol="policy", plan="plan")
+
+
+def parse_identifier(
+    value: Union[str, Identifier], prefix: Optional[str] = None
+) -> Identifier:
+    """Parse an identifier string; an Identifier passes through as is.
+
+    A malformed string raises IdentifierFormatError. When ``prefix`` is
+    given, a well-formed identifier of another kind raises
+    ValidationError.
+    """
+    if isinstance(value, str):
+        m = _IDENTIFIER_RE.match(value)
         if m is None:
-            raise IdentifierFormatError(f"malformed identifier: {text!r}")
-        return cls(m.group(1), m.group(2))
-
-
-def parse_identifier(text: str) -> Identifier:
-    """Parse and validate an identifier string."""
-    return Identifier.parse(text)
+            raise IdentifierFormatError(f"malformed identifier: {value!r}")
+        value = Identifier(m.group(1), m.group(2))
+    if prefix is not None and value.prefix != prefix:
+        raise ValidationError(f"not a {_KINDS[prefix]} identifier: {value}")
+    return value
 
 
 def is_payload_hash(text: str) -> bool:

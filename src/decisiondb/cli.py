@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional
 from . import canon, replay, routing, sweep
 from .errors import CanonicalizationError, DecisionDBError, ValidationError
 from .policy import EquivalencePolicy, persist_policy
-from .store import Store, open_store
+from .store import DB_FILENAME, Store, open_store
 
 ENV_DB = "DECISIONDB_PATH"
 
@@ -103,23 +103,16 @@ def sweep_axis_name(plan: sweep.SweepPlan, requested: Optional[str]) -> str:
 def axis_report_payload(
     store: Store, dmap: sweep.DecisionMap, axis: str
 ) -> dict:
-    plan = dmap.plan
-    report = sweep.classify_axis(dmap, axis)
-    points = []
-    for params in plan.grid_points():
-        point = dmap.get(params)
-        if point is None:
-            continue
-        points.append(
-            {
-                "params": dict(point.params),
-                "decision_id": str(point.decision_id),
-                "route_nodes": route_length(store, point.run_id),
-            }
-        )
-    payload = report.to_payload()
-    payload["plan_id"] = str(plan.plan_id)
-    payload["points"] = points
+    payload = sweep.classify_axis(dmap, axis).to_payload()
+    payload["plan_id"] = str(dmap.plan.plan_id)
+    payload["points"] = [
+        {
+            "params": dict(point.params),
+            "decision_id": str(point.decision_id),
+            "route_nodes": route_length(store, point.run_id),
+        }
+        for point in dmap.values()
+    ]
     return payload
 
 
@@ -334,6 +327,10 @@ def cmd_replay(store: Store, args) -> dict:
     ).to_payload()
 
 
+# Handlers that only read a store; a path without one is refused, not created.
+READERS = (cmd_inspect, cmd_sweep_report, cmd_map, cmd_replay)
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="decisiondb", description=__doc__)
     common = Parser(add_help=False)
@@ -450,6 +447,8 @@ def main(argv=None) -> int:
     if not db:
         parser.error(f"no store given: pass --db or set {ENV_DB}")
     try:
+        if args.handler in READERS and not (Path(db) / DB_FILENAME).exists():
+            raise DecisionDBError(f"no store at {db}")
         with open_store(db) as store:
             payload = args.handler(store, args)
             if args.json:

@@ -110,9 +110,6 @@ def persist_policy(store: Store, policy: EquivalencePolicy) -> Identifier:
 
 
 def load_policy(store: Store, policy_id: Union[str, Identifier]) -> EquivalencePolicy:
-    if isinstance(policy_id, str):
-        policy_id = Identifier.parse(policy_id)
-    if policy_id.prefix != "pol":
-        raise ValidationError(f"not a policy identifier: {policy_id}")
+    policy_id = canon.parse_identifier(policy_id, "pol")
     data = store.get_blob(policy_id.digest16)
     return EquivalencePolicy.from_payload(canon.canonical_decode(data))

@@ -15,7 +15,7 @@ re-derived from corrupt input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
 from . import canon
@@ -28,6 +28,10 @@ from .errors import (
 )
 from .policy import EquivalencePolicy, extracted_hash
 from .store import DecisionRecord, FMapEntry, Store
+
+
+# The map-entry fields a report names: all but the build time.
+_ENTRY_FIELDS = tuple(f.name for f in fields(FMapEntry) if f.name != "created_at")
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,7 @@ class ReplayReport:
 
     def to_payload(self) -> dict:
         return {
-            "entry": {
-                "experiment_id": self.entry.experiment_id,
-                "plan_id": str(self.entry.plan_id),
-                "snapshot_id": str(self.entry.snapshot_id),
-                "repr_id": str(self.entry.repr_id),
-                "run_id": str(self.entry.run_id),
-                "decision_id": str(self.entry.decision_id),
-            },
+            "entry": {name: str(getattr(self.entry, name)) for name in _ENTRY_FIELDS},
             "checks": [check.to_payload() for check in self.checks],
             "ok": self.ok,
             "version": SCHEMA_VERSION,
@@ -271,11 +268,8 @@ def replay_decision(
     store: Store, decision_id: Union[str, Identifier], deep: bool = False
 ) -> AggregateReport:
     """Replay every map entry behind one decision, like ``replay_all``."""
-    if isinstance(decision_id, str):
-        decision_id = Identifier.parse(decision_id)
-    if decision_id.prefix != "dec":
-        raise ValidationError(f"not a decision identifier: {decision_id}")
-    entries = store.fmap_for_decision(decision_id)
+    decision_id = canon.parse_identifier(decision_id, "dec")
+    entries = store.query_fmap(decision_id=decision_id)
     if not entries:
         raise BrokenChainError(
             f"decision {decision_id} has no map entry linking it to a run"

@@ -439,12 +439,12 @@ def demo_arena(seed: int = DEMO_SEED) -> DemoArena:
         policy_id=pol_id,
         experiment_id=DEMO_EXPERIMENT,
     )
-    plan_neighbor = sweep.build_plan(
+    plan_neighbor = sweep.SweepPlan(
         axes=[sweep.Axis(param="neighbor_weight", values=("0.5", "1.0"))],
         fixed_params={"second_order_weight": "0.25"},
         **shared,
     )
-    plan_second_order = sweep.build_plan(
+    plan_second_order = sweep.SweepPlan(
         axes=[sweep.Axis(param="second_order_weight", values=("0.25", "0.5"))],
         fixed_params={"neighbor_weight": "0.5"},
         **shared,

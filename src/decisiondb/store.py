@@ -47,67 +47,11 @@ CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS snapshots (
-    snapshot_id TEXT PRIMARY KEY,
-    time_window_start TEXT NOT NULL,
-    time_window_end TEXT NOT NULL,
-    artifact_manifest TEXT NOT NULL,
-    version TEXT NOT NULL,
-    created_at TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS representations (
-    repr_id TEXT PRIMARY KEY,
-    snapshot_id TEXT NOT NULL REFERENCES snapshots(snapshot_id),
-    factory_name TEXT NOT NULL,
-    factory_version TEXT NOT NULL,
-    params TEXT NOT NULL,
-    encoded_artifact_ref TEXT NOT NULL,
-    version TEXT NOT NULL,
-    created_at TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS engine_runs (
-    run_id TEXT PRIMARY KEY,
-    repr_id TEXT NOT NULL REFERENCES representations(repr_id),
-    engine_name TEXT NOT NULL,
-    engine_version TEXT NOT NULL,
-    query TEXT NOT NULL,
-    raw_output_ref TEXT NOT NULL,
-    exec_time_ms TEXT NOT NULL,
-    status TEXT NOT NULL CHECK (status IN ('ok', 'failed')),
-    version TEXT NOT NULL,
-    created_at TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS decisions (
-    decision_id TEXT PRIMARY KEY,
-    policy_id TEXT NOT NULL,
-    payload_hash TEXT NOT NULL,
-    version TEXT NOT NULL,
-    created_at TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS f_map (
-    experiment_id TEXT NOT NULL,
-    snapshot_id TEXT NOT NULL REFERENCES snapshots(snapshot_id),
-    repr_id TEXT NOT NULL REFERENCES representations(repr_id),
-    run_id TEXT NOT NULL REFERENCES engine_runs(run_id),
-    decision_id TEXT NOT NULL REFERENCES decisions(decision_id),
-    plan_id TEXT NOT NULL,
-    created_at TEXT NOT NULL,
-    PRIMARY KEY (experiment_id, plan_id, repr_id, run_id, decision_id)
-);
 """
 
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
-def _as_identifier(value: Union[str, Identifier], expected_prefix: str) -> Identifier:
-    ident = Identifier.parse(value) if isinstance(value, str) else value
-    if ident.prefix != expected_prefix:
-        raise IdentifierFormatError(
-            f"expected a {expected_prefix} identifier, got {ident}"
-        )
-    return ident
 
 
 @dataclass(frozen=True)
@@ -140,15 +84,34 @@ class Table:
     row; each is the key column of the table it points into. ``blobs``
     gives the blob hashes a record references; a policy or plan spec
     blob is addressed by its identifier's digest.
+
+    The table's DDL follows from the same description: every column is
+    ``TEXT NOT NULL`` apart from the key, ``primary_key`` names the
+    columns of a composite key, and ``allowed`` limits a column to the
+    listed values. ``order`` is the row order of ``select``.
     """
 
-    def __init__(self, name, blobs, prefix=None, json=None, split=None, references=()):
+    def __init__(
+        self,
+        name,
+        blobs,
+        prefix=None,
+        json=None,
+        split=None,
+        references=(),
+        primary_key=(),
+        allowed=None,
+        order=(),
+    ):
         self.name = name
         self.blobs = blobs
         self.prefix = prefix
         self.json = json or {}
         self.split = split or {}
         self.references = references
+        self.primary_key = primary_key
+        self.allowed = allowed or {}
+        self.order_sql = f" ORDER BY {', '.join(order)}" if order else ""
 
     def __call__(self, cls):
         """Work out the record class's columns and SQL text once, and register it."""
@@ -171,6 +134,11 @@ class Table:
                 self.jsons.append((at, f.name))
             elif hints[f.name] is Identifier:
                 self.ids.append(at)
+        # A referenced table is keyed by the referencing column and is
+        # declared before the tables that point into it.
+        keyed = {table.key: table for table in _TABLES.values() if table.key}
+        self.references = {column: keyed[column] for column in self.references}
+        self.create_sql = self._create_sql(columns)
         names = ", ".join(columns)
         marks = ", ".join("?" * len(columns))
         self.insert_sql = (
@@ -182,6 +150,22 @@ class Table:
             self.exists_sql = f"SELECT 1 FROM {name} WHERE {self.key} = ? LIMIT 1"
         cls.TABLE = _TABLES[cls] = self
         return cls
+
+    def _create_sql(self, columns: list[str]) -> str:
+        lines = []
+        for column in columns:
+            constraint = "PRIMARY KEY" if column == self.key else "NOT NULL"
+            line = f"{column} TEXT {constraint}"
+            if column in self.references:
+                line += f" REFERENCES {self.references[column].name}({column})"
+            if column in self.allowed:
+                values = ", ".join(f"'{value}'" for value in self.allowed[column])
+                line += f" CHECK ({column} IN ({values}))"
+            lines.append(line)
+        if self.primary_key:
+            lines.append(f"PRIMARY KEY ({', '.join(self.primary_key)})")
+        body = ",\n    ".join(lines)
+        return f"CREATE TABLE IF NOT EXISTS {self.name} (\n    {body}\n)"
 
     def row(self, record, payload: Optional[Mapping[str, Any]]) -> list:
         """Column values in insert order; JSON columns come from ``payload``."""
@@ -199,11 +183,18 @@ class Table:
         for _, at, width in reversed(self.splits):
             values[at : at + width] = [tuple(values[at : at + width])]
         for at in self.ids:
-            values[at] = Identifier.parse(values[at])
+            values[at] = canon.parse_identifier(values[at])
         for at, name in self.jsons:
             value = canon.canonical_decode(values[at].encode("utf-8"))
             values[at] = value if self.json[name] is None else self.json[name](value)
         return self.cls(*values)
+
+    def select(self, conn: sqlite3.Connection, filters: Mapping[str, Any]) -> list:
+        """Records whose columns equal every filter, in the declared order."""
+        where = " AND ".join(f"{column} = ?" for column in filters)
+        sql = f"{self.select_sql} WHERE {where}" if filters else self.select_sql
+        cur = conn.execute(sql + self.order_sql, [str(v) for v in filters.values()])
+        return [self.record(row) for row in cur]
 
 
 class _Record:
@@ -299,6 +290,7 @@ class RepresentationRecord(_Record):
     prefix="run",
     json={"query": None},
     references=("repr_id",),
+    allowed={"status": ("ok", "failed")},
 )
 @dataclass(frozen=True)
 class EngineRunRecord(_Record):
@@ -345,6 +337,8 @@ class DecisionRecord(_Record):
     "f_map",
     blobs=lambda r: [r.plan_id.digest16],
     references=("snapshot_id", "repr_id", "run_id", "decision_id"),
+    primary_key=("experiment_id", "plan_id", "repr_id", "run_id", "decision_id"),
+    order=("experiment_id", "repr_id", "run_id", "plan_id"),
 )
 @dataclass(frozen=True)
 class FMapEntry(_Record):
@@ -361,7 +355,6 @@ class FMapEntry(_Record):
 
 TABLES = tuple(table.name for table in _TABLES.values())
 _BY_PREFIX = {t.prefix: t for t in _TABLES.values() if t.prefix}
-_BY_KEY = {t.key: t for t in _TABLES.values() if t.key}
 
 
 class Store:
@@ -388,6 +381,8 @@ class Store:
                 self._check_integrity(conn)
             with conn:
                 conn.executescript(_SCHEMA)
+                for table in _TABLES.values():
+                    conn.execute(table.create_sql)
                 conn.execute(
                     "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                     ("store_format", STORE_FORMAT_VERSION),
@@ -485,10 +480,10 @@ class Store:
 
     # -- rows --------------------------------------------------------------
 
-    def _require_row(self, column: str, ident: Identifier, owner: str) -> None:
-        cur = self._conn.execute(_BY_KEY[column].exists_sql, (str(ident),))
+    def _require_row(self, table: Table, ident: Identifier, owner: str) -> None:
+        cur = self._conn.execute(table.exists_sql, (str(ident),))
         if cur.fetchone() is None:
-            raise ReferentialError(f"{owner} references missing {column} {ident}")
+            raise ReferentialError(f"{owner} references missing {table.key} {ident}")
 
     def _check_fmap_links(self, entry: FMapEntry) -> None:
         rep = self.get_record(entry.repr_id)
@@ -527,8 +522,8 @@ class Store:
                     f"stored identifier {stored} does not match recomputed {recomputed}"
                 )
             owner = f"{owner} {stored}"
-        for column in table.references:
-            self._require_row(column, getattr(record, column), owner)
+        for column, target in table.references.items():
+            self._require_row(target, getattr(record, column), owner)
         for ref in table.blobs(record):
             if not self.has_blob(ref):
                 raise ReferentialError(f"{owner} references missing blob {ref}")
@@ -547,8 +542,7 @@ class Store:
         Policy and plan identifiers address blob-backed specs, not rows,
         so they always resolve to None here.
         """
-        if isinstance(ident, str):
-            ident = Identifier.parse(ident)
+        ident = canon.parse_identifier(ident)
         table = _BY_PREFIX.get(ident.prefix)
         if table is None:
             return None
@@ -574,30 +568,21 @@ class Store:
 
     def query_fmap(
         self,
-        experiment_id: str,
-        snapshot_id: Optional[Union[str, Identifier]] = None,
+        experiment_id: Optional[str] = None,
         plan_id: Optional[Union[str, Identifier]] = None,
+        snapshot_id: Optional[Union[str, Identifier]] = None,
+        decision_id: Optional[Union[str, Identifier]] = None,
     ) -> list[FMapEntry]:
-        """Map rows for an experiment, sorted by repr then run then plan."""
-        sql = f"{FMapEntry.TABLE.select_sql} WHERE experiment_id = ?"
-        args: list[str] = [experiment_id]
-        if snapshot_id is not None:
-            sql += " AND snapshot_id = ?"
-            args.append(str(_as_identifier(snapshot_id, "snap")))
-        if plan_id is not None:
-            sql += " AND plan_id = ?"
-            args.append(str(_as_identifier(plan_id, "plan")))
-        sql += " ORDER BY repr_id, run_id, plan_id"
-        return [FMapEntry.TABLE.record(row) for row in self._conn.execute(sql, args)]
-
-    def fmap_for_decision(self, decision_id: Union[str, Identifier]) -> list[FMapEntry]:
-        ident = _as_identifier(decision_id, "dec")
-        cur = self._conn.execute(
-            f"{FMapEntry.TABLE.select_sql} WHERE decision_id = ? "
-            "ORDER BY experiment_id, repr_id, run_id, plan_id",
-            (str(ident),),
-        )
-        return [FMapEntry.TABLE.record(row) for row in cur.fetchall()]
+        """Map rows matching every filter given, in the f_map table's order."""
+        filters = {} if experiment_id is None else {"experiment_id": experiment_id}
+        for column, prefix, value in (
+            ("plan_id", "plan", plan_id),
+            ("snapshot_id", "snap", snapshot_id),
+            ("decision_id", "dec", decision_id),
+        ):
+            if value is not None:
+                filters[column] = canon.parse_identifier(value, prefix)
+        return FMapEntry.TABLE.select(self._conn, filters)
 
 
 def open_store(location: Union[str, Path]) -> Store:

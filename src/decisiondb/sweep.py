@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Mapping, Optional, Protocol, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -63,7 +63,15 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    plan_id: Identifier
+    """A declared sweep; constructing one normalizes it and derives its id.
+
+    Identifier fields accept their string form. Each axis's values are
+    sorted ascending and deduplicated, a parameter may be declared only
+    once, and ``plan_id`` is derived from ``payload()``. Pure; persists
+    nothing.
+    """
+
+    plan_id: Identifier = field(init=False)
     snapshot_id: Identifier
     factory_name: str
     factory_version: str
@@ -75,6 +83,24 @@ class SweepPlan:
     policy_id: Identifier
     experiment_id: str
     version: str = SCHEMA_VERSION
+
+    def __post_init__(self):
+        setattr_ = object.__setattr__
+        setattr_(self, "snapshot_id", canon.parse_identifier(self.snapshot_id, "snap"))
+        setattr_(self, "policy_id", canon.parse_identifier(self.policy_id, "pol"))
+        if not self.experiment_id:
+            raise ValidationError("experiment_id must be a non-empty string")
+        axes = []
+        seen_params = set(self.fixed_params)
+        for axis in self.axes:
+            axis = _normalize_axis(axis)
+            if axis.param in seen_params:
+                raise ValidationError(f"parameter {axis.param!r} declared more than once")
+            seen_params.add(axis.param)
+            axes.append(axis)
+        setattr_(self, "axes", tuple(axes))
+        setattr_(self, "fixed_params", dict(self.fixed_params))
+        setattr_(self, "plan_id", canon.content_id("plan", self.payload()))
 
     def payload(self) -> dict:
         # experiment_id scopes map rows but does not identify the plan itself.
@@ -119,7 +145,7 @@ class SweepPlan:
                 raise ValidationError(f"plan axis {axis!r} is not a {{param, values}} mapping")
             axes.append(Axis(param=axis["param"], values=tuple(axis["values"])))
         kwargs = {name: fields[name] for name in _PLAN_FIELD_TYPES}
-        return build_plan(**kwargs | {"axes": axes}, experiment_id=experiment_id)
+        return cls(**kwargs | {"axes": axes}, experiment_id=experiment_id)
 
     def repr_id(self, params: Mapping[str, str]) -> Identifier:
         """Identifier of the representation this plan declares for one grid point.
@@ -178,54 +204,6 @@ def _normalize_axis(axis: Axis) -> Axis:
     return Axis(param=axis.param, values=tuple(text for _, text in ordered))
 
 
-def build_plan(
-    *,
-    snapshot_id: Union[str, Identifier],
-    factory_name: str,
-    factory_version: str,
-    axes: Sequence[Axis],
-    fixed_params: Mapping[str, str],
-    engine_name: str,
-    engine_version: str,
-    query: Any,
-    policy_id: Union[str, Identifier],
-    experiment_id: str,
-    version: str = SCHEMA_VERSION,
-) -> SweepPlan:
-    """Assemble a plan and derive its identifier. Pure; persists nothing."""
-    if isinstance(snapshot_id, str):
-        snapshot_id = Identifier.parse(snapshot_id)
-    if isinstance(policy_id, str):
-        policy_id = Identifier.parse(policy_id)
-    if not experiment_id:
-        raise ValidationError("experiment_id must be a non-empty string")
-    norm_axes = []
-    seen_params = set(fixed_params)
-    for axis in axes:
-        axis = _normalize_axis(axis)
-        if axis.param in seen_params:
-            raise ValidationError(f"parameter {axis.param!r} declared more than once")
-        seen_params.add(axis.param)
-        norm_axes.append(axis)
-    plan = SweepPlan(
-        plan_id=Identifier("plan", "0" * 16),
-        snapshot_id=snapshot_id,
-        factory_name=factory_name,
-        factory_version=factory_version,
-        axes=tuple(norm_axes),
-        fixed_params=dict(fixed_params),
-        engine_name=engine_name,
-        engine_version=engine_version,
-        query=query,
-        policy_id=policy_id,
-        experiment_id=experiment_id,
-        version=version,
-    )
-    ident = canon.content_id("plan", plan.payload())
-    object.__setattr__(plan, "plan_id", ident)
-    return plan
-
-
 def freeze_snapshot(
     store: Store,
     artifacts: Mapping[str, Any],
@@ -253,17 +231,14 @@ def persist_plan(store: Store, plan: SweepPlan) -> SweepPlan:
 
 
 def plan_sweep(store: Store, **kwargs) -> SweepPlan:
-    """Build a plan from ``build_plan`` keywords and persist it."""
-    return persist_plan(store, build_plan(**kwargs))
+    """Build a plan from ``SweepPlan`` keywords and persist it."""
+    return persist_plan(store, SweepPlan(**kwargs))
 
 
 def load_plan(
     store: Store, plan_id: Union[str, Identifier], experiment_id: str
 ) -> SweepPlan:
-    if isinstance(plan_id, str):
-        plan_id = Identifier.parse(plan_id)
-    if plan_id.prefix != "plan":
-        raise ValidationError(f"not a plan identifier: {plan_id}")
+    plan_id = canon.parse_identifier(plan_id, "plan")
     data = store.read_blob_unverified(plan_id.digest16)
     if data is None:
         raise PlanNotFoundError(f"no persisted plan {plan_id}")

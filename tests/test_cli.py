@@ -117,6 +117,23 @@ class TestInitInspect:
         }
         assert payload["blobs"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect"],
+            ["map", "--plan", "plan_" + "cd" * 8, "--experiment", "demo"],
+            ["sweep", "report", "--plan", "plan_" + "cd" * 8, "--experiment", "demo"],
+            ["replay", "--experiment", "demo"],
+            ["demo", "replay"],
+        ],
+        ids=["inspect", "map", "sweep-report", "replay", "demo-replay"],
+    )
+    def test_read_commands_refuse_a_missing_store(self, tmp_path, capsys, argv):
+        db = tmp_path / "typo"
+        assert cli.main([*argv, "--db", str(db)]) == 1
+        assert capsys.readouterr().err.startswith("error: no store at")
+        assert not db.exists()
+
     def test_inspect_json_is_canonical(self, tmp_path, capsys):
         db = str(tmp_path / "db")
         assert cli.main(["init", "--db", db]) == 0

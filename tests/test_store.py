@@ -15,6 +15,7 @@ from decisiondb.errors import (
     ReferentialError,
     StoreOpenError,
     SweepExecutionError,
+    ValidationError,
 )
 from decisiondb.store import (
     TABLES,
@@ -391,6 +392,10 @@ class TestLookups:
         other_plan = canon.content_id("plan", {"version": "1", "other": True})
         store.put_blob(canon.canonical_encode({"version": "1", "other": True}))
         assert store.query_fmap("e1", plan_id=other_plan) == []
+        with pytest.raises(ValidationError, match="not a plan identifier"):
+            store.query_fmap("e1", plan_id=chain["snapshot"].snapshot_id)
+        with pytest.raises(IdentifierFormatError):
+            store.query_fmap("e1", plan_id="plan_nothex")
 
     def test_query_fmap_is_deterministic(self, store):
         build_chain(store, experiment_id="e1", answer=[1])
@@ -402,7 +407,7 @@ class TestLookups:
 
     def test_fmap_for_decision(self, store):
         chain = build_chain(store)
-        found = store.fmap_for_decision(chain["decision"].decision_id)
+        found = store.query_fmap(decision_id=chain["decision"].decision_id)
         assert len(found) == 1
         assert found[0].run_id == chain["run"].run_id
 
@@ -412,6 +417,167 @@ class TestLookups:
         assert len(rows) == 1
         with pytest.raises(ValueError):
             store.table_rows("sqlite_master")
+
+
+# Columns, foreign keys and indexes of a fresh store as SQLite reports
+# them. The DDL is generated from the record classes' Table descriptions;
+# this pins what it creates, so a change to how it is written cannot
+# change the schema of new stores.
+FRESH_SCHEMA = {
+    "meta": {
+        "table_xinfo": [
+            (0, "key", "TEXT", 0, None, 1, 0),
+            (1, "value", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [],
+        "index_list": [
+            (0, "sqlite_autoindex_meta_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_meta_1": [
+                (0, 0, "key", 0, "BINARY", 1),
+                (1, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+    "snapshots": {
+        "table_xinfo": [
+            (0, "snapshot_id", "TEXT", 0, None, 1, 0),
+            (1, "time_window_start", "TEXT", 1, None, 0, 0),
+            (2, "time_window_end", "TEXT", 1, None, 0, 0),
+            (3, "artifact_manifest", "TEXT", 1, None, 0, 0),
+            (4, "version", "TEXT", 1, None, 0, 0),
+            (5, "created_at", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [],
+        "index_list": [
+            (0, "sqlite_autoindex_snapshots_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_snapshots_1": [
+                (0, 0, "snapshot_id", 0, "BINARY", 1),
+                (1, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+    "representations": {
+        "table_xinfo": [
+            (0, "repr_id", "TEXT", 0, None, 1, 0),
+            (1, "snapshot_id", "TEXT", 1, None, 0, 0),
+            (2, "factory_name", "TEXT", 1, None, 0, 0),
+            (3, "factory_version", "TEXT", 1, None, 0, 0),
+            (4, "params", "TEXT", 1, None, 0, 0),
+            (5, "encoded_artifact_ref", "TEXT", 1, None, 0, 0),
+            (6, "version", "TEXT", 1, None, 0, 0),
+            (7, "created_at", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [
+            (0, 0, "snapshots", "snapshot_id", "snapshot_id", "NO ACTION", "NO ACTION", "NONE"),
+        ],
+        "index_list": [
+            (0, "sqlite_autoindex_representations_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_representations_1": [
+                (0, 0, "repr_id", 0, "BINARY", 1),
+                (1, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+    "engine_runs": {
+        "table_xinfo": [
+            (0, "run_id", "TEXT", 0, None, 1, 0),
+            (1, "repr_id", "TEXT", 1, None, 0, 0),
+            (2, "engine_name", "TEXT", 1, None, 0, 0),
+            (3, "engine_version", "TEXT", 1, None, 0, 0),
+            (4, "query", "TEXT", 1, None, 0, 0),
+            (5, "raw_output_ref", "TEXT", 1, None, 0, 0),
+            (6, "exec_time_ms", "TEXT", 1, None, 0, 0),
+            (7, "status", "TEXT", 1, None, 0, 0),
+            (8, "version", "TEXT", 1, None, 0, 0),
+            (9, "created_at", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [
+            (0, 0, "representations", "repr_id", "repr_id", "NO ACTION", "NO ACTION", "NONE"),
+        ],
+        "index_list": [
+            (0, "sqlite_autoindex_engine_runs_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_engine_runs_1": [
+                (0, 0, "run_id", 0, "BINARY", 1),
+                (1, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+    "decisions": {
+        "table_xinfo": [
+            (0, "decision_id", "TEXT", 0, None, 1, 0),
+            (1, "policy_id", "TEXT", 1, None, 0, 0),
+            (2, "payload_hash", "TEXT", 1, None, 0, 0),
+            (3, "version", "TEXT", 1, None, 0, 0),
+            (4, "created_at", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [],
+        "index_list": [
+            (0, "sqlite_autoindex_decisions_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_decisions_1": [
+                (0, 0, "decision_id", 0, "BINARY", 1),
+                (1, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+    "f_map": {
+        "table_xinfo": [
+            (0, "experiment_id", "TEXT", 1, None, 1, 0),
+            (1, "snapshot_id", "TEXT", 1, None, 0, 0),
+            (2, "repr_id", "TEXT", 1, None, 3, 0),
+            (3, "run_id", "TEXT", 1, None, 4, 0),
+            (4, "decision_id", "TEXT", 1, None, 5, 0),
+            (5, "plan_id", "TEXT", 1, None, 2, 0),
+            (6, "created_at", "TEXT", 1, None, 0, 0),
+        ],
+        "foreign_key_list": [
+            (0, 0, "decisions", "decision_id", "decision_id", "NO ACTION", "NO ACTION", "NONE"),
+            (1, 0, "engine_runs", "run_id", "run_id", "NO ACTION", "NO ACTION", "NONE"),
+            (2, 0, "representations", "repr_id", "repr_id", "NO ACTION", "NO ACTION", "NONE"),
+            (3, 0, "snapshots", "snapshot_id", "snapshot_id", "NO ACTION", "NO ACTION", "NONE"),
+        ],
+        "index_list": [
+            (0, "sqlite_autoindex_f_map_1", 1, "pk", 0),
+        ],
+        "index_xinfo": {
+            "sqlite_autoindex_f_map_1": [
+                (0, 0, "experiment_id", 0, "BINARY", 1),
+                (1, 5, "plan_id", 0, "BINARY", 1),
+                (2, 2, "repr_id", 0, "BINARY", 1),
+                (3, 3, "run_id", 0, "BINARY", 1),
+                (4, 4, "decision_id", 0, "BINARY", 1),
+                (5, -1, None, 0, "BINARY", 0),
+            ],
+        },
+    },
+}
+
+
+def schema_of(conn, table):
+    def pragma(name, arg):
+        return [tuple(row) for row in conn.execute(f"PRAGMA {name}({arg})")]
+
+    indexes = pragma("index_list", table)
+    return {
+        "table_xinfo": pragma("table_xinfo", table),
+        "foreign_key_list": pragma("foreign_key_list", table),
+        "index_list": indexes,
+        "index_xinfo": {index[1]: pragma("index_xinfo", index[1]) for index in indexes},
+    }
+
+
+def test_fresh_store_schema_is_pinned(store):
+    tables = ("meta", *TABLES)
+    assert {table: schema_of(store._conn, table) for table in tables} == FRESH_SCHEMA
 
 
 # Digest of every row (created_at and exec_time_ms left out) and every

@@ -121,6 +121,13 @@ class TestPlans:
         with pytest.raises(ValidationError, match="not a number"):
             make_plan(st, *world, xs=("1", value))
 
+    @pytest.mark.parametrize("name", ["snapshot_id", "policy_id"])
+    def test_identifier_of_the_wrong_kind_rejected(self, st, world, name):
+        plan = make_plan(st, *world)
+        payload = {**plan.payload(), name: "run_" + "ab" * 8}
+        with pytest.raises(ValidationError, match="not a"):
+            sweep.SweepPlan.from_payload(payload, "exp")
+
     def test_plan_requires_frozen_snapshot(self, st, world):
         _, pol_id = world
         from decisiondb.store import ManifestEntry, SnapshotRecord
@@ -216,7 +223,7 @@ class TestExecute:
 
     def test_requires_persisted_plan(self, st, world):
         snap, pol_id = world
-        plan = sweep.build_plan(
+        plan = sweep.SweepPlan(
             snapshot_id=snap.snapshot_id,
             factory_name="step-table",
             factory_version="1",
