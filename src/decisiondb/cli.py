@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from . import canon, replay, routing, sweep
 from .errors import CanonicalizationError, DecisionDBError, ValidationError
@@ -71,17 +71,11 @@ class DecisionLetters:
 
 
 def route_length(store: Store, run_id) -> Optional[int]:
-    """Node count of a persisted route output, when one is recoverable."""
+    """Node count of a route output, read verified; None if it holds no route."""
     run = store.get_record(run_id)
     if run is None:
         return None
-    raw = store.read_blob_unverified(run.raw_output_ref)
-    if raw is None:
-        return None
-    try:
-        payload = canon.canonical_decode(raw)
-    except CanonicalizationError:
-        return None
+    payload = canon.canonical_decode(store.get_blob(run.raw_output_ref))
     if isinstance(payload, Mapping) and isinstance(payload.get("route_nodes"), list):
         return len(payload["route_nodes"])
     return None
@@ -327,8 +321,66 @@ def cmd_replay(store: Store, args) -> dict:
     ).to_payload()
 
 
-# Handlers that only read a store; a path without one is refused, not created.
-READERS = (cmd_inspect, cmd_sweep_report, cmd_map, cmd_replay)
+def arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+# One row per command; a row without a handler is a group of commands. A
+# command that `reads` refuses a path with no store rather than create one.
+# `fixed` presets namespace values; `exclusive` is one required group.
+class Command(NamedTuple):
+    path: str
+    help: str
+    handler: Optional[Callable] = None
+    render: Optional[Callable] = None
+    reads: bool = False
+    args: tuple = ()
+    fixed: Mapping[str, Any] = {}
+    exclusive: tuple = ()
+
+
+SEED = arg("--seed", type=int, default=routing.DEMO_SEED)
+DEEP = arg("--deep", action="store_true", help="also verify upstream blobs and rows")
+PLAN = arg("--plan", required=True)
+EXPERIMENT = arg("--experiment", required=True)
+
+COMMANDS = (
+    Command("init", "create or open a store", cmd_init,
+            lambda store, payload: print(f"store ready at {payload['location']}")),
+    Command("inspect", "table and blob counts", cmd_inspect, render_inspect, reads=True),
+    Command("freeze", "persist a snapshot from artifact payload files", cmd_freeze,
+            lambda store, payload: print(f"snapshot {payload['snapshot_id']} "
+                                         f"({len(payload['artifacts'])} artifact(s))"),
+            args=(arg("--window", nargs=2, metavar=("START", "END"), required=True,
+                      help="time window the artifacts describe"),
+                  arg("artifacts", nargs="+", metavar="NAME=FILE",
+                      help="artifact payloads as JSON files"))),
+    Command("demo", "built-in routing demonstration"),
+    Command("demo generate", "freeze the demo snapshot, policy, and plans",
+            cmd_demo_generate, render_demo_generate, args=(SEED,)),
+    Command("demo sweep", "execute both demo sweeps and report the maps", cmd_demo_sweep,
+            lambda store, payload: render_axis_reports(payload["plans"]), args=(SEED,)),
+    Command("demo replay", "verify every demo decision by recomputation", cmd_replay,
+            render_replay, reads=True, args=(DEEP,),
+            fixed={"decision": None, "experiment": routing.DEMO_EXPERIMENT, "plan": None}),
+    Command("sweep", "run or report a persisted plan"),
+    Command("sweep run", "execute a plan's grid", cmd_sweep_run,
+            lambda store, payload: print(f"executed {payload['entries']} grid points "
+                                         f"for plan {payload['plan_id']}"),
+            args=(arg("--plan", required=True, help="plan identifier or plan payload file"),
+                  arg("--experiment", required=True, help="experiment the map rows belong to"),
+                  arg("--policy", help="policy payload file to persist before execution"))),
+    Command("sweep report", "axis structure of a plan's map", cmd_sweep_report,
+            lambda store, payload: render_axis_reports([payload]), reads=True,
+            args=(PLAN, EXPERIMENT,
+                  arg("--axis", help="swept parameter (default: the only multi-valued axis)"))),
+    Command("map", "list a plan's evaluated grid points", cmd_map, render_map, reads=True,
+            args=(PLAN, EXPERIMENT)),
+    Command("replay", "recompute and compare decisions", cmd_replay, render_replay, reads=True,
+            exclusive=(arg("--experiment", help="replay every map entry of this experiment"),
+                       arg("--decision", help="replay the chains behind one decision id")),
+            args=(arg("--plan", help="restrict --experiment to one plan"), DEEP)),
+)
 
 
 def build_parser() -> Parser:
@@ -338,116 +390,34 @@ def build_parser() -> Parser:
     common.add_argument(
         "--json", action="store_true", help="emit canonical JSON instead of tables"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("init", parents=[common], help="create or open a store")
-    p.set_defaults(
-        handler=cmd_init,
-        render=lambda store, payload: print(f"store ready at {payload['location']}"),
-    )
-
-    p = sub.add_parser("inspect", parents=[common], help="table and blob counts")
-    p.set_defaults(handler=cmd_inspect, render=render_inspect)
-
-    p = sub.add_parser(
-        "freeze", parents=[common], help="persist a snapshot from artifact payload files"
-    )
-    p.add_argument(
-        "--window",
-        nargs=2,
-        metavar=("START", "END"),
-        required=True,
-        help="time window the artifacts describe",
-    )
-    p.add_argument(
-        "artifacts",
-        nargs="+",
-        metavar="NAME=FILE",
-        help="artifact payloads as JSON files",
-    )
-    p.set_defaults(
-        handler=cmd_freeze,
-        render=lambda store, payload: print(
-            f"snapshot {payload['snapshot_id']} ({len(payload['artifacts'])} artifact(s))"
-        ),
-    )
-
-    demo = sub.add_parser("demo", help="built-in routing demonstration").add_subparsers(
-        dest="demo_command", required=True
-    )
-    p = demo.add_parser(
-        "generate", parents=[common], help="freeze the demo snapshot, policy, and plans"
-    )
-    p.add_argument("--seed", type=int, default=routing.DEMO_SEED)
-    p.set_defaults(handler=cmd_demo_generate, render=render_demo_generate)
-    p = demo.add_parser(
-        "sweep", parents=[common], help="execute both demo sweeps and report the maps"
-    )
-    p.add_argument("--seed", type=int, default=routing.DEMO_SEED)
-    p.set_defaults(
-        handler=cmd_demo_sweep,
-        render=lambda store, payload: render_axis_reports(payload["plans"]),
-    )
-    p = demo.add_parser(
-        "replay", parents=[common], help="verify every demo decision by recomputation"
-    )
-    p.add_argument("--deep", action="store_true", help="also verify upstream blobs and rows")
-    p.set_defaults(
-        handler=cmd_replay,
-        render=render_replay,
-        decision=None,
-        experiment=routing.DEMO_EXPERIMENT,
-        plan=None,
-    )
-
-    swp = sub.add_parser("sweep", help="run or report a persisted plan").add_subparsers(
-        dest="sweep_command", required=True
-    )
-    p = swp.add_parser("run", parents=[common], help="execute a plan's grid")
-    p.add_argument("--plan", required=True, help="plan identifier or plan payload file")
-    p.add_argument("--experiment", required=True, help="experiment the map rows belong to")
-    p.add_argument("--policy", help="policy payload file to persist before execution")
-    p.set_defaults(
-        handler=cmd_sweep_run,
-        render=lambda store, payload: print(
-            f"executed {payload['entries']} grid points for plan {payload['plan_id']}"
-        ),
-    )
-    p = swp.add_parser("report", parents=[common], help="axis structure of a plan's map")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--experiment", required=True)
-    p.add_argument("--axis", help="swept parameter (default: the only multi-valued axis)")
-    p.set_defaults(
-        handler=cmd_sweep_report,
-        render=lambda store, payload: render_axis_reports([payload]),
-    )
-
-    p = sub.add_parser("map", parents=[common], help="list a plan's evaluated grid points")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--experiment", required=True)
-    p.set_defaults(handler=cmd_map, render=render_map)
-
-    p = sub.add_parser("replay", parents=[common], help="recompute and compare decisions")
-    subject = p.add_mutually_exclusive_group(required=True)
-    subject.add_argument("--experiment", help="replay every map entry of this experiment")
-    subject.add_argument("--decision", help="replay the chains behind one decision id")
-    p.add_argument("--plan", help="restrict --experiment to one plan")
-    p.add_argument("--deep", action="store_true", help="also verify upstream blobs and rows")
-    p.set_defaults(handler=cmd_replay, render=render_replay)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for row in COMMANDS:
+        group, _, name = row.path.rpartition(" ")
+        if row.handler is None:
+            p = groups[group].add_parser(name, help=row.help)
+            groups[row.path] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        p = groups[group].add_parser(name, parents=[common], help=row.help)
+        if row.exclusive:
+            subject = p.add_mutually_exclusive_group(required=True)
+            for flags, kwargs in row.exclusive:
+                subject.add_argument(*flags, **kwargs)
+        for flags, kwargs in row.args:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=row.handler, render=row.render, reads=row.reads, **row.fixed)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "replay" and args.decision and args.plan:
+    if getattr(args, "decision", None) and getattr(args, "plan", None):
         parser.error("argument --plan: not allowed with argument --decision")
     db = args.db or os.environ.get(ENV_DB)
     if not db:
         parser.error(f"no store given: pass --db or set {ENV_DB}")
     try:
-        if args.handler in READERS and not (Path(db) / DB_FILENAME).exists():
+        if args.reads and not (Path(db) / DB_FILENAME).exists():
             raise DecisionDBError(f"no store at {db}")
         with open_store(db) as store:
             payload = args.handler(store, args)

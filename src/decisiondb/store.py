@@ -357,6 +357,12 @@ TABLES = tuple(table.name for table in _TABLES.values())
 _BY_PREFIX = {t.prefix: t for t in _TABLES.values() if t.prefix}
 
 
+def _locked(exc: sqlite3.Error) -> bool:
+    """SQLITE_BUSY, left after the busy timeout; matched on its message,
+    since Python 3.10 exposes no SQLite error code."""
+    return str(exc) == "database is locked"
+
+
 class Store:
     """Handle on one store directory. Writers must not be shared across processes."""
 
@@ -388,6 +394,10 @@ class Store:
                     ("store_format", STORE_FORMAT_VERSION),
                 )
         except sqlite3.Error as exc:
+            if _locked(exc):
+                raise StoreOpenError(
+                    f"store at {self.location} is locked by another connection"
+                ) from exc
             raise StoreOpenError(f"cannot open store at {self.location}: {exc}") from exc
         return conn
 
@@ -401,6 +411,8 @@ class Store:
                 )
             }
         except sqlite3.DatabaseError as exc:
+            if _locked(exc):
+                raise
             raise StoreOpenError(f"existing database is unreadable: {exc}") from exc
         if "meta" not in names:
             raise StoreOpenError("existing database has no meta table")

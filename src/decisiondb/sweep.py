@@ -426,12 +426,15 @@ class DecisionMap:
 def materialize_map(
     store: Store, plan_id: Union[str, Identifier], experiment_id: str
 ) -> DecisionMap:
-    """Read-only view of a plan's persisted grid results."""
+    """Read-only view of a plan's persisted grid results.
+
+    A point with more than one f_map row shows the first in query_fmap
+    order, the row refine_boundary reads for the same point.
+    """
     plan = load_plan(store, plan_id, experiment_id)
-    by_repr = {
-        str(entry.repr_id): entry
-        for entry in store.query_fmap(experiment_id, plan_id=plan.plan_id)
-    }
+    by_repr: dict[str, FMapEntry] = {}
+    for entry in store.query_fmap(experiment_id, plan_id=plan.plan_id):
+        by_repr.setdefault(str(entry.repr_id), entry)
     points = {}
     for params in plan.grid_points():
         entry = by_repr.get(str(plan.repr_id(params)))
@@ -539,17 +542,6 @@ class BoundaryRefinement:
     hi_decision: Identifier
     evaluations: int
     multi_region: bool
-
-    def to_payload(self) -> dict:
-        return {
-            "axis": self.axis,
-            "interval": [self.lo, self.hi],
-            "lo_decision": str(self.lo_decision),
-            "hi_decision": str(self.hi_decision),
-            "evaluations": self.evaluations,
-            "multi_region": self.multi_region,
-            "version": SCHEMA_VERSION,
-        }
 
 
 def _point_decision(

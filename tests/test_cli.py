@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,21 @@ class TestInitInspect:
         assert capsys.readouterr().err.startswith("error: no store at")
         assert not db.exists()
 
+    def test_locked_store_reported_as_locked(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        assert cli.main(["init", "--db", str(db)]) == 0
+        capsys.readouterr()
+        holder = sqlite3.connect(db / "store.sqlite", isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            assert cli.main(["inspect", "--db", str(db)]) == 1
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert capsys.readouterr().err == (
+            f"error: store at {db} is locked by another connection\n"
+        )
+
     def test_inspect_json_is_canonical(self, tmp_path, capsys):
         db = str(tmp_path / "db")
         assert cli.main(["init", "--db", db]) == 0
@@ -218,6 +234,36 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "'snapshot_id'" in err
+
+    @pytest.mark.parametrize(
+        "damage, message", [("corrupt", "re-hashes to"), ("delete", "is not stored")]
+    )
+    def test_report_refuses_a_damaged_raw_output(
+        self, demo_db, tmp_path, capsys, damage, message
+    ):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        st = open_store(db)
+        run = st.table_rows("engine_runs")[0]
+        plan_id = next(
+            row["plan_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
+        )
+        path = st._blob_path(run["raw_output_ref"])
+        st.close()
+        if damage == "corrupt":
+            data = path.read_bytes()
+            at = data.index(b'"total_cost":"') + len(b'"total_cost":"')
+            digit = b"1" if data[at:at + 1] != b"1" else b"2"
+            path.write_bytes(data[:at] + digit + data[at + 1:])
+        else:
+            path.unlink()
+        code = cli.main(
+            ["sweep", "report", "--db", str(db), "--plan", plan_id, "--experiment", "demo"]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: blob ") and message in err
 
 
 class TestReplayCommand:

@@ -137,7 +137,7 @@ class TestOpen:
         loc = tmp_path / "db"
         loc.mkdir()
         (loc / "store.sqlite").write_bytes(b"not a database at all" * 10)
-        with pytest.raises(StoreOpenError):
+        with pytest.raises(StoreOpenError, match="unreadable"):
             open_store(loc)
 
     def test_open_on_foreign_database_fails(self, tmp_path):

@@ -319,6 +319,24 @@ class TestMaterialize:
         run_plan(st, plan)
         assert len(sweep.materialize_map(st, plan.plan_id, "elsewhere")) == 0
 
+    def test_first_row_wins_when_a_point_has_two_decisions(self, st, world):
+        class AlternatingEngine(StepEngine):
+            calls = 0
+
+            def evaluate(self, representation, query):
+                self.calls += 1
+                raw = super().evaluate(representation, query)
+                return {**raw, "label": "lo" if self.calls % 2 else "hi"}
+
+        plan = make_plan(st, *world, xs=("1",))
+        engine = AlternatingEngine()
+        run_plan(st, plan, engine)
+        run_plan(st, plan, engine)
+        rows = st.query_fmap("exp", plan_id=plan.plan_id)
+        assert len({row.decision_id for row in rows}) == 2
+        point = sweep.materialize_map(st, plan.plan_id, "exp").get({"x": "1"})
+        assert (point.run_id, point.decision_id) == (rows[0].run_id, rows[0].decision_id)
+
 
 class TestClassify:
     def test_two_segments_one_boundary(self, st, world):
