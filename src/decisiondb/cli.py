@@ -9,6 +9,7 @@ otherwise the command's text renderer lays it out as tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -383,7 +384,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The whole command tree, built once per process; parsing does not change it."""
     parser = Parser(prog="decisiondb", description=__doc__)
     common = Parser(add_help=False)
     common.add_argument("--db", help=f"store directory (or set {ENV_DB})")
@@ -404,7 +407,9 @@ def build_parser() -> Parser:
                 subject.add_argument(*flags, **kwargs)
         for flags, kwargs in row.args:
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=row.handler, render=row.render, reads=row.reads, **row.fixed)
+        p.set_defaults(
+            handler=row.handler, render=row.render, reads=row.reads, parser=p, **row.fixed
+        )
     return parser
 
 
@@ -412,7 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "decision", None) and getattr(args, "plan", None):
-        parser.error("argument --plan: not allowed with argument --decision")
+        args.parser.error("argument --plan: not allowed with argument --decision")
     db = args.db or os.environ.get(ENV_DB)
     if not db:
         parser.error(f"no store given: pass --db or set {ENV_DB}")

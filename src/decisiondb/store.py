@@ -9,6 +9,7 @@ deleted.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 import threading
@@ -41,6 +42,12 @@ from .errors import (
 DB_FILENAME = "store.sqlite"
 BLOB_DIRNAME = "blobs"
 STORE_FORMAT_VERSION = "1"
+
+# Longest a batch keeps one transaction open before committing what it
+# holds. It bounds the rows a killed process can lose, and the dirty
+# pages held in SQLite's page cache, whose spill to the database file
+# takes an exclusive lock that blocks readers.
+_COMMIT_INTERVAL_S = 0.5
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -370,6 +377,8 @@ class Store:
         self.location = Path(location)
         self.blob_dir = self.location / BLOB_DIRNAME
         self._lock = threading.RLock()
+        self._depth = 0
+        self._opened = 0.0
         self._conn = self._open_connection()
 
     def _open_connection(self) -> sqlite3.Connection:
@@ -498,18 +507,53 @@ class Store:
             raise ReferentialError(f"{owner} references missing {table.key} {ident}")
 
     def _check_fmap_links(self, entry: FMapEntry) -> None:
-        rep = self.get_record(entry.repr_id)
-        if rep.snapshot_id != entry.snapshot_id:
+        """The entry's snapshot is its representation's, and its
+        representation is its run's; both rows are known to exist."""
+        (snapshot_id,) = self._conn.execute(
+            "SELECT snapshot_id FROM representations WHERE repr_id = ?",
+            (str(entry.repr_id),),
+        ).fetchone()
+        if snapshot_id != str(entry.snapshot_id):
             raise IntegrityError(
                 f"f_map entry snapshot {entry.snapshot_id} does not match "
-                f"representation snapshot {rep.snapshot_id}"
+                f"representation snapshot {snapshot_id}"
             )
-        run = self.get_record(entry.run_id)
-        if run.repr_id != entry.repr_id:
+        (repr_id,) = self._conn.execute(
+            "SELECT repr_id FROM engine_runs WHERE run_id = ?", (str(entry.run_id),)
+        ).fetchone()
+        if repr_id != str(entry.repr_id):
             raise IntegrityError(
                 f"f_map entry representation {entry.repr_id} does not match "
-                f"run representation {run.repr_id}"
+                f"run representation {repr_id}"
             )
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold the write lock and one open transaction across many writes.
+
+        Re-entrant; only the outermost batch commits on exit, and it
+        does so whether its body returned or raised. Inside a batch a row
+        is also committed once the open transaction is older than
+        ``_COMMIT_INTERVAL_S``. Every row is checked before its insert,
+        so whatever prefix of a batch's rows is durable is a state that
+        committing each row on its own allows too. Writes from another
+        thread wait until the batch ends.
+        """
+        with self._lock:
+            self._depth += 1
+            try:
+                yield
+            finally:
+                self._depth -= 1
+                if not self._depth:
+                    self._commit()
+
+    def _commit(self) -> None:
+        try:
+            self._conn.commit()
+        except sqlite3.Error as exc:
+            self._conn.rollback()
+            raise DecisionDBError(f"cannot commit to store at {self.location}: {exc}") from exc
 
     def put_record(self, record: _Record) -> str:
         """Insert a record, returning "inserted" or "ignored".
@@ -541,11 +585,15 @@ class Store:
                 raise ReferentialError(f"{owner} references missing blob {ref}")
         if isinstance(record, FMapEntry):
             self._check_fmap_links(record)
-        try:
-            with self._lock, self._conn:
+        with self.batch():
+            if not self._conn.in_transaction:
+                self._opened = time.monotonic()
+            try:
                 cur = self._conn.execute(table.insert_sql, table.row(record, payload))
-        except sqlite3.Error as exc:
-            raise DecisionDBError(f"cannot write {owner}: {exc}") from exc
+            except sqlite3.Error as exc:
+                raise DecisionDBError(f"cannot write {owner}: {exc}") from exc
+            if time.monotonic() - self._opened >= _COMMIT_INTERVAL_S:
+                self._commit()
         return "inserted" if cur.rowcount else "ignored"
 
     def get_record(self, ident: Union[str, Identifier]):

@@ -299,14 +299,16 @@ def declare_representations(
     """Encode and persist one representation per grid point, in grid order.
 
     Every point is encoded twice; differing bytes mean the factory is not
-    deterministic and the declaration is refused.
+    deterministic and the declaration is refused. Rows are written in one
+    store batch, so the points declared before a refusal stay stored.
     """
     _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
     artifacts = _load_artifacts(store, plan)
-    return [
-        _declare_point(store, plan, factory, artifacts, params)
-        for params in plan.grid_points()
-    ]
+    with store.batch():
+        return [
+            _declare_point(store, plan, factory, artifacts, params)
+            for params in plan.grid_points()
+        ]
 
 
 def _run_point(
@@ -364,7 +366,8 @@ def execute_sweep(
 
     Engine failures mark their run ``failed`` and the sweep carries on; a
     summary error listing the failed points is raised at the end, with
-    the completed entries attached.
+    the completed entries attached, once the batch holding every row of
+    the sweep has committed.
     """
     _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
     if not store.has_blob(plan.plan_id.digest16):
@@ -372,18 +375,19 @@ def execute_sweep(
     pol = load_policy(store, plan.policy_id)
     entries = []
     failures = []
-    for params in plan.grid_points():
-        rep_id = plan.repr_id(params)
-        rep = store.get_record(rep_id)
-        if rep is None:
-            raise ReferentialError(
-                f"representation not declared for params {dict(params)} ({rep_id})"
-            )
-        entry, failure = _run_point(store, plan, engine, pol, rep)
-        if entry is not None:
-            entries.append(entry)
-        else:
-            failures.append((dict(params), failure))
+    with store.batch():
+        for params in plan.grid_points():
+            rep_id = plan.repr_id(params)
+            rep = store.get_record(rep_id)
+            if rep is None:
+                raise ReferentialError(
+                    f"representation not declared for params {dict(params)} ({rep_id})"
+                )
+            entry, failure = _run_point(store, plan, engine, pol, rep)
+            if entry is not None:
+                entries.append(entry)
+            else:
+                failures.append((dict(params), failure))
     if failures:
         described = "; ".join(f"{params}: {msg}" for params, msg in failures)
         raise SweepExecutionError(
@@ -589,7 +593,8 @@ def refine_boundary(
     Endpoint evaluations do not count against max_evals; midpoints do.
     Stops early when the interval width reaches the resolution (default:
     1e-6 of the starting span) or when a midpoint's decision matches
-    neither endpoint, which reports the interval as multi-region.
+    neither endpoint, which reports the interval as multi-region. All
+    rows are written in one store batch.
     """
     _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
     _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
@@ -612,7 +617,7 @@ def refine_boundary(
         raise ValidationError(f"interval is empty: [{interval[0]}, {interval[1]}]")
     if max_evals < 0:
         raise ValidationError("max_evals must be non-negative")
-    with localcontext() as ctx:
+    with store.batch(), localcontext() as ctx:
         ctx.prec = 60
         if res is None:
             res = (hi - lo) * Decimal("0.000001")

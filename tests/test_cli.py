@@ -91,7 +91,12 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["replay", "--db", str(demo_db), *subject])
         assert excinfo.value.code == 1
-        assert "not allowed with" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: decisiondb replay ")
+        assert "not allowed with" in err
+
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_missing_db_exits_one(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_DB, raising=False)

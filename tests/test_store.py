@@ -1,12 +1,16 @@
 import hashlib
 import random
 import re
+import signal
+import sqlite3
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from decisiondb import canon
+from decisiondb import canon, store as store_module
 from decisiondb.errors import (
     BlobCorruptionError,
     DecisionDBError,
@@ -27,6 +31,7 @@ from decisiondb.store import (
     SnapshotRecord,
     open_store,
 )
+from decisiondb.replay import replay_all
 from toy_arena import StepEngine, make_plan, run_plan, setup_world
 
 WINDOW = ("2025-01-01T00:00:00Z", "2025-01-08T00:00:00Z")
@@ -323,7 +328,25 @@ class TestRecords:
             chain["decision"].decision_id,
             chain["plan_id"],
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="does not match representation snapshot"):
+            store.put_record(entry)
+
+    def test_fmap_rejects_run_of_another_representation(self, store):
+        chain = build_chain(store)
+        other_rep = RepresentationRecord.create(
+            chain["snapshot"].snapshot_id, "fac", "1", {"w": "0.75"},
+            chain["representation"].encoded_artifact_ref,
+        )
+        store.put_record(other_rep)
+        entry = FMapEntry.create(
+            "exp2",
+            chain["snapshot"].snapshot_id,
+            other_rep.repr_id,
+            chain["run"].run_id,
+            chain["decision"].decision_id,
+            chain["plan_id"],
+        )
+        with pytest.raises(IntegrityError, match="does not match run representation"):
             store.put_record(entry)
 
     def test_fmap_requires_plan_blob(self, store):
@@ -612,3 +635,83 @@ class TestStoredBytes:
         runs = store.table_rows("engine_runs")
         assert sorted(row["status"] for row in runs) == ["failed", "ok", "ok", "ok", "ok"]
         assert store_digest(store) == GOLDEN_STORE_DIGEST
+
+
+def committed_counts(path):
+    """Row counts another connection sees; it reads only committed rows."""
+    conn = sqlite3.connect(path / store_module.DB_FILENAME)
+    try:
+        return {t: conn.execute(f"SELECT COUNT(*) FROM {t}").fetchone()[0] for t in TABLES}
+    finally:
+        conn.close()
+
+
+class TestBatch:
+    @pytest.mark.parametrize("interval", [3600, 0], ids=["long-interval", "zero-interval"])
+    def test_outermost_exit_commits_even_on_error(self, store, tmp_path, monkeypatch, interval):
+        monkeypatch.setattr(store_module, "_COMMIT_INTERVAL_S", interval)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        with pytest.raises(RuntimeError):
+            with store.batch():
+                with store.batch():
+                    build_chain(store)
+                inside = (statements.count("COMMIT"), committed_counts(tmp_path / "db"))
+                raise RuntimeError("stop")
+        if interval:
+            assert inside == (0, dict.fromkeys(TABLES, 0))
+        else:
+            assert inside == (5, dict.fromkeys(TABLES, 1))
+        assert statements.count("COMMIT") == (1 if interval else 5)
+        with open_store(tmp_path / "db") as other:
+            assert other.table_counts() == dict.fromkeys(TABLES, 1)
+
+    def test_blocked_commit_is_rolled_back_and_reported(self, store, tmp_path):
+        store._conn.execute("PRAGMA busy_timeout = 50")
+        reader = sqlite3.connect(tmp_path / "db" / store_module.DB_FILENAME)
+        reader.execute("BEGIN")
+        reader.execute("SELECT COUNT(*) FROM snapshots").fetchone()
+        try:
+            with pytest.raises(DecisionDBError, match="cannot commit .*database is locked"):
+                build_chain(store)
+        finally:
+            reader.close()
+        assert not store._conn.in_transaction
+        build_chain(store)
+        assert committed_counts(tmp_path / "db") == dict.fromkeys(TABLES, 1)
+
+    def test_lone_put_record_commits_at_once(self, store, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "_COMMIT_INTERVAL_S", 3600)
+        build_chain(store)
+        assert committed_counts(tmp_path / "db") == dict.fromkeys(TABLES, 1)
+
+
+PROBE = Path(__file__).resolve().parent / "sweep_probe.py"
+CRASH_XS = [str(x) for x in range(1, 11)]
+
+
+class TestCrash:
+    @pytest.mark.parametrize(
+        "interval, runs_left", [("0", 4), ("3600", 0)], ids=["zero-interval", "long-interval"]
+    )
+    def test_rerun_after_kill_restores_the_uninterrupted_store(self, tmp_path, interval, runs_left):
+        killed = tmp_path / "killed"
+        result = subprocess.run(
+            [sys.executable, str(PROBE), str(killed), interval, "5", *CRASH_XS],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        digests = []
+        for path in (killed, tmp_path / "whole"):
+            with open_store(path) as st:
+                if path == killed:
+                    counts = st.table_counts()
+                    assert (counts["representations"], counts["engine_runs"]) == (10, runs_left)
+                plan = make_plan(st, *setup_world(st), xs=CRASH_XS)
+                run_plan(st, plan)
+                assert replay_all(st, "exp").ok
+                assert st.table_counts()["f_map"] == 10
+                digests.append(store_digest(st))
+        assert digests[0] == digests[1]

@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import pytest
 
-from decisiondb import canon, sweep
+from decisiondb import canon, store, sweep
 from decisiondb.errors import (
     DeterminismError,
     InvalidComparisonError,
@@ -530,3 +530,68 @@ class TestRefine:
             sweep.refine_boundary(
                 st, plan, "x", ("1", "9"), engine, StepFactory(), 3
             )
+
+
+SWEEP_CALLS = {
+    "declare": lambda st, plan: sweep.declare_representations(st, plan, StepFactory()),
+    "execute": lambda st, plan: sweep.execute_sweep(st, plan, StepEngine()),
+    "refine": lambda st, plan: sweep.refine_boundary(
+        st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3
+    ),
+}
+
+
+def traced(st):
+    """SQL statements the store's connection runs from here on."""
+    statements = []
+    st._conn.set_trace_callback(statements.append)
+    return statements
+
+
+class TestBatchedWrites:
+    @pytest.mark.parametrize("call", SWEEP_CALLS)
+    @pytest.mark.parametrize("interval", [3600, 0], ids=["long-interval", "zero-interval"])
+    def test_one_commit_per_call_or_one_per_row(self, st, world, monkeypatch, call, interval):
+        monkeypatch.setattr(store, "_COMMIT_INTERVAL_S", interval)
+        plan = make_plan(st, *world, xs=("1", "9"))
+        names = list(SWEEP_CALLS)
+        for name in names[: names.index(call)]:
+            SWEEP_CALLS[name](st, plan)
+        statements = traced(st)
+        SWEEP_CALLS[call](st, plan)
+        inserts = sum(s.startswith("INSERT") for s in statements)
+        assert inserts > 1
+        assert statements.count("COMMIT") == (1 if interval else inserts)
+
+    def test_hundred_point_sweep_commits_twice(self, st, world, monkeypatch):
+        monkeypatch.setattr(store, "_COMMIT_INTERVAL_S", 3600)
+        plan = make_plan(st, *world, xs=[str(x) for x in range(100)])
+        statements = traced(st)
+        run_plan(st, plan)
+        assert sum(s.startswith("INSERT") for s in statements) == 400
+        assert statements.count("COMMIT") == 2
+
+    # Each sweep fails at its third point (x=7); the rows written before
+    # the failure must be committed, as when every row committed alone.
+    @pytest.mark.parametrize(
+        "factory, engine, error, counts",
+        [
+            (FlakyFactory(steady=4), StepEngine(), DeterminismError, (2, 0, 0, 0)),
+            (StepFactory(), StepEngine(malformed={"7"}), ValidationError, (4, 2, 1, 2)),
+            (StepFactory(), StepEngine(refuse={"7"}), SweepExecutionError, (4, 4, 2, 3)),
+        ],
+        ids=["nondeterministic-factory", "non-mapping-output", "engine-failure"],
+    )
+    def test_error_keeps_earlier_rows(
+        self, st, world, tmp_path, monkeypatch, factory, engine, error, counts
+    ):
+        monkeypatch.setattr(store, "_COMMIT_INTERVAL_S", 3600)
+        plan = make_plan(st, *world)
+        with pytest.raises(error):
+            sweep.declare_representations(st, plan, factory)
+            sweep.execute_sweep(st, plan, engine)
+        with open_store(tmp_path / "db") as other:
+            found = other.table_counts()
+        assert (
+            found["representations"], found["engine_runs"], found["decisions"], found["f_map"]
+        ) == counts

@@ -35,13 +35,17 @@ class StepFactory:
 
 
 class FlakyFactory(StepFactory):
-    """Encodes something different every call; must be refused."""
+    """Encodes honestly for its first ``steady`` calls, then something
+    different every call; must be refused."""
 
-    def __init__(self):
+    def __init__(self, steady=0):
+        self.steady = steady
         self.calls = 0
 
     def encode(self, artifacts, params):
         self.calls += 1
+        if self.calls <= self.steady:
+            return super().encode(artifacts, params)
         return canon.canonical_encode(
             {"nonce": self.calls, "version": canon.SCHEMA_VERSION}
         )
@@ -50,21 +54,25 @@ class FlakyFactory(StepFactory):
 class StepEngine:
     """Labels x * gain as lo / hi around the threshold.
 
-    ``refuse`` lists x values the engine fails on; ``peak_at`` adds a
+    ``refuse`` lists x values the engine fails on; ``malformed`` lists x
+    values it answers with a list instead of a mapping; ``peak_at`` adds a
     third label at and above that value, for multi-region intervals.
     """
 
     name = "step-compare"
     version = "1"
 
-    def __init__(self, refuse=(), peak_at=None):
+    def __init__(self, refuse=(), malformed=(), peak_at=None):
         self.refuse = frozenset(refuse)
+        self.malformed = frozenset(malformed)
         self.peak_at = peak_at
 
     def evaluate(self, representation, query):
         rep = canon.canonical_decode(representation)
         if rep["x"] in self.refuse:
             raise EngineFailure(f"engine refuses x={rep['x']}")
+        if rep["x"] in self.malformed:
+            return [rep["x"]]
         value = Decimal(rep["x"]) * Decimal(rep["gain"])
         if self.peak_at is not None and value >= Decimal(self.peak_at):
             label = "peak"
