@@ -143,8 +143,6 @@ def canonical_encode(value: CanonicalValue) -> bytes:
     """
     if not _is_plain(value):
         _validate(value, "$")
-    if isinstance(value, tuple):
-        value = list(value)
     text = json.dumps(
         value,
         ensure_ascii=False,

@@ -22,13 +22,6 @@ from .store import DB_FILENAME, Store, open_store
 
 ENV_DB = "DECISIONDB_PATH"
 
-FACTORIES = {
-    (routing.FACTORY_NAME, routing.FACTORY_VERSION): routing.CostSurfaceFactory(),
-}
-ENGINES = {
-    (routing.ENGINE_NAME, routing.ENGINE_VERSION): routing.DijkstraEngine(),
-}
-
 
 class Parser(argparse.ArgumentParser):
     """argparse with usage failures on exit code 1; 2 means mismatch."""
@@ -207,13 +200,13 @@ def cmd_freeze(store: Store, args) -> dict:
 
 
 def cmd_demo_generate(store: Store, args) -> dict:
-    arena = routing.persist_demo(store, args.seed)
+    plans = routing.persist_demo(store, args.seed)
     return {
-        "experiment_id": arena.experiment_id,
-        "seed": arena.seed,
-        "snapshot_id": str(arena.snapshot_record.snapshot_id),
-        "policy_id": str(arena.plans[0].policy_id),
-        "plan_ids": [str(plan.plan_id) for plan in arena.plans],
+        "experiment_id": routing.DEMO_EXPERIMENT,
+        "seed": args.seed,
+        "snapshot_id": str(plans[0].snapshot_id),
+        "policy_id": str(plans[0].policy_id),
+        "plan_ids": [str(plan.plan_id) for plan in plans],
     }
 
 
@@ -226,12 +219,11 @@ def render_demo_generate(store: Store, payload: Mapping[str, Any]) -> None:
 
 
 def cmd_demo_sweep(store: Store, args) -> dict:
-    arena = routing.run_demo(store, args.seed)
     reports = []
-    for plan in arena.plans:
-        dmap = sweep.materialize_map(store, plan.plan_id, arena.experiment_id)
+    for plan in routing.run_demo(store, args.seed):
+        dmap = sweep.materialize_map(store, plan.plan_id, plan.experiment_id)
         reports.append(axis_report_payload(store, dmap, sweep_axis_name(plan, None)))
-    return {"experiment_id": arena.experiment_id, "plans": reports}
+    return {"experiment_id": routing.DEMO_EXPERIMENT, "plans": reports}
 
 
 def ingest_plan_file(store: Store, source: str, experiment_id: str) -> sweep.SweepPlan:
@@ -254,18 +246,7 @@ def cmd_sweep_run(store: Store, args) -> dict:
         raise DecisionDBError(f"plan file not found: {args.plan}")
     else:
         plan = sweep.load_plan(store, args.plan, args.experiment)
-    factory = FACTORIES.get((plan.factory_name, plan.factory_version))
-    engine = ENGINES.get((plan.engine_name, plan.engine_version))
-    if factory is None:
-        raise DecisionDBError(
-            f"no registered factory {plan.factory_name}/{plan.factory_version}"
-        )
-    if engine is None:
-        raise DecisionDBError(
-            f"no registered engine {plan.engine_name}/{plan.engine_version}"
-        )
-    sweep.declare_representations(store, plan, factory)
-    entries = sweep.execute_sweep(store, plan, engine)
+    entries = routing.run_plan(store, plan)
     return {
         "plan_id": str(plan.plan_id),
         "experiment_id": plan.experiment_id,
@@ -414,13 +395,12 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "decision", None) and getattr(args, "plan", None):
         args.parser.error("argument --plan: not allowed with argument --decision")
     db = args.db or os.environ.get(ENV_DB)
     if not db:
-        parser.error(f"no store given: pass --db or set {ENV_DB}")
+        args.parser.error(f"no store given: pass --db or set {ENV_DB}")
     try:
         if args.reads and not (Path(db) / DB_FILENAME).exists():
             raise DecisionDBError(f"no store at {db}")

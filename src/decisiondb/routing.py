@@ -19,9 +19,9 @@ from typing import Any, Mapping
 
 from . import canon, sweep
 from .canon import SCHEMA_VERSION, decimal_string
-from .errors import EngineFailure, UnreachableError, ValidationError
+from .errors import DecisionDBError, EngineFailure, UnreachableError, ValidationError
 from .policy import EquivalencePolicy, persist_policy, policy_identifier
-from .store import ManifestEntry, SnapshotRecord
+from .store import FMapEntry, ManifestEntry, SnapshotRecord
 
 TWELVE_PLACES = Decimal("0.000000000001")
 THREE_PLACES = Decimal("0.001")
@@ -401,42 +401,46 @@ class DijkstraEngine:
         }
 
 
-@dataclass(frozen=True)
-class DemoArena:
-    seed: int
-    graph: GraphSnapshot
-    artifacts: Mapping[str, Any]
-    time_window: tuple[str, str]
-    snapshot_record: SnapshotRecord
-    policy: EquivalencePolicy
-    factory: CostSurfaceFactory
-    engine: DijkstraEngine
-    plans: tuple[sweep.SweepPlan, sweep.SweepPlan]
-    experiment_id: str
+# The one registry of plugins a plan may name, keyed by (name, version).
+FACTORIES = {(FACTORY_NAME, FACTORY_VERSION): CostSurfaceFactory()}
+ENGINES = {(ENGINE_NAME, ENGINE_VERSION): DijkstraEngine()}
 
 
-def demo_arena(seed: int = DEMO_SEED) -> DemoArena:
-    """Assemble the demo configuration: graph, policy, and both sweeps.
+def run_plan(store, plan: sweep.SweepPlan) -> list[FMapEntry]:
+    """Declare and execute a persisted plan with the registered plugins it names."""
+    factory = FACTORIES.get((plan.factory_name, plan.factory_version))
+    if factory is None:
+        raise DecisionDBError(f"no registered factory {plan.factory_name}/{plan.factory_version}")
+    engine = ENGINES.get((plan.engine_name, plan.engine_version))
+    if engine is None:
+        raise DecisionDBError(f"no registered engine {plan.engine_name}/{plan.engine_version}")
+    sweep.declare_representations(store, plan, factory)
+    return sweep.execute_sweep(store, plan, engine)
+
+
+DEMO_POLICY = EquivalencePolicy(hash_source=("route_nodes",))
+DemoPlans = tuple[sweep.SweepPlan, sweep.SweepPlan]
+
+
+def demo_arena(seed: int = DEMO_SEED) -> tuple[dict[str, Any], DemoPlans]:
+    """The demo's artifacts and its two sweep plans over them.
 
     Pure construction; identifiers are content-derived, so nothing needs
     a store until the caller freezes and executes.
     """
-    graph = generate_demo_graph(seed, DEMO_NODE_COUNT)
-    graph_payload = graph.to_payload()
+    graph_payload = generate_demo_graph(seed, DEMO_NODE_COUNT).to_payload()
     graph_ref = canon.payload_hash(canon.canonical_encode(graph_payload))
-    snapshot_record = SnapshotRecord.create(
+    snapshot = SnapshotRecord.create(
         DEMO_TIME_WINDOW, [ManifestEntry(name="graph", artifact_ref=graph_ref)]
     )
-    pol = EquivalencePolicy(hash_source=("route_nodes",))
-    pol_id = policy_identifier(pol)
     shared = dict(
-        snapshot_id=snapshot_record.snapshot_id,
+        snapshot_id=snapshot.snapshot_id,
         factory_name=FACTORY_NAME,
         factory_version=FACTORY_VERSION,
         engine_name=ENGINE_NAME,
         engine_version=ENGINE_VERSION,
         query=dict(DEMO_QUERY),
-        policy_id=pol_id,
+        policy_id=policy_identifier(DEMO_POLICY),
         experiment_id=DEMO_EXPERIMENT,
     )
     plan_neighbor = sweep.SweepPlan(
@@ -449,35 +453,22 @@ def demo_arena(seed: int = DEMO_SEED) -> DemoArena:
         fixed_params={"neighbor_weight": "0.5"},
         **shared,
     )
-    return DemoArena(
-        seed=seed,
-        graph=graph,
-        artifacts={"graph": graph_payload},
-        time_window=DEMO_TIME_WINDOW,
-        snapshot_record=snapshot_record,
-        policy=pol,
-        factory=CostSurfaceFactory(),
-        engine=DijkstraEngine(),
-        plans=(plan_neighbor, plan_second_order),
-        experiment_id=DEMO_EXPERIMENT,
-    )
+    return {"graph": graph_payload}, (plan_neighbor, plan_second_order)
 
 
-def persist_demo(store, seed: int = DEMO_SEED) -> DemoArena:
+def persist_demo(store, seed: int = DEMO_SEED) -> DemoPlans:
     """Freeze the demo snapshot and persist its policy and both plans."""
-    arena = demo_arena(seed)
-    frozen = sweep.freeze_snapshot(store, arena.artifacts, arena.time_window)
-    assert frozen.snapshot_id == arena.snapshot_record.snapshot_id
-    persist_policy(store, arena.policy)
-    for plan in arena.plans:
+    artifacts, plans = demo_arena(seed)
+    sweep.freeze_snapshot(store, artifacts, DEMO_TIME_WINDOW)
+    persist_policy(store, DEMO_POLICY)
+    for plan in plans:
         sweep.persist_plan(store, plan)
-    return arena
+    return plans
 
 
-def run_demo(store, seed: int = DEMO_SEED) -> DemoArena:
+def run_demo(store, seed: int = DEMO_SEED) -> DemoPlans:
     """Freeze, declare, and execute both demo sweeps into a store."""
-    arena = persist_demo(store, seed)
-    for plan in arena.plans:
-        sweep.declare_representations(store, plan, arena.factory)
-        sweep.execute_sweep(store, plan, arena.engine)
-    return arena
+    plans = persist_demo(store, seed)
+    for plan in plans:
+        run_plan(store, plan)
+    return plans

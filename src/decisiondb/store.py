@@ -392,16 +392,19 @@ class Store:
             conn = sqlite3.connect(db_path, check_same_thread=False)
             conn.row_factory = sqlite3.Row
             conn.execute("PRAGMA foreign_keys = ON")
+            # An existing store is only read here, so opening one never
+            # waits on another connection's write transaction.
             if existing:
                 self._check_integrity(conn)
-            with conn:
-                conn.executescript(_SCHEMA)
-                for table in _TABLES.values():
-                    conn.execute(table.create_sql)
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("store_format", STORE_FORMAT_VERSION),
-                )
+            else:
+                with conn:
+                    conn.executescript(_SCHEMA)
+                    for table in _TABLES.values():
+                        conn.execute(table.create_sql)
+                    conn.execute(
+                        "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                        ("store_format", STORE_FORMAT_VERSION),
+                    )
         except sqlite3.Error as exc:
             if _locked(exc):
                 raise StoreOpenError(
@@ -630,14 +633,12 @@ class Store:
         self,
         experiment_id: Optional[str] = None,
         plan_id: Optional[Union[str, Identifier]] = None,
-        snapshot_id: Optional[Union[str, Identifier]] = None,
         decision_id: Optional[Union[str, Identifier]] = None,
     ) -> list[FMapEntry]:
         """Map rows matching every filter given, in the f_map table's order."""
         filters = {} if experiment_id is None else {"experiment_id": experiment_id}
         for column, prefix, value in (
             ("plan_id", "plan", plan_id),
-            ("snapshot_id", "snap", snapshot_id),
             ("decision_id", "dec", decision_id),
         ):
             if value is not None:

@@ -208,14 +208,13 @@ def freeze_snapshot(
     store: Store,
     artifacts: Mapping[str, Any],
     time_window: tuple[str, str],
-    version: str = SCHEMA_VERSION,
 ) -> SnapshotRecord:
     """Persist a world state as content-addressed blobs plus a snapshot row."""
     manifest = []
     for name in sorted(artifacts):
         ref = store.put_blob(canon.canonical_encode(artifacts[name]))
         manifest.append(ManifestEntry(name=name, artifact_ref=ref.hash))
-    record = SnapshotRecord.create(time_window, manifest, version=version)
+    record = SnapshotRecord.create(time_window, manifest)
     store.put_record(record)
     return record
 
@@ -269,7 +268,7 @@ def _declare_point(
 ) -> RepresentationRecord:
     first = factory.encode(artifacts, params)
     second = factory.encode(artifacts, params)
-    if canon.payload_hash(first) != canon.payload_hash(second):
+    if first != second:
         raise DeterminismError(
             f"factory {factory.name} produced differing artifacts for params {dict(params)}"
         )

@@ -130,15 +130,15 @@ class TestAcceptance:
 
     def test_criterion_04_persistence_and_fracture(self, demo_db, criterion):
         with criterion(4, "demo sweep 1 keeps one decision, sweep 2 fractures"):
-            arena = routing.demo_arena()
+            _, plans = routing.demo_arena()
             with open_store(demo_db) as st:
                 maps = [
-                    sweep.materialize_map(st, plan.plan_id, arena.experiment_id)
-                    for plan in arena.plans
+                    sweep.materialize_map(st, plan.plan_id, plan.experiment_id)
+                    for plan in plans
                 ]
                 reports = [
                     sweep.classify_axis(dmap, plan.axes[0].param)
-                    for dmap, plan in zip(maps, arena.plans)
+                    for dmap, plan in zip(maps, plans)
                 ]
             first_decisions = {str(p.decision_id) for p in maps[0].values()}
             second_decisions = {str(p.decision_id) for p in maps[1].values()}

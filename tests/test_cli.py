@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from decisiondb import canon, cli, routing
+from decisiondb import canon, cli, routing, sweep
 from decisiondb.policy import EquivalencePolicy
 from decisiondb.store import open_store
 from toy_arena import make_plan, setup_world
@@ -104,6 +104,14 @@ class TestParsing:
             cli.main(["inspect"])
         assert excinfo.value.code == 1
 
+    def test_missing_db_refused_with_the_commands_usage(self, monkeypatch, capsys):
+        monkeypatch.delenv(cli.ENV_DB, raising=False)
+        with pytest.raises(SystemExit):
+            cli.main(["inspect"])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: decisiondb inspect ")
+        assert err[-1] == f"decisiondb inspect: error: no store given: pass --db or set {cli.ENV_DB}"
+
     def test_env_fallback_supplies_db(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(cli.ENV_DB, str(tmp_path / "db"))
         assert cli.main(["init"]) == 0
@@ -154,6 +162,19 @@ class TestInitInspect:
         assert capsys.readouterr().err == (
             f"error: store at {db} is locked by another connection\n"
         )
+
+    def test_read_commands_run_while_a_writer_holds_the_store(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        holder = sqlite3.connect(db / "store.sqlite", isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            assert cli.main(["inspect", "--db", str(db), "--json"]) == 0
+            assert cli.main(["replay", "--db", str(db), "--experiment", "demo"]) == 0
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert capsys.readouterr().err == ""
 
     def test_inspect_json_is_canonical(self, tmp_path, capsys):
         db = str(tmp_path / "db")
@@ -218,6 +239,27 @@ class TestDemo:
         assert len(payload["points"]) == 2
         decisions = {point["decision_id"] for point in payload["points"]}
         assert len(decisions) == 2
+
+    def test_map_text_lists_points_and_legend(self, demo_db, capsys):
+        plan_id = demo_plan_ids(capsys, demo_db)[1]
+        _, payload = run_json(
+            capsys, ["map", "--db", str(demo_db), "--plan", plan_id, "--experiment", "demo"]
+        )
+        assert cli.main(
+            ["map", "--db", str(demo_db), "--plan", plan_id, "--experiment", "demo"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"plan {plan_id}: 2 of 2 points evaluated"
+        assert lines[1].split() == ["params", "decision", "run"]
+        points = payload["points"]
+        for line, point, letter in zip(lines[3:5], points, "AB"):
+            assert line.split() == [
+                "neighbor_weight=0.5,",
+                f"second_order_weight={point['params']['second_order_weight']}",
+                letter,
+                point["run_id"],
+            ]
+        assert lines[5:] == [f"{letter} = {point['decision_id']}" for letter, point in zip("AB", points)]
 
     def test_map_missing_plan_exits_one(self, demo_db, capsys):
         code = cli.main(
@@ -334,6 +376,22 @@ class TestReplayCommand:
         assert "broken chain" in out
         assert "1 broken" in out
 
+    def test_missing_decision_row_is_a_broken_chain(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        raw = sqlite3.connect(db / "store.sqlite")
+        decision = raw.execute("SELECT decision_id FROM f_map LIMIT 1").fetchone()[0]
+        with raw:
+            raw.execute("DELETE FROM decisions WHERE decision_id = ?", (decision,))
+        raw.close()
+        assert cli.main(["replay", "--db", str(db), "--experiment", "demo"]) == 2
+        broken = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("broken chain ")
+        ]
+        assert broken
+        assert all(line.endswith(f": decision row {decision} is missing") for line in broken)
+
 
 class TestOutput:
     @pytest.mark.parametrize(
@@ -425,6 +483,29 @@ class TestSweepRun:
         )
         assert code == 1
         assert "no registered factory" in capsys.readouterr().err
+
+    def test_unregistered_engine_exits_one(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        with open_store(db) as st:
+            snap, pol_id = setup_world(st)
+            plan = sweep.plan_sweep(
+                st,
+                snapshot_id=snap.snapshot_id,
+                factory_name=routing.FACTORY_NAME,
+                factory_version=routing.FACTORY_VERSION,
+                axes=[sweep.Axis(param="neighbor_weight", values=("0.5",))],
+                fixed_params={"second_order_weight": "0.25"},
+                engine_name="step-compare",
+                engine_version="1",
+                query={"q": 1},
+                policy_id=pol_id,
+                experiment_id="exp",
+            )
+        code = cli.main(
+            ["sweep", "run", "--db", str(db), "--plan", str(plan.plan_id), "--experiment", "exp"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: no registered engine step-compare/1\n"
 
 
 class TestFileWorkflow:

@@ -375,21 +375,21 @@ class TestAdapters:
 
 class TestDemoArena:
     def test_arena_is_pure_and_stable(self):
-        a = routing.demo_arena()
-        b = routing.demo_arena()
-        assert a.snapshot_record.snapshot_id == b.snapshot_record.snapshot_id
-        assert [str(p.plan_id) for p in a.plans] == [str(p.plan_id) for p in b.plans]
-        assert a.plans[0].plan_id != a.plans[1].plan_id
+        _, a = routing.demo_arena()
+        _, b = routing.demo_arena()
+        assert a[0].snapshot_id == b[0].snapshot_id
+        assert [str(p.plan_id) for p in a] == [str(p.plan_id) for p in b]
+        assert a[0].plan_id != a[1].plan_id
 
     def test_plans_share_snapshot_and_policy(self):
-        arena = routing.demo_arena()
-        assert arena.plans[0].snapshot_id == arena.plans[1].snapshot_id
-        assert arena.plans[0].policy_id == arena.plans[1].policy_id
-        assert arena.plans[0].query == routing.DEMO_QUERY
+        _, plans = routing.demo_arena()
+        assert plans[0].snapshot_id == plans[1].snapshot_id
+        assert plans[0].policy_id == plans[1].policy_id
+        assert plans[0].query == routing.DEMO_QUERY
 
     def test_grids_overlap_on_shared_point(self):
-        arena = routing.demo_arena()
-        grids = [plan.grid_points() for plan in arena.plans]
+        _, plans = routing.demo_arena()
+        grids = [plan.grid_points() for plan in plans]
         shared = {"neighbor_weight": "0.5", "second_order_weight": "0.25"}
         assert shared in grids[0]
         assert shared in grids[1]

@@ -145,6 +145,24 @@ class TestOpen:
         with pytest.raises(StoreOpenError, match="unreadable"):
             open_store(loc)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("UPDATE meta SET value = '2' WHERE key = 'store_format'",
+             "store format mismatch: found '2', expected '1'"),
+            ("DROP TABLE f_map", r"missing tables: \['f_map'\]"),
+        ],
+        ids=["format-mismatch", "missing-table"],
+    )
+    def test_open_refuses_a_damaged_layout(self, tmp_path, damage, message):
+        open_store(tmp_path / "db").close()
+        conn = sqlite3.connect(tmp_path / "db" / "store.sqlite")
+        with conn:
+            conn.execute(damage)
+        conn.close()
+        with pytest.raises(StoreOpenError, match=message):
+            open_store(tmp_path / "db")
+
     def test_open_on_foreign_database_fails(self, tmp_path):
         import sqlite3
 
@@ -408,9 +426,6 @@ class TestLookups:
         chain = build_chain(store, experiment_id="e1")
         assert len(store.query_fmap("e1")) == 1
         assert store.query_fmap("nope") == []
-        assert (
-            len(store.query_fmap("e1", snapshot_id=chain["snapshot"].snapshot_id)) == 1
-        )
         assert len(store.query_fmap("e1", plan_id=chain["plan_id"])) == 1
         other_plan = canon.content_id("plan", {"version": "1", "other": True})
         store.put_blob(canon.canonical_encode({"version": "1", "other": True}))
