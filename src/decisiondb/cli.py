@@ -404,7 +404,7 @@ def main(argv=None) -> int:
     try:
         if args.reads and not (Path(db) / DB_FILENAME).exists():
             raise DecisionDBError(f"no store at {db}")
-        with open_store(db) as store:
+        with open_store(db, create=not args.reads) as store:
             payload = args.handler(store, args)
             if args.json:
                 payload = {**payload, "version": canon.SCHEMA_VERSION}

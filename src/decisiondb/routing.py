@@ -188,21 +188,36 @@ def _parse_weight(name: str, value: str) -> Decimal:
         weight = Decimal(value)
     except (InvalidOperation, TypeError) as exc:
         raise ValidationError(f"{name} {value!r} is not a decimal string") from exc
+    if not weight.is_finite():
+        raise ValidationError(f"{name} must be finite, got {value}")
     if weight < 0:
         raise ValidationError(f"{name} must be non-negative, got {value}")
     return weight
 
 
-# Node ids, then (tail, head, baseline, N1(head), N2(head)) per edge.
-_Prepared = tuple[tuple[int, ...], tuple[tuple[int, int, Decimal, Decimal, Decimal], ...]]
+@dataclass(frozen=True)
+class _Prepared:
+    """One graph's weight-independent half of the cost formula, and the
+    representation bytes around the per-point values.
+
+    ``edges`` holds each distinct (tail, head) once, in sorted order; a
+    repeated pair keeps its last baseline, as ``edge_costs`` keeps its
+    last cost. ``edge_texts`` holds, per edge, the canonical text that
+    follow its cost string; ``nodes_text`` is the encoded node list.
+    """
+
+    node_ids: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    baselines: tuple[Decimal, ...]
+    means: Mapping[int, tuple[Decimal, Decimal]]  # (N1, N2) per head node
+    edge_texts: tuple[str, ...]
+    nodes_text: str
 
 
 def _prepare(graph: GraphSnapshot) -> _Prepared:
-    """The weight-independent half of the cost formula.
+    """Compute everything about a graph that no weight changes.
 
-    Returns the node ids and, per edge in (tail, head) order, the tuple
-    (tail, head, baseline, N1(head), N2(head)), with N1 and N2 quantized
-    as in build_cost_representation.
+    N1 and N2 are quantized as in build_cost_representation.
     """
     with localcontext() as ctx:
         ctx.prec = 50
@@ -234,40 +249,42 @@ def _prepare(graph: GraphSnapshot) -> _Prepared:
                 return Decimal(0)
             return _q12(total / count)
 
+        baseline = {(e.tail, e.head): Decimal(e.baseline_cost) for e in graph.edges}
+        edges = tuple(sorted(baseline))
         means = {
-            node_id: (mean_one_hop(node_id), mean_two_hop(node_id)) for node_id in out_edges
+            head: (mean_one_hop(head), mean_two_hop(head))
+            for head in {head for _, head in edges}
         }
-        edges = tuple(
-            (edge.tail, edge.head, Decimal(edge.baseline_cost), *means[edge.head])
-            for edge in sorted(graph.edges, key=lambda e: (e.tail, e.head))
-        )
-    return tuple(n.id for n in graph.nodes), edges
+    node_ids = tuple(n.id for n in graph.nodes)
+    text = {node_id: canon.canonical_encode(node_id).decode("utf-8") for node_id in node_ids}
+    return _Prepared(
+        node_ids=node_ids,
+        edges=edges,
+        baselines=tuple(baseline[edge] for edge in edges),
+        means=means,
+        edge_texts=tuple(f'","from":{text[tail]},"to":{text[head]}}}' for tail, head in edges),
+        nodes_text=canon.canonical_encode(list(node_ids)).decode("utf-8"),
+    )
 
 
-def _price(
-    prepared: _Prepared,
-    neighbor_weight: str,
-    second_order_weight: str,
-) -> CostRepresentation:
-    """The per-point half: q12(baseline * (1 + nw * N1 + sw * N2)) per edge."""
+def _cost_strings(
+    prepared: _Prepared, neighbor_weight: str, second_order_weight: str
+) -> list[str]:
+    """The per-point half: q12(baseline * (1 + nw * N1 + sw * N2)) per edge.
+
+    The factor in parentheses depends on the edge's head alone, so it is
+    computed once per head node.
+    """
     nw = _parse_weight("neighbor_weight", neighbor_weight)
     sw = _parse_weight("second_order_weight", second_order_weight)
-    node_ids, edges = prepared
     with localcontext() as ctx:
         ctx.prec = 50
         one = Decimal(1)
-        costs = {
-            (tail, head): decimal_string(_q12(baseline * (one + nw * n1 + sw * n2)))
-            for tail, head, baseline, n1, n2 in edges
-        }
-    return CostRepresentation(
-        params={
-            "neighbor_weight": neighbor_weight,
-            "second_order_weight": second_order_weight,
-        },
-        node_ids=node_ids,
-        edge_costs=costs,
-    )
+        factor = {head: one + nw * n1 + sw * n2 for head, (n1, n2) in prepared.means.items()}
+        return [
+            decimal_string(_q12(baseline * factor[head]))
+            for (_, head), baseline in zip(prepared.edges, prepared.baselines)
+        ]
 
 
 def build_cost_representation(
@@ -281,7 +298,16 @@ def build_cost_representation(
     contributes 0. Every product and mean is quantized to 12 fractional
     digits, round half even.
     """
-    return _price(_prepare(graph), neighbor_weight, second_order_weight)
+    prepared = _prepare(graph)
+    costs = _cost_strings(prepared, neighbor_weight, second_order_weight)
+    return CostRepresentation(
+        params={
+            "neighbor_weight": neighbor_weight,
+            "second_order_weight": second_order_weight,
+        },
+        node_ids=prepared.node_ids,
+        edge_costs=dict(zip(prepared.edges, costs)),
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -304,6 +330,11 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
     cost-to-go, then walks forward always picking the smallest next node
     that still lies on a cheapest route. Costs stay exact Decimals
     throughout, so tie detection is exact rather than approximate.
+
+    The backward pass stops once it settles the start. Every cost is
+    positive, so each step of the walk lands on a node whose cost-to-go
+    is strictly below the start's, and Dijkstra settles all of those
+    before the start. Every edge is still checked for a positive cost.
     """
     known = set(rep.node_ids)
     if start not in known:
@@ -334,6 +365,8 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
             if node in cost_to_end:
                 continue
             cost_to_end[node] = dist
+            if node == start:
+                break
             for tail, cost in backward[node]:
                 if tail not in cost_to_end:
                     heapq.heappush(heap, (dist + cost, tail))
@@ -369,12 +402,19 @@ class CostSurfaceFactory:
         for required in ("neighbor_weight", "second_order_weight"):
             if required not in params:
                 raise ValidationError(f"params are missing {required!r}")
-        rep = _price(
-            _prepared_graph(artifacts["graph"]),
-            params["neighbor_weight"],
-            params["second_order_weight"],
-        )
-        return canon.canonical_encode(rep.to_payload())
+        nw, sw = params["neighbor_weight"], params["second_order_weight"]
+        prepared = _prepared_graph(artifacts["graph"])
+        costs = _cost_strings(prepared, nw, sw)
+        # The canonical encoding of build_cost_representation's payload:
+        # keys in sorted order, edges in (tail, head) order.
+        edges = ",".join([f'{{"cost":"{c}{t}' for c, t in zip(costs, prepared.edge_texts)])
+        params_text = canon.canonical_encode(
+            {"neighbor_weight": nw, "second_order_weight": sw}
+        ).decode("utf-8")
+        return (
+            f'{{"edges":[{edges}],"nodes":{prepared.nodes_text},'
+            f'"params":{params_text},"version":"{SCHEMA_VERSION}"}}'
+        ).encode("utf-8")
 
 
 class DijkstraEngine:

@@ -14,6 +14,7 @@ import os
 import sqlite3
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -370,41 +371,51 @@ def _locked(exc: sqlite3.Error) -> bool:
     return str(exc) == "database is locked"
 
 
+def _table_names(conn: sqlite3.Connection) -> set[str]:
+    try:
+        return {
+            row[0]
+            for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        }
+    except sqlite3.DatabaseError as exc:
+        if _locked(exc):
+            raise
+        raise StoreOpenError(f"existing database is unreadable: {exc}") from exc
+
+
 class Store:
     """Handle on one store directory. Writers must not be shared across processes."""
 
-    def __init__(self, location: Union[str, Path]):
+    def __init__(self, location: Union[str, Path], create: bool = True):
         self.location = Path(location)
         self.blob_dir = self.location / BLOB_DIRNAME
         self._lock = threading.RLock()
         self._depth = 0
         self._opened = 0.0
-        self._conn = self._open_connection()
+        self._conn = self._open_connection(create)
 
-    def _open_connection(self) -> sqlite3.Connection:
+    def _open_connection(self, create: bool) -> sqlite3.Connection:
         db_path = self.location / DB_FILENAME
         if self.location.exists() and not self.location.is_dir():
             raise StoreOpenError(f"store location {self.location} is not a directory")
-        existing = db_path.exists()
         try:
-            self.location.mkdir(parents=True, exist_ok=True)
-            self.blob_dir.mkdir(exist_ok=True)
-            conn = sqlite3.connect(db_path, check_same_thread=False)
+            if create:
+                self.location.mkdir(parents=True, exist_ok=True)
+                self.blob_dir.mkdir(exist_ok=True)
+            # Mode "rw" opens an existing database file and never creates one.
+            mode = "rwc" if create else "rw"
+            conn = sqlite3.connect(
+                f"file:{urllib.parse.quote(str(db_path))}?mode={mode}",
+                uri=True,
+                check_same_thread=False,
+            )
             conn.row_factory = sqlite3.Row
             conn.execute("PRAGMA foreign_keys = ON")
-            # An existing store is only read here, so opening one never
-            # waits on another connection's write transaction.
-            if existing:
-                self._check_integrity(conn)
-            else:
-                with conn:
-                    conn.executescript(_SCHEMA)
-                    for table in _TABLES.values():
-                        conn.execute(table.create_sql)
-                    conn.execute(
-                        "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                        ("store_format", STORE_FORMAT_VERSION),
-                    )
+            # A store that has tables is only read here, so opening one
+            # never waits on another connection's write transaction.
+            if create and not _table_names(conn):
+                self._create_layout(conn)
+            self._check_integrity(conn)
         except sqlite3.Error as exc:
             if _locked(exc):
                 raise StoreOpenError(
@@ -414,18 +425,32 @@ class Store:
         return conn
 
     @staticmethod
-    def _check_integrity(conn: sqlite3.Connection) -> None:
+    def _create_layout(conn: sqlite3.Connection) -> None:
+        """Write the tables and the meta row in one transaction.
+
+        Another process may be creating the same store: whoever takes
+        the write lock first creates it, and the others find its tables
+        once they get the lock, and write nothing.
+        """
+        conn.execute("BEGIN IMMEDIATE")
         try:
-            names = {
-                row[0]
-                for row in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+            if not _table_names(conn):
+                # One execute per statement: executescript commits first.
+                conn.execute(_SCHEMA)
+                for table in _TABLES.values():
+                    conn.execute(table.create_sql)
+                conn.execute(
+                    "INSERT INTO meta (key, value) VALUES (?, ?)",
+                    ("store_format", STORE_FORMAT_VERSION),
                 )
-            }
-        except sqlite3.DatabaseError as exc:
-            if _locked(exc):
-                raise
-            raise StoreOpenError(f"existing database is unreadable: {exc}") from exc
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
+
+    @staticmethod
+    def _check_integrity(conn: sqlite3.Connection) -> None:
+        names = _table_names(conn)
         if "meta" not in names:
             raise StoreOpenError("existing database has no meta table")
         missing = [t for t in TABLES if t not in names]
@@ -646,6 +671,11 @@ class Store:
         return FMapEntry.TABLE.select(self._conn, filters)
 
 
-def open_store(location: Union[str, Path]) -> Store:
-    """Open a store directory, creating an empty one when absent."""
-    return Store(location)
+def open_store(location: Union[str, Path], create: bool = True) -> Store:
+    """Open a store directory, creating an empty one when absent.
+
+    A database with no tables counts as absent. With ``create=False``
+    nothing is created or initialised: a missing database or one with
+    no tables is refused.
+    """
+    return Store(location, create)

@@ -15,7 +15,7 @@ import pytest
 
 from decisiondb import canon, cli, routing, sweep
 from decisiondb.policy import EquivalencePolicy
-from decisiondb.store import open_store
+from decisiondb.store import TABLES, open_store
 from toy_arena import make_plan, setup_world
 
 
@@ -147,6 +147,36 @@ class TestInitInspect:
         assert cli.main([*argv, "--db", str(db)]) == 1
         assert capsys.readouterr().err.startswith("error: no store at")
         assert not db.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect"],
+            ["map", "--plan", "plan_" + "cd" * 8, "--experiment", "demo"],
+            ["sweep", "report", "--plan", "plan_" + "cd" * 8, "--experiment", "demo"],
+            ["replay", "--experiment", "demo"],
+            ["demo", "replay"],
+        ],
+        ids=["inspect", "map", "sweep-report", "replay", "demo-replay"],
+    )
+    def test_read_commands_refuse_a_store_without_tables(self, tmp_path, capsys, argv):
+        # A write command would create the layout in this file; a read
+        # command must leave it as it found it.
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "store.sqlite").write_bytes(b"")
+        assert cli.main([*argv, "--db", str(db)]) == 1
+        assert capsys.readouterr().err == "error: existing database has no meta table\n"
+        assert [p.name for p in db.iterdir()] == ["store.sqlite"]
+        assert (db / "store.sqlite").read_bytes() == b""
+
+    def test_write_command_initialises_a_store_without_tables(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "store.sqlite").write_bytes(b"")
+        code, payload = run_json(capsys, ["init", "--db", str(db)])
+        assert code == 0
+        assert payload["tables"] == dict.fromkeys(TABLES, 0)
 
     def test_locked_store_reported_as_locked(self, tmp_path, capsys):
         db = tmp_path / "db"

@@ -153,7 +153,10 @@ class TestCostFormula:
         for text in rep.edge_costs.values():
             assert re.fullmatch(r"\d+\.\d{12}", text)
 
-    @pytest.mark.parametrize("nw,sow", [("-0.1", "0"), ("0.5", "-1"), ("abc", "0"), ("0", "")])
+    @pytest.mark.parametrize(
+        "nw,sow",
+        [("-0.1", "0"), ("0.5", "-1"), ("abc", "0"), ("0", ""), ("NaN", "0"), ("0", "Infinity"), ("sNaN", "0")],
+    )
     def test_bad_weights_rejected(self, nw, sow):
         graph = generate_demo_graph(4, 30)
         with pytest.raises(ValidationError):
@@ -177,14 +180,17 @@ def direct_rep(edge_costs, n_nodes):
 
 
 def enumerate_routes(rep, start, end):
-    """Every simple path start -> end with its exact total cost."""
+    """Every simple path start -> end with its exact total cost; with end
+    None, every simple path from start, the one-node path included."""
     adjacency: dict[int, list[tuple[int, Decimal]]] = {}
     for (tail, head), cost in rep.edge_costs.items():
         adjacency.setdefault(tail, []).append((head, Decimal(cost)))
     found = []
 
     def walk(node, seen, path, total):
-        if node == end:
+        if end is None:
+            found.append((total, tuple(path)))
+        elif node == end:
             found.append((total, tuple(path)))
             return
         for nxt, cost in adjacency.get(node, ()):
@@ -276,6 +282,34 @@ class TestDijkstra:
         assert route.route_nodes == best_path
         assert Decimal(route.total_cost) == best_cost
 
+    def test_lattice_with_equal_costs_agrees_with_brute_force_on_every_pair(self):
+        # A 4x4 lattice with every edge both ways at one cost, so most
+        # pairs have many cheapest routes; node 16 only leaves the
+        # lattice, so no route ends there.
+        side, cost = 4, "1.000000000000"
+        edge_costs = {(16, 0): cost}
+        for node in range(side * side):
+            row, col = divmod(node, side)
+            for nxt, inside in ((node + 1, col < side - 1), (node + side, row < side - 1)):
+                if inside:
+                    edge_costs[(node, nxt)] = cost
+                    edge_costs[(nxt, node)] = cost
+        rep = direct_rep(edge_costs, side * side + 1)
+        for start in rep.node_ids:
+            best = {}
+            for total, path in enumerate_routes(rep, start, None):
+                if path[-1] not in best or (total, path) < best[path[-1]]:
+                    best[path[-1]] = (total, path)
+            assert set(best) == set(range(16)) | {start}
+            for end in rep.node_ids:
+                if end not in best:
+                    with pytest.raises(UnreachableError):
+                        dijkstra_route(rep, start, end)
+                    continue
+                route = dijkstra_route(rep, start, end)
+                assert route.route_nodes == best[end][1]
+                assert route.total_cost == canon.decimal_string(best[end][0].quantize(routing.TWELVE_PLACES))
+
     def test_demo_query_reproducible(self):
         graph = generate_demo_graph(routing.DEMO_SEED)
         rep = build_cost_representation(graph, "0.5", "0.25")
@@ -317,6 +351,67 @@ class TestAdapters:
             artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
             expected = build_cost_representation(graph, nw, sow).to_payload()
             assert factory.encode(artifacts, params) == canon.canonical_encode(expected)
+
+    @pytest.mark.parametrize(
+        "graph, nw, sow",
+        [
+            (make_graph([(0, 0, 0), (1, 1, 0)], []), "0.5", "0.25"),
+            (
+                make_graph(
+                    [(0, 0, 0), (1, 1, 0), (2, 2, 0)],
+                    [(0, 1, "1.000", "0.500"), (1, 2, "2.000", "0.100"), (0, 1, "3.000", "0.900")],
+                ),
+                "0.5",
+                "0.25",
+            ),
+            (make_graph([(0, 0, 0), (1, 1, 0)], [(0, 1, "4.000", "0.300")]), "1", "1"),
+            (generate_demo_graph(8, 30), "0.123456789012345678901234567890123", "0.5"),
+            (generate_demo_graph(8, 30), 1, "0.25"),
+            (generate_demo_graph(8, 30), "0", "0.75"),
+        ],
+        ids=["no-edges", "duplicate-edge", "sink-node", "long-weight", "int-weight", "zero-weight"],
+    )
+    def test_factory_matches_reference_on_edge_cases(self, graph, nw, sow):
+        artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
+        params = {"neighbor_weight": nw, "second_order_weight": sow}
+        expected = canon.canonical_encode(build_cost_representation(graph, nw, sow).to_payload())
+        assert routing.CostSurfaceFactory().encode(artifacts, params) == expected
+
+    def test_duplicate_edge_keeps_the_last_cost(self):
+        # (0, 1) twice: the second baseline prices the edge. N1(1) = 0.1
+        # and N2(1) = 0, so the cost is 3 * (1 + 0.5 * 0.1) = 3.15.
+        graph = make_graph(
+            [(0, 0, 0), (1, 1, 0), (2, 2, 0)],
+            [(0, 1, "1.000", "0.500"), (1, 2, "2.000", "0.100"), (0, 1, "3.000", "0.900")],
+        )
+        payload = canon.canonical_decode(
+            routing.CostSurfaceFactory().encode(
+                {"graph": canon.canonical_encode(graph.to_payload())},
+                {"neighbor_weight": "0.5", "second_order_weight": "0.25"},
+            )
+        )
+        assert payload["edges"] == [
+            {"from": 0, "to": 1, "cost": "3.150000000000"},
+            {"from": 1, "to": 2, "cost": "2.000000000000"},
+        ]
+
+    @pytest.mark.parametrize(
+        "with_graph, params, message",
+        [
+            (False, {"neighbor_weight": "0.5", "second_order_weight": "0.25"},
+             "snapshot has no artifact named 'graph'"),
+            (True, {"second_order_weight": "0.25"}, "params are missing 'neighbor_weight'"),
+            (True, {"neighbor_weight": "0.5"}, "params are missing 'second_order_weight'"),
+            (True, {"neighbor_weight": "-0.1", "second_order_weight": "0.25"},
+             "neighbor_weight must be non-negative, got -0.1"),
+            (True, {"neighbor_weight": "0.5", "second_order_weight": "abc"},
+             "second_order_weight 'abc' is not a decimal string"),
+        ],
+        ids=["missing-graph", "missing-neighbor", "missing-second-order", "negative", "not-decimal"],
+    )
+    def test_factory_errors(self, artifacts, with_graph, params, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            routing.CostSurfaceFactory().encode(artifacts if with_graph else {}, params)
 
     @pytest.mark.parametrize("nw,sow", sorted(DEMO_REPRESENTATION_HASHES))
     def test_demo_representation_bytes_are_frozen(self, nw, sow):

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import random
 import re
 import signal
@@ -104,7 +105,49 @@ def build_chain(store, experiment_id="exp", answer=None):
     }
 
 
+def _open_fresh_stores(root, rounds, barrier, log):
+    """Open one fresh store per round, in step with the other workers."""
+    for i in range(rounds):
+        try:
+            barrier.wait(timeout=60)
+            open_store(root / f"round{i}").close()
+        except Exception as exc:
+            with open(log, "a") as fh:
+                fh.write(f"round {i}: {exc!r}\n")
+
+
 class TestOpen:
+    def test_concurrent_opens_of_a_fresh_store_all_succeed(self, tmp_path):
+        # Every worker opens the same new path at once: one creates the
+        # layout, the others must wait for it and then only check it.
+        workers, rounds = 4, 20
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(workers)
+        logs = [tmp_path / f"worker{n}.log" for n in range(workers)]
+        procs = [
+            ctx.Process(target=_open_fresh_stores, args=(tmp_path, rounds, barrier, log))
+            for log in logs
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            if proc.is_alive():
+                proc.kill()
+        assert [proc.exitcode for proc in procs] == [0] * workers
+        failures = "".join(log.read_text() for log in logs if log.exists())
+        assert failures == ""
+        for i in range(rounds):
+            with open_store(tmp_path / f"round{i}") as s:
+                assert s.table_counts() == dict.fromkeys(TABLES, 0)
+
+    def test_open_without_create_refuses_a_missing_database(self, tmp_path):
+        loc = tmp_path / "db"
+        loc.mkdir()
+        with pytest.raises(StoreOpenError, match="cannot open store"):
+            open_store(loc, create=False)
+        assert list(loc.iterdir()) == []
+
     def test_open_creates_layout(self, tmp_path):
         s = open_store(tmp_path / "db")
         assert (tmp_path / "db" / "store.sqlite").exists()
