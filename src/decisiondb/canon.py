@@ -167,12 +167,22 @@ def _reject_constant(text: str):
 
 
 def _object_pairs(pairs):
-    obj = {}
-    for key, val in pairs:
-        if key in obj:
-            raise CanonicalizationError(f"duplicate mapping key {key!r}")
-        obj[key] = val
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CanonicalizationError(f"duplicate mapping key {key!r}")
+            seen.add(key)
     return obj
+
+
+# One decoder for every call; ``json.loads`` would build one per call.
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_object_pairs,
+    parse_float=_reject_float,
+    parse_constant=_reject_constant,
+)
 
 
 def canonical_decode(data: bytes) -> CanonicalValue:
@@ -186,12 +196,12 @@ def canonical_decode(data: bytes) -> CanonicalValue:
     except UnicodeDecodeError as exc:
         raise CanonicalizationError(f"input is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(
-            text,
-            object_pairs_hook=_object_pairs,
-            parse_float=_reject_float,
-            parse_constant=_reject_constant,
-        )
+        if text.startswith("\ufeff"):
+            # The check json.loads makes before decoding, same message.
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _DECODER.decode(text)
     except CanonicalizationError:
         raise
     except ValueError as exc:

@@ -83,6 +83,13 @@ def _decode_policy(pol_bytes: bytes) -> Optional[EquivalencePolicy]:
         return None
 
 
+def _extracted_hash(raw_bytes: bytes, policy: EquivalencePolicy, fallback: str) -> str:
+    try:
+        return extracted_hash(canon.canonical_decode(raw_bytes), policy)
+    except (ExtractionError, CanonicalizationError):
+        return fallback
+
+
 def _row(store: Store, ident: Identifier, what: str):
     record = store.get_record(ident)
     if record is None:
@@ -90,43 +97,108 @@ def _row(store: Store, ident: Identifier, what: str):
     return record
 
 
-def _blob(store: Store, ref: str, what: str) -> bytes:
-    data = store.read_blob_unverified(ref)
-    if data is None:
-        raise BrokenChainError(f"{what} blob {ref} is missing")
-    return data
+class ReplayMemo:
+    """What one replay command has already read and derived.
+
+    Entries of one map share rows and blobs: the snapshot and its
+    artifacts, the policy, decisions, and raw outputs that two runs
+    produced alike. The memo reads, re-hashes and decodes each of them
+    once per command. It keeps blob hashes, decoded policies, the
+    snapshot and decision rows and derived identifiers, never blob
+    bytes; run and representation rows are one per entry, so they are
+    not kept. A missing row or blob is not remembered, so every entry
+    that needs it reports its own broken chain.
+    """
+
+    def __init__(self):
+        self.hashes: dict[str, str] = {}
+        self.policies: dict[str, Optional[EquivalencePolicy]] = {}
+        # (raw output ref, policy ref) -> the payload hash recomputed from them
+        self.extracted: dict[tuple[str, str], str] = {}
+        self.rows: dict[Identifier, object] = {}
+        self.ids: dict[object, Identifier] = {}
+
+    def row(self, store: Store, ident: Identifier, what: str):
+        if ident not in self.rows:
+            self.rows[ident] = _row(store, ident, what)
+        return self.rows[ident]
+
+    def read(self, store: Store, ref: str, what: str) -> bytes:
+        """The blob's bytes, its actual hash remembered."""
+        data = store.read_blob_unverified(ref)
+        if data is None:
+            raise BrokenChainError(f"{what} blob {ref} is missing")
+        self.hashes[ref] = canon.payload_hash(data)
+        return data
+
+    def hash(self, store: Store, ref: str, what: str) -> str:
+        """The hash of the bytes stored under ``ref``."""
+        if ref not in self.hashes:
+            self.read(store, ref, what)
+        return self.hashes[ref]
+
+    def policy(self, store: Store, ref: str) -> Optional[EquivalencePolicy]:
+        """The policy stored under ``ref``, None when it does not decode."""
+        if ref not in self.policies:
+            self.policies[ref] = _decode_policy(self.read(store, ref, "policy"))
+        return self.policies[ref]
+
+    def row_id(self, ident: Identifier) -> Identifier:
+        """The identifier a kept row's own columns derive."""
+        if ident not in self.ids:
+            self.ids[ident] = self.rows[ident].derived_id()
+        return self.ids[ident]
+
+    def decision_id(self, policy_hash: str, payload_hash: str, version: str):
+        """The identifier of the decision these three values make."""
+        key = (policy_hash, payload_hash, version)
+        if key not in self.ids:
+            pol_id = Identifier("pol", policy_hash)
+            record = DecisionRecord(None, pol_id, payload_hash, version)
+            self.ids[key] = record.derived_id()
+        return self.ids[key]
 
 
-def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayReport:
+def replay_entry(
+    store: Store,
+    entry: FMapEntry,
+    deep: bool = False,
+    memo: Optional[ReplayMemo] = None,
+) -> ReplayReport:
     """Re-derive the entry's decision from its stored raw output.
 
     The basic pass verifies the raw output blob, the policy blob, the
     extracted payload hash, and the decision identifier. ``deep`` also
     rehashes the upstream representation and snapshot blobs, re-derives
     every row identifier from its own columns, and re-checks the
-    row-to-row links.
+    row-to-row links. Entries replayed with one ``memo`` share what it
+    has read; without one, the entry gets a memo of its own.
     """
+    if memo is None:
+        memo = ReplayMemo()
     run = _row(store, entry.run_id, "engine run")
-    decision = _row(store, entry.decision_id, "decision")
-    raw_bytes = _blob(store, run.raw_output_ref, "raw output")
-    raw_actual = canon.payload_hash(raw_bytes)
-    pol_bytes = _blob(store, decision.policy_id.digest16, "policy")
-    pol_actual_hash = canon.payload_hash(pol_bytes)
+    decision = memo.row(store, entry.decision_id, "decision")
+    raw_ref = run.raw_output_ref
+    pol_ref = decision.policy_id.digest16
+    key = (raw_ref, pol_ref)
+    raw_bytes = None
+    if key not in memo.extracted:
+        raw_bytes = memo.read(store, raw_ref, "raw output")
+    raw_actual = memo.hashes[raw_ref]
+    policy = memo.policy(store, pol_ref)
+    pol_actual_hash = memo.hashes[pol_ref]
+    if raw_bytes is not None:
+        memo.extracted[key] = raw_actual
+        if raw_actual == raw_ref and policy is not None:
+            memo.extracted[key] = _extracted_hash(raw_bytes, policy, raw_actual)
+    recomputed_hash = memo.extracted[key]
 
-    policy = _decode_policy(pol_bytes)
-    recomputed_hash = raw_actual
-    if raw_actual == run.raw_output_ref and policy is not None:
-        try:
-            recomputed_hash = extracted_hash(canon.canonical_decode(raw_bytes), policy)
-        except (ExtractionError, CanonicalizationError):
-            pass
-
-    recomputed_decision = DecisionRecord(
-        None, Identifier("pol", pol_actual_hash), recomputed_hash, decision.version
-    ).derived_id()
+    recomputed_decision = memo.decision_id(
+        pol_actual_hash, recomputed_hash, decision.version
+    )
 
     checks = [
-        FieldCheck("raw_output_ref", run.raw_output_ref, raw_actual),
+        FieldCheck("raw_output_ref", raw_ref, raw_actual),
         FieldCheck("policy_id", str(decision.policy_id), f"pol_{pol_actual_hash}"),
         FieldCheck("payload_hash", decision.payload_hash, recomputed_hash),
         FieldCheck("decision_id", str(entry.decision_id), str(recomputed_decision)),
@@ -134,33 +206,31 @@ def replay_entry(store: Store, entry: FMapEntry, deep: bool = False) -> ReplayRe
 
     if deep:
         rep = _row(store, entry.repr_id, "representation")
-        snapshot = _row(store, entry.snapshot_id, "snapshot")
-        encoded = _blob(store, rep.encoded_artifact_ref, "encoded artifact")
+        snapshot = memo.row(store, entry.snapshot_id, "snapshot")
         checks.append(
             FieldCheck(
                 "encoded_artifact_ref",
                 rep.encoded_artifact_ref,
-                canon.payload_hash(encoded),
+                memo.hash(store, rep.encoded_artifact_ref, "encoded artifact"),
             )
         )
         for manifest_entry in snapshot.artifact_manifest:
-            artifact = _blob(store, manifest_entry.artifact_ref, "snapshot artifact")
             checks.append(
                 FieldCheck(
                     f"artifact:{manifest_entry.name}",
                     manifest_entry.artifact_ref,
-                    canon.payload_hash(artifact),
+                    memo.hash(store, manifest_entry.artifact_ref, "snapshot artifact"),
                 )
             )
         rows = (
-            ("snapshot_row", entry.snapshot_id, snapshot),
-            ("representation_row", entry.repr_id, rep),
-            ("run_row", entry.run_id, run),
-            ("decision_row", entry.decision_id, decision),
+            ("snapshot_row", entry.snapshot_id, memo.row_id(entry.snapshot_id)),
+            ("representation_row", entry.repr_id, rep.derived_id()),
+            ("run_row", entry.run_id, run.derived_id()),
+            ("decision_row", entry.decision_id, memo.row_id(entry.decision_id)),
         )
         checks.extend(
-            FieldCheck(field, str(ident), str(record.derived_id()))
-            for field, ident, record in rows
+            FieldCheck(field, str(ident), str(derived))
+            for field, ident, derived in rows
         )
         checks.extend(
             [
@@ -231,11 +301,12 @@ def _replay(
     side of the loop shows whether anything was written.
     """
     counts_before = store.table_counts()
+    memo = ReplayMemo()
     reports = []
     errors = []
     for entry in entries:
         try:
-            reports.append(replay_entry(store, entry, deep=deep))
+            reports.append(replay_entry(store, entry, deep=deep, memo=memo))
         except BrokenChainError as exc:
             errors.append((f"{entry.run_id}/{entry.decision_id}", str(exc)))
     return AggregateReport(

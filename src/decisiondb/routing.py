@@ -334,7 +334,7 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
     The backward pass stops once it settles the start. Every cost is
     positive, so each step of the walk lands on a node whose cost-to-go
     is strictly below the start's, and Dijkstra settles all of those
-    before the start. Every edge is still checked for a positive cost.
+    before the start. Every edge is still checked for a finite, positive cost.
     """
     known = set(rep.node_ids)
     if start not in known:
@@ -350,7 +350,16 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
         forward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
         backward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
         for (tail, head), cost_text in rep.edge_costs.items():
-            cost = Decimal(cost_text)
+            try:
+                cost = Decimal(cost_text)
+            except (InvalidOperation, TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"edge ({tail}, {head}) cost {cost_text!r} is not a decimal string"
+                ) from exc
+            if not cost.is_finite():
+                raise ValidationError(
+                    f"edge ({tail}, {head}) has non-finite cost {cost_text}"
+                )
             if cost <= 0:
                 raise ValidationError(
                     f"edge ({tail}, {head}) has non-positive cost {cost_text}"

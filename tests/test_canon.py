@@ -230,6 +230,16 @@ def test_decode_duplicate_key_rejected():
         canon.canonical_decode(b'{"a":1,"a":2}')
 
 
+def test_decode_nested_duplicate_key_named():
+    with pytest.raises(CanonicalizationError, match="^duplicate mapping key 'b'$"):
+        canon.canonical_decode(b'{"a":{"b":1,"b":2}}')
+
+
+def test_decode_byte_order_mark_rejected():
+    with pytest.raises(CanonicalizationError, match="BOM"):
+        canon.canonical_decode(b'\xef\xbb\xbf{"a":1}')
+
+
 def test_decode_float_literal_rejected():
     with pytest.raises(CanonicalizationError):
         canon.canonical_decode(b'{"v":1.5}')

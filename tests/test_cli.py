@@ -15,7 +15,7 @@ import pytest
 
 from decisiondb import canon, cli, routing, sweep
 from decisiondb.policy import EquivalencePolicy
-from decisiondb.store import TABLES, open_store
+from decisiondb.store import TABLES, Store, open_store
 from toy_arena import make_plan, setup_world
 
 
@@ -405,6 +405,52 @@ class TestReplayCommand:
         out = capsys.readouterr().out
         assert "broken chain" in out
         assert "1 broken" in out
+
+    def test_corrupt_graph_is_flagged_on_every_deep_entry(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        st = open_store(db)
+        (graph,) = json.loads(st.table_rows("snapshots")[0]["artifact_manifest"])
+        path = st._blob_path(graph["artifact_ref"])
+        st.close()
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        code, payload = run_json(
+            capsys, ["replay", "--deep", "--experiment", "demo", "--db", str(db)]
+        )
+        assert code == 2
+        assert payload["verified"] == 4
+        for report in payload["reports"]:
+            flagged = [c["field"] for c in report["checks"] if not c["match"]]
+            assert flagged == ["artifact:graph"]
+
+    def test_missing_policy_is_a_broken_chain_on_every_entry(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        st = open_store(db)
+        policy_ref = st.table_rows("decisions")[0]["policy_id"].removeprefix("pol_")
+        st._blob_path(policy_ref).unlink()
+        st.close()
+        assert cli.main(["replay", "--experiment", "demo", "--db", str(db)]) == 2
+        broken = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("broken chain ")
+        ]
+        assert len(broken) == 4
+        assert all(line.endswith(f": policy blob {policy_ref} is missing") for line in broken)
+
+    def test_deep_replay_reads_each_distinct_blob_once(self, demo_db, capsys, monkeypatch):
+        refs = []
+        read = Store.read_blob_unverified
+
+        def counted(self, ref):
+            refs.append(ref)
+            return read(self, ref)
+
+        monkeypatch.setattr(Store, "read_blob_unverified", counted)
+        assert cli.main(["replay", "--deep", "--experiment", "demo", "--db", str(demo_db)]) == 0
+        assert len(refs) == len(set(refs)) == 8
 
     def test_missing_decision_row_is_a_broken_chain(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"

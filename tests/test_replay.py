@@ -10,6 +10,7 @@ import pytest
 
 from decisiondb import canon, replay, sweep
 from decisiondb.errors import BrokenChainError, ValidationError
+from decisiondb.policy import EquivalencePolicy, persist_policy
 from decisiondb.store import DecisionRecord, open_store
 from toy_arena import StepEngine, StepFactory, make_plan, run_plan, setup_world
 
@@ -104,6 +105,23 @@ class TestCleanReplay:
         report = replay.replay_all(st, "exp", plan_id=plan.plan_id)
         assert report.verified == 4
 
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_shared_memo_gives_the_reports_of_separate_replays(self, st, executed, deep):
+        _, entries = executed
+        memo = replay.ReplayMemo()
+        for entry in entries:
+            alone = replay.replay_entry(st, entry, deep=deep)
+            assert replay.replay_entry(st, entry, deep=deep, memo=memo) == alone
+
+    def test_outputs_shared_by_two_policies_verify_under_each(self, st, executed):
+        plan, _ = executed
+        snap = st.get_record(plan.snapshot_id)
+        by_x = persist_policy(st, EquivalencePolicy(hash_source=("x",)))
+        run_plan(st, make_plan(st, snap, by_x))
+        report = replay.replay_all(st, "exp", deep=True)
+        assert len({r.entry.run_id for r in report.reports}) == 4
+        assert report.verified == report.matched == 8
+
 
 class TestCorruption:
     def test_raw_output_flip_flags_three_fields(self, st, executed):
@@ -151,6 +169,16 @@ class TestCorruption:
             "payload_hash",
             "decision_id",
         ]
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_corrupt_policy_is_flagged_on_every_entry(self, st, executed, deep):
+        plan, _ = executed
+        flip_byte(st, plan.policy_id.digest16)
+        report = replay.replay_all(st, "exp", deep=deep)
+        assert report.verified == 4
+        assert report.matched == 0
+        for entry_report in report.reports:
+            assert "policy_id" in [c.field for c in entry_report.mismatches()]
 
     def test_swapped_raw_output_detected(self, st, executed):
         # Replace one run's output with another's intact, valid output:

@@ -257,6 +257,20 @@ class TestDijkstra:
         with pytest.raises(ValidationError):
             dijkstra_route(rep, 0, 1)
 
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            ("NaN", "has non-finite cost NaN"),
+            ("sNaN", "has non-finite cost sNaN"),
+            ("Infinity", "has non-finite cost Infinity"),
+            ("abc", "cost 'abc' is not a decimal string"),
+        ],
+    )
+    def test_non_decimal_cost_rejected(self, cost, message):
+        rep = direct_rep({(0, 1): "1.000000000000", (1, 2): cost}, 3)
+        with pytest.raises(ValidationError, match=rf"^edge \(1, 2\) {message}$"):
+            dijkstra_route(rep, 0, 2)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_exhaustive_enumeration(self, seed):
         # Costs come from a small menu so exact ties are common and the
