@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 from .errors import CanonicalizationError, IdentifierFormatError, ValidationError
 
@@ -52,6 +53,16 @@ class Identifier:
         return f"{self.prefix}_{self.digest16}"
 
 
+def _trusted_identifier(prefix: str, digest16: str) -> Identifier:
+    """An Identifier from parts the caller has already checked, built
+    without running ``__post_init__``'s checks a second time."""
+    ident = object.__new__(Identifier)
+    attrs = ident.__dict__
+    attrs["prefix"] = prefix
+    attrs["digest16"] = digest16
+    return ident
+
+
 _KINDS = dict(snap="snapshot", repr="representation", run="engine run",
               dec="decision", pol="policy", plan="plan")
 
@@ -69,7 +80,7 @@ def parse_identifier(
         m = _IDENTIFIER_RE.match(value)
         if m is None:
             raise IdentifierFormatError(f"malformed identifier: {value!r}")
-        value = Identifier(m.group(1), m.group(2))
+        value = _trusted_identifier(m.group(1), m.group(2))
     if prefix is not None and value.prefix != prefix:
         raise ValidationError(f"not a {_KINDS[prefix]} identifier: {value}")
     return value
@@ -135,6 +146,15 @@ def _validate(value: Any, path: str) -> None:
     )
 
 
+# One encoder for every call; ``json.dumps`` would build one per call.
+_ENCODER = json.JSONEncoder(
+    ensure_ascii=False,
+    sort_keys=True,
+    separators=(",", ":"),
+    allow_nan=False,
+)
+
+
 def canonical_encode(value: CanonicalValue) -> bytes:
     """Encode a canonical value tree to its unique UTF-8 byte sequence.
 
@@ -143,13 +163,7 @@ def canonical_encode(value: CanonicalValue) -> bytes:
     """
     if not _is_plain(value):
         _validate(value, "$")
-    text = json.dumps(
-        value,
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    text = _ENCODER.encode(value)
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -227,7 +241,8 @@ def content_id(prefix: str, payload: Mapping[str, Any]) -> Identifier:
         )
     if "version" not in payload:
         raise CanonicalizationError("content-addressed payload is missing a version field")
-    return Identifier(prefix, payload_hash(canonical_encode(payload)))
+    # The prefix is checked above and a hex digest is well formed.
+    return _trusted_identifier(prefix, payload_hash(canonical_encode(payload)))
 
 
 def decimal_string(value: Decimal) -> str:

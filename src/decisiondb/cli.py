@@ -12,8 +12,9 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import canon, replay, routing, sweep
 from .errors import CanonicalizationError, DecisionDBError, ValidationError

@@ -9,8 +9,10 @@ decision identity.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -42,6 +44,11 @@ class EquivalencePolicy:
         if self.match_rule not in MATCH_RULES:
             raise ValidationError(f"unknown match rule {self.match_rule!r}")
 
+    @functools.cached_property
+    def _identifier(self) -> Identifier:
+        # A policy is frozen, so its identifier is derived once per object.
+        return canon.content_id("pol", self.payload())
+
     def payload(self) -> dict:
         return {
             "hash_source": list(self.hash_source),
@@ -66,7 +73,7 @@ class EquivalencePolicy:
 
 
 def policy_identifier(policy: EquivalencePolicy) -> Identifier:
-    return canon.content_id("pol", policy.payload())
+    return policy._identifier
 
 
 def dotted(path: Sequence[str]) -> str:

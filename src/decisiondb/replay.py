@@ -15,8 +15,9 @@ re-derived from corrupt input.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION

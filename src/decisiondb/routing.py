@@ -13,9 +13,10 @@ import functools
 import heapq
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any, Mapping
+from typing import Any
 
 from . import canon, sweep
 from .canon import SCHEMA_VERSION, decimal_string

@@ -15,19 +15,11 @@ import sqlite3
 import threading
 import time
 import urllib.parse
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import (
-    Any,
-    ClassVar,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-    get_type_hints,
-)
+from typing import Any, ClassVar, Optional, Union, get_type_hints
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -89,9 +81,11 @@ class Table:
     encoding of its entry in the identifying payload and read back
     through the given converter (None keeps the decoded value).
     ``references`` lists identifier fields that must name an existing
-    row; each is the key column of the table it points into. ``blobs``
-    gives the blob hashes a record references; a policy or plan spec
-    blob is addressed by its identifier's digest.
+    row; each is the key column of the table it points into. ``links``
+    maps a reference to a column that the referenced row must share
+    with the record, and the message for a mismatch. ``blobs`` gives the
+    blob hashes a record references; a policy or plan spec blob is
+    addressed by its identifier's digest.
 
     The table's DDL follows from the same description: every column is
     ``TEXT NOT NULL`` apart from the key, ``primary_key`` names the
@@ -107,6 +101,7 @@ class Table:
         json=None,
         split=None,
         references=(),
+        links=None,
         primary_key=(),
         allowed=None,
         order=(),
@@ -117,6 +112,7 @@ class Table:
         self.json = json or {}
         self.split = split or {}
         self.references = references
+        self.links = links or {}
         self.primary_key = primary_key
         self.allowed = allowed or {}
         self.order_sql = f" ORDER BY {', '.join(order)}" if order else ""
@@ -146,6 +142,19 @@ class Table:
         # declared before the tables that point into it.
         keyed = {table.key: table for table in _TABLES.values() if table.key}
         self.references = {column: keyed[column] for column in self.references}
+        # One statement reads every referenced row: its key, or the
+        # column a link compares. NULL marks a missing row, since the
+        # key is the looked-up value and every other column is NOT NULL.
+        self.references_sql = "SELECT " + ", ".join(
+            f"(SELECT {self.links.get(column, (column,))[0]} "
+            f"FROM {target.name} WHERE {column} = ?)"
+            for column, target in self.references.items()
+        )
+        self.link_checks = [
+            (at, *self.links[column])
+            for at, column in enumerate(self.references)
+            if column in self.links
+        ]
         self.create_sql = self._create_sql(columns)
         names = ", ".join(columns)
         marks = ", ".join("?" * len(columns))
@@ -155,7 +164,6 @@ class Table:
         self.select_sql = f"SELECT {names} FROM {name}"
         if self.key:
             self.select_by_key_sql = f"{self.select_sql} WHERE {self.key} = ?"
-            self.exists_sql = f"SELECT 1 FROM {name} WHERE {self.key} = ? LIMIT 1"
         cls.TABLE = _TABLES[cls] = self
         return cls
 
@@ -345,6 +353,16 @@ class DecisionRecord(_Record):
     "f_map",
     blobs=lambda r: [r.plan_id.digest16],
     references=("snapshot_id", "repr_id", "run_id", "decision_id"),
+    links={
+        "repr_id": (
+            "snapshot_id",
+            "f_map entry snapshot {} does not match representation snapshot {}",
+        ),
+        "run_id": (
+            "repr_id",
+            "f_map entry representation {} does not match run representation {}",
+        ),
+    },
     primary_key=("experiment_id", "plan_id", "repr_id", "run_id", "decision_id"),
     order=("experiment_id", "repr_id", "run_id", "plan_id"),
 )
@@ -371,6 +389,13 @@ def _locked(exc: sqlite3.Error) -> bool:
     return str(exc) == "database is locked"
 
 
+def _interrupted(exc: sqlite3.Error) -> bool:
+    """SQLITE_READONLY on a read: a read-only connection found a hot
+    journal, left by a writer that stopped mid-transaction, and may not
+    roll it back."""
+    return str(exc) == "attempt to write a readonly database"
+
+
 def _table_names(conn: sqlite3.Connection) -> set[str]:
     try:
         return {
@@ -378,7 +403,7 @@ def _table_names(conn: sqlite3.Connection) -> set[str]:
             for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
         }
     except sqlite3.DatabaseError as exc:
-        if _locked(exc):
+        if _locked(exc) or _interrupted(exc):
             raise
         raise StoreOpenError(f"existing database is unreadable: {exc}") from exc
 
@@ -389,6 +414,7 @@ class Store:
     def __init__(self, location: Union[str, Path], create: bool = True):
         self.location = Path(location)
         self.blob_dir = self.location / BLOB_DIRNAME
+        self._blob_root = str(self.blob_dir)
         self._lock = threading.RLock()
         self._depth = 0
         self._opened = 0.0
@@ -402,8 +428,9 @@ class Store:
             if create:
                 self.location.mkdir(parents=True, exist_ok=True)
                 self.blob_dir.mkdir(exist_ok=True)
-            # Mode "rw" opens an existing database file and never creates one.
-            mode = "rwc" if create else "rw"
+            # Mode "ro" opens an existing database file and never writes
+            # to it, not even to roll back a hot journal.
+            mode = "rwc" if create else "ro"
             conn = sqlite3.connect(
                 f"file:{urllib.parse.quote(str(db_path))}?mode={mode}",
                 uri=True,
@@ -420,6 +447,11 @@ class Store:
             if _locked(exc):
                 raise StoreOpenError(
                     f"store at {self.location} is locked by another connection"
+                ) from exc
+            if not create and _interrupted(exc):
+                raise StoreOpenError(
+                    "a write to this store was interrupted; run a write command "
+                    "(e.g. decisiondb init) to recover"
                 ) from exc
             raise StoreOpenError(f"cannot open store at {self.location}: {exc}") from exc
         return conn
@@ -476,19 +508,31 @@ class Store:
 
     # -- blob area ---------------------------------------------------------
 
-    def _blob_path(self, ref: str) -> Path:
+    def _blob_path(self, ref: str) -> str:
+        """The blob's file path as a string: a sweep reads and writes
+        blobs per point, and building ``Path`` objects for each costs
+        more than the file calls themselves."""
         if not canon.is_payload_hash(ref):
             raise IdentifierFormatError(f"malformed blob hash: {ref!r}")
-        return self.blob_dir / ref[:2] / ref[2:4] / ref
+        sep = os.sep
+        return f"{self._blob_root}{sep}{ref[:2]}{sep}{ref[2:4]}{sep}{ref}"
 
     def put_blob(self, data: bytes) -> BlobRef:
         """Store bytes under their content hash. Re-storing is a no-op."""
         ref = canon.payload_hash(data)
         path = self._blob_path(ref)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".{ref}.{os.getpid()}.{threading.get_ident()}.tmp"
-            tmp.write_bytes(data)
+        if not os.path.exists(path):
+            parent = path[: -len(ref) - 1]
+            # One mkdir in the common cases; makedirs for a new first level.
+            try:
+                os.mkdir(parent)
+            except FileExistsError:
+                pass
+            except FileNotFoundError:
+                os.makedirs(parent, exist_ok=True)
+            tmp = f"{parent}{os.sep}.{ref}.{os.getpid()}.{threading.get_ident()}.tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         return BlobRef(hash=ref, length=len(data))
 
@@ -510,14 +554,14 @@ class Store:
         Verification audits use this so that corruption can be reported
         as a finding instead of an exception.
         """
-        path = self._blob_path(ref)
         try:
-            return path.read_bytes()
+            with open(self._blob_path(ref), "rb") as fh:
+                return fh.read()
         except FileNotFoundError:
             return None
 
     def has_blob(self, ref: str) -> bool:
-        return self._blob_path(ref).exists()
+        return os.path.exists(self._blob_path(ref))
 
     def iter_blob_hashes(self) -> Iterator[str]:
         for path in sorted(self.blob_dir.glob("*/*/*")):
@@ -528,32 +572,6 @@ class Store:
         return sum(1 for _ in self.iter_blob_hashes())
 
     # -- rows --------------------------------------------------------------
-
-    def _require_row(self, table: Table, ident: Identifier, owner: str) -> None:
-        cur = self._conn.execute(table.exists_sql, (str(ident),))
-        if cur.fetchone() is None:
-            raise ReferentialError(f"{owner} references missing {table.key} {ident}")
-
-    def _check_fmap_links(self, entry: FMapEntry) -> None:
-        """The entry's snapshot is its representation's, and its
-        representation is its run's; both rows are known to exist."""
-        (snapshot_id,) = self._conn.execute(
-            "SELECT snapshot_id FROM representations WHERE repr_id = ?",
-            (str(entry.repr_id),),
-        ).fetchone()
-        if snapshot_id != str(entry.snapshot_id):
-            raise IntegrityError(
-                f"f_map entry snapshot {entry.snapshot_id} does not match "
-                f"representation snapshot {snapshot_id}"
-            )
-        (repr_id,) = self._conn.execute(
-            "SELECT repr_id FROM engine_runs WHERE run_id = ?", (str(entry.run_id),)
-        ).fetchone()
-        if repr_id != str(entry.repr_id):
-            raise IntegrityError(
-                f"f_map entry representation {entry.repr_id} does not match "
-                f"run representation {repr_id}"
-            )
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -606,13 +624,22 @@ class Store:
                     f"stored identifier {stored} does not match recomputed {recomputed}"
                 )
             owner = f"{owner} {stored}"
-        for column, target in table.references.items():
-            self._require_row(target, getattr(record, column), owner)
+        found = ()
+        if table.references:
+            idents = [getattr(record, column) for column in table.references]
+            found = self._conn.execute(
+                table.references_sql, [str(ident) for ident in idents]
+            ).fetchone()
+            for column, ident, value in zip(table.references, idents, found):
+                if value is None:
+                    raise ReferentialError(f"{owner} references missing {column} {ident}")
         for ref in table.blobs(record):
             if not self.has_blob(ref):
                 raise ReferentialError(f"{owner} references missing blob {ref}")
-        if isinstance(record, FMapEntry):
-            self._check_fmap_links(record)
+        for at, column, message in table.link_checks:
+            expected = str(getattr(record, column))
+            if found[at] != expected:
+                raise IntegrityError(message.format(expected, found[at]))
         with self.batch():
             if not self._conn.in_transaction:
                 self._opened = time.monotonic()
@@ -675,7 +702,8 @@ def open_store(location: Union[str, Path], create: bool = True) -> Store:
     """Open a store directory, creating an empty one when absent.
 
     A database with no tables counts as absent. With ``create=False``
-    nothing is created or initialised: a missing database or one with
-    no tables is refused.
+    the database is opened read-only and nothing is created, initialised
+    or rolled back: a missing database, one with no tables, or one with
+    a hot journal is refused.
     """
     return Store(location, create)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any, Mapping, Optional, Protocol, Union
+from typing import Any, Optional, Protocol, Union
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION

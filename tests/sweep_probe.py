@@ -1,16 +1,20 @@
 """Run a toy sweep that SIGKILLs its own process mid-execution.
 
-Usage: sweep_probe.py DB COMMIT_INTERVAL_S KILL_AT X [X ...]
+Usage: sweep_probe.py DB COMMIT_INTERVAL_S KILL_AT X [X ...] [--cache-pages N]
 
 Declares and executes the toy plan over the given x values on the store
 at DB, with the store's commit interval set to COMMIT_INTERVAL_S; the
-engine kills this process at its KILL_AT-th evaluation. Crash tests run
+engine kills this process at its KILL_AT-th evaluation. With
+``--cache-pages`` the store's connection keeps at most N pages in its
+cache, so an open transaction spills changed pages into the database
+file before the kill and leaves a hot rollback journal. Crash tests run
 it as a subprocess and then check what a fresh store makes of the
 leftovers.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import sys
@@ -38,11 +42,19 @@ class KillingEngine(StepEngine):
 
 
 def main() -> int:
-    db, interval, kill_at, *xs = sys.argv[1:]
-    store._COMMIT_INTERVAL_S = float(interval)
-    st = store.open_store(db)
-    plan = make_plan(st, *setup_world(st), xs=xs)
-    run_plan(st, plan, KillingEngine(int(kill_at)))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("db")
+    parser.add_argument("interval", type=float)
+    parser.add_argument("kill_at", type=int)
+    parser.add_argument("xs", nargs="+")
+    parser.add_argument("--cache-pages", type=int)
+    args = parser.parse_args()
+    store._COMMIT_INTERVAL_S = args.interval
+    st = store.open_store(args.db)
+    if args.cache_pages is not None:
+        st._conn.execute(f"PRAGMA cache_size = {args.cache_pages}")
+    plan = make_plan(st, *setup_world(st), xs=args.xs)
+    run_plan(st, plan, KillingEngine(args.kill_at))
     return 0
 
 

@@ -251,7 +251,7 @@ class TestAcceptance:
                 raw_refs = sorted(
                     {row["raw_output_ref"] for row in st.table_rows("engine_runs")}
                 )
-                paths = {ref: st._blob_path(ref) for ref in raw_refs}
+                paths = {ref: Path(st._blob_path(ref)) for ref in raw_refs}
             rng = random.Random(808)
             caught = 0
             for _ in range(100):

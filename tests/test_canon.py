@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import OrderedDict
@@ -285,6 +286,56 @@ def test_unregistered_prefix_rejected():
         canon.content_id("blob", {"version": "1"})
     with pytest.raises(IdentifierFormatError):
         canon.Identifier("blob", "aa5bc61f44d5f633")
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_shared_encoder_matches_json_dumps(seed):
+    payload = payload_gen.random_payload(random.Random(seed))
+    expected = json.dumps(
+        payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+    assert canon.canonical_encode(payload) == expected
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(canon.PREFIXES))
+def test_unchecked_identifiers_equal_validated_ones(seed, prefix):
+    # content_id and parse_identifier skip Identifier's own checks; what
+    # they build must be indistinguishable from a validated Identifier.
+    derived = canon.content_id(prefix, payload_gen.random_payload(random.Random(seed)))
+    validated = canon.Identifier(prefix, derived.digest16)
+    for ident in (derived, canon.parse_identifier(str(derived))):
+        assert type(ident) is canon.Identifier
+        assert (ident.prefix, ident.digest16) == (prefix, validated.digest16)
+        assert ident == validated and hash(ident) == hash(validated)
+        assert str(ident) == str(validated) and repr(ident) == repr(validated)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ident.prefix = "snap"
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(canon.PREFIXES),
+    st.text("0123456789abcdef", min_size=16, max_size=16),
+    st.sampled_from(("replace", "delete", "append")),
+    st.integers(0, 100),
+    st.sampled_from("Ag-_ .Z"),
+)
+def test_malformed_identifier_message_is_unchanged(prefix, digest, how, at, char):
+    good = f"{prefix}_{digest}"
+    at %= len(good)
+    if how == "replace":
+        bad = good[:at] + char + good[at + 1:]
+    elif how == "delete":
+        bad = good[:at] + good[at + 1:]
+    else:
+        bad = good + digest[at % 16]
+    if bad == good:  # "_" put back in its own place
+        return
+    with pytest.raises(IdentifierFormatError) as raised:
+        canon.parse_identifier(bad)
+    assert str(raised.value) == f"malformed identifier: {bad!r}"
 
 
 def test_decimal_string_never_scientific():

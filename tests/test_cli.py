@@ -45,7 +45,7 @@ def delete_raw_output(db):
     decision = next(
         row["decision_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
     )
-    path = st._blob_path(run["raw_output_ref"])
+    path = Path(st._blob_path(run["raw_output_ref"]))
     st.close()
     path.unlink()
     return decision
@@ -325,7 +325,7 @@ class TestDemo:
         plan_id = next(
             row["plan_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
         )
-        path = st._blob_path(run["raw_output_ref"])
+        path = Path(st._blob_path(run["raw_output_ref"]))
         st.close()
         if damage == "corrupt":
             data = path.read_bytes()
@@ -377,7 +377,7 @@ class TestReplayCommand:
         shutil.copytree(demo_db, db)
         st = open_store(db)
         ref = st.table_rows("engine_runs")[0]["raw_output_ref"]
-        path = st._blob_path(ref)
+        path = Path(st._blob_path(ref))
         st.close()
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 1
@@ -411,7 +411,7 @@ class TestReplayCommand:
         shutil.copytree(demo_db, db)
         st = open_store(db)
         (graph,) = json.loads(st.table_rows("snapshots")[0]["artifact_manifest"])
-        path = st._blob_path(graph["artifact_ref"])
+        path = Path(st._blob_path(graph["artifact_ref"]))
         st.close()
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 1
@@ -430,7 +430,7 @@ class TestReplayCommand:
         shutil.copytree(demo_db, db)
         st = open_store(db)
         policy_ref = st.table_rows("decisions")[0]["policy_id"].removeprefix("pol_")
-        st._blob_path(policy_ref).unlink()
+        Path(st._blob_path(policy_ref)).unlink()
         st.close()
         assert cli.main(["replay", "--experiment", "demo", "--db", str(db)]) == 2
         broken = [

@@ -6,6 +6,8 @@ exactly the failure mode replay exists to catch.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from decisiondb import canon, replay, sweep
@@ -29,7 +31,7 @@ def executed(st):
 
 
 def flip_byte(st, ref, position=None):
-    path = st._blob_path(ref)
+    path = Path(st._blob_path(ref))
     data = bytearray(path.read_bytes())
     index = len(data) // 2 if position is None else position
     data[index] ^= 0x01
@@ -37,7 +39,7 @@ def flip_byte(st, ref, position=None):
 
 
 def swap_bytes(st, ref, old, new):
-    path = st._blob_path(ref)
+    path = Path(st._blob_path(ref))
     data = path.read_bytes()
     assert old in data
     path.write_bytes(data.replace(old, new, 1))
@@ -187,7 +189,7 @@ class TestCorruption:
         run_a = st.get_record(entries[0].run_id)
         run_b = st.get_record(entries[3].run_id)
         other = st.read_blob_unverified(run_b.raw_output_ref)
-        st._blob_path(run_a.raw_output_ref).write_bytes(other)
+        Path(st._blob_path(run_a.raw_output_ref)).write_bytes(other)
         report = replay.replay_entry(st, entries[0])
         assert not report.ok
         assert "raw_output_ref" in [c.field for c in report.mismatches()]
@@ -195,14 +197,14 @@ class TestCorruption:
     def test_missing_raw_blob_breaks_chain(self, st, executed):
         _, entries = executed
         run = st.get_record(entries[1].run_id)
-        st._blob_path(run.raw_output_ref).unlink()
+        Path(st._blob_path(run.raw_output_ref)).unlink()
         with pytest.raises(BrokenChainError, match=run.raw_output_ref):
             replay.replay_entry(st, entries[1])
 
     def test_replay_all_reports_broken_chains_as_errors(self, st, executed):
         _, entries = executed
         run = st.get_record(entries[1].run_id)
-        st._blob_path(run.raw_output_ref).unlink()
+        Path(st._blob_path(run.raw_output_ref)).unlink()
         report = replay.replay_all(st, "exp")
         assert report.verified == 3
         assert len(report.errors) == 1

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from decisiondb import canon, store as store_module
+from decisiondb import canon, cli, store as store_module
 from decisiondb.errors import (
     BlobCorruptionError,
     DecisionDBError,
@@ -36,6 +36,9 @@ from decisiondb.replay import replay_all
 from toy_arena import StepEngine, make_plan, run_plan, setup_world
 
 WINDOW = ("2025-01-01T00:00:00Z", "2025-01-08T00:00:00Z")
+# f_map's referenced rows in declared order, with their identifier prefixes.
+FMAP_REFERENCES = [("snapshot_id", "snap"), ("repr_id", "repr"),
+                   ("run_id", "run"), ("decision_id", "dec")]
 
 
 @pytest.fixture
@@ -252,7 +255,7 @@ class TestBlobs:
 
     def test_corruption_detected_on_read(self, store):
         ref = store.put_blob(b"fragile payload")
-        path = store._blob_path(ref.hash)
+        path = Path(store._blob_path(ref.hash))
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -423,6 +426,57 @@ class TestRecords:
         )
         with pytest.raises(ReferentialError):
             store.put_record(entry)
+
+    @pytest.mark.parametrize("column, prefix", FMAP_REFERENCES)
+    def test_fmap_names_the_missing_row(self, store, column, prefix):
+        chain = build_chain(store)
+        ghost = canon.content_id(prefix, {"version": "1", "nope": 5})
+        entry = FMapEntry.create(
+            "exp4", **{**self._fmap_fields(chain), column: ghost}
+        )
+        with pytest.raises(ReferentialError) as raised:
+            store.put_record(entry)
+        assert str(raised.value) == f"f_map row references missing {column} {ghost}"
+
+    def test_fmap_reports_references_in_declared_order(self, store):
+        chain = build_chain(store)
+        ghosts = {
+            column: canon.content_id(prefix, {"version": "1", "nope": 6})
+            for column, prefix in FMAP_REFERENCES
+        }
+        entry = FMapEntry.create("exp4", **{**self._fmap_fields(chain), **ghosts})
+        with pytest.raises(ReferentialError) as raised:
+            store.put_record(entry)
+        assert str(raised.value) == (
+            f"f_map row references missing snapshot_id {ghosts['snapshot_id']}"
+        )
+
+    def test_fmap_reports_a_missing_plan_blob_before_a_link_mismatch(self, store):
+        chain = build_chain(store)
+        art = store.put_blob(b"another world")
+        other_snap = SnapshotRecord.create(WINDOW, [ManifestEntry("w", art.hash)])
+        store.put_record(other_snap)
+        ghost_plan = canon.content_id("plan", {"version": "1", "nope": 7})
+        entry = FMapEntry.create(
+            "exp4",
+            **{**self._fmap_fields(chain), "snapshot_id": other_snap.snapshot_id,
+               "plan_id": ghost_plan},
+        )
+        with pytest.raises(ReferentialError) as raised:
+            store.put_record(entry)
+        assert str(raised.value) == (
+            f"f_map row references missing blob {ghost_plan.digest16}"
+        )
+
+    @staticmethod
+    def _fmap_fields(chain):
+        return {
+            "snapshot_id": chain["snapshot"].snapshot_id,
+            "repr_id": chain["representation"].repr_id,
+            "run_id": chain["run"].run_id,
+            "decision_id": chain["decision"].decision_id,
+            "plan_id": chain["plan_id"],
+        }
 
     def test_constraint_failure_raises_instead_of_ignoring(self, store):
         chain = build_chain(store)
@@ -773,3 +827,42 @@ class TestCrash:
                 assert st.table_counts()["f_map"] == 10
                 digests.append(store_digest(st))
         assert digests[0] == digests[1]
+
+    def test_read_commands_leave_a_hot_journal_alone(self, tmp_path, capsys):
+        killed = tmp_path / "killed"
+        xs = [str(x) for x in range(1, 21)]
+        # A one-page cache spills the open execute batch into the
+        # database file, so the kill leaves a hot journal behind.
+        result = subprocess.run(
+            [sys.executable, str(PROBE), str(killed), "3600", "15", *xs, "--cache-pages", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        database = killed / store_module.DB_FILENAME
+        files = (database, database.with_name(database.name + "-journal"))
+        before = [path.read_bytes() for path in files]
+        assert before[1]
+        with open_store(tmp_path / "fresh") as st:
+            plan_id = str(make_plan(st, *setup_world(st), xs=xs).plan_id)
+        db = ["--db", str(killed)]
+        report = ["--plan", plan_id, "--experiment", "exp"]
+        for argv in (
+            ["inspect", *db],
+            ["map", *db, *report],
+            ["sweep", "report", *db, *report],
+            ["replay", *db, "--experiment", "exp"],
+            ["replay", *db, "--experiment", "exp", "--deep", "--json"],
+        ):
+            assert cli.main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                "error: a write to this store was interrupted; run a write command "
+                "(e.g. decisiondb init) to recover\n"
+            )
+            assert [path.read_bytes() for path in files] == before, argv
+        assert cli.main(["init", *db]) == 0
+        assert not files[1].exists()
+        with open_store(killed, create=False) as st:
+            counts = st.table_counts()
+        assert (counts["representations"], counts["engine_runs"]) == (20, 0)
