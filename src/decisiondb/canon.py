@@ -28,10 +28,11 @@ PREFIXES = ("snap", "repr", "run", "dec", "pol", "plan")
 
 DIGEST_LENGTH = 16
 
-_IDENTIFIER_RE = re.compile(r"^(%s)_([0-9a-f]{16})$" % "|".join(PREFIXES))
-_PAYLOAD_HASH_RE = re.compile(r"^[0-9a-f]{16}$")
+# Matched with ``fullmatch``: ``$`` would also accept a trailing newline.
+_IDENTIFIER_RE = re.compile(r"(%s)_([0-9a-f]{16})" % "|".join(PREFIXES))
+_PAYLOAD_HASH_RE = re.compile(r"[0-9a-f]{16}")
 
-CanonicalValue = Union[None, bool, int, str, list, tuple, Mapping[str, Any]]
+CanonicalValue = Union[None, bool, int, str, list, tuple, dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Identifier:
     def __post_init__(self):
         if self.prefix not in PREFIXES:
             raise IdentifierFormatError(f"unregistered identifier prefix: {self.prefix!r}")
-        if not _PAYLOAD_HASH_RE.match(self.digest16):
+        if not _PAYLOAD_HASH_RE.fullmatch(self.digest16):
             raise IdentifierFormatError(
                 f"identifier digest must be {DIGEST_LENGTH} lowercase hex chars, got {self.digest16!r}"
             )
@@ -77,7 +78,7 @@ def parse_identifier(
     ValidationError.
     """
     if isinstance(value, str):
-        m = _IDENTIFIER_RE.match(value)
+        m = _IDENTIFIER_RE.fullmatch(value)
         if m is None:
             raise IdentifierFormatError(f"malformed identifier: {value!r}")
         value = _trusted_identifier(m.group(1), m.group(2))
@@ -88,7 +89,7 @@ def parse_identifier(
 
 def is_payload_hash(text: str) -> bool:
     """True if text is a bare 16-hex-char content hash."""
-    return isinstance(text, str) and _PAYLOAD_HASH_RE.match(text) is not None
+    return isinstance(text, str) and _PAYLOAD_HASH_RE.fullmatch(text) is not None
 
 
 _PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
@@ -133,7 +134,8 @@ def _validate(value: Any, path: str) -> None:
         for i, item in enumerate(value):
             _validate(item, f"{path}[{i}]")
         return
-    if isinstance(value, Mapping):
+    # Only dicts: the JSON encoder writes no other mapping.
+    if isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise CanonicalizationError(

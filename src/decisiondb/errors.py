@@ -20,7 +20,8 @@ class IdentifierFormatError(DecisionDBError):
 
 
 class StoreOpenError(DecisionDBError):
-    """A store location exists but fails an integrity check on open."""
+    """A store cannot be opened or read: it fails an integrity check on
+    open, is locked, or holds an interrupted write."""
 
 
 class IntegrityError(DecisionDBError):

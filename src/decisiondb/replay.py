@@ -77,25 +77,54 @@ class ReplayReport:
         }
 
 
-def _decode_policy(pol_bytes: bytes) -> Optional[EquivalencePolicy]:
-    try:
-        return EquivalencePolicy.from_payload(canon.canonical_decode(pol_bytes))
-    except (CanonicalizationError, ValidationError):
-        return None
-
-
-def _extracted_hash(raw_bytes: bytes, policy: EquivalencePolicy, fallback: str) -> str:
-    try:
-        return extracted_hash(canon.canonical_decode(raw_bytes), policy)
-    except (ExtractionError, CanonicalizationError):
-        return fallback
-
-
 def _row(store: Store, ident: Identifier, what: str):
     record = store.get_record(ident)
     if record is None:
         raise BrokenChainError(f"{what} row {ident} is missing")
     return record
+
+
+def _read(store: Store, ref: str, what: str) -> bytes:
+    data = store.read_blob_unverified(ref)
+    if data is None:
+        raise BrokenChainError(f"{what} blob {ref} is missing")
+    return data
+
+
+def _hash(store: Store, ref: str, what: str) -> str:
+    return canon.payload_hash(_read(store, ref, what))
+
+
+def _decision_id(policy_hash: str, payload_hash: str, version: str) -> Identifier:
+    """The identifier of the decision these three values make."""
+    return DecisionRecord(None, Identifier("pol", policy_hash), payload_hash, version).derived_id()
+
+
+def _policy(store: Store, ref: str) -> tuple[Optional[EquivalencePolicy], str]:
+    """The policy stored under ``ref``, None when it does not decode, and
+    the hash of its bytes."""
+    data = _read(store, ref, "policy")
+    try:
+        policy = EquivalencePolicy.from_payload(canon.canonical_decode(data))
+    except (CanonicalizationError, ValidationError):
+        policy = None
+    return policy, canon.payload_hash(data)
+
+
+def _output(store: Store, memo: "ReplayMemo", raw_ref: str, pol_ref: str) -> tuple[str, str]:
+    """The hash of the raw output's bytes and the payload hash the policy
+    extracts from them. The latter falls back to the former when the
+    bytes fail their address, the policy does not decode, or extraction
+    fails. The raw output is read before the policy."""
+    data = _read(store, raw_ref, "raw output")
+    actual = canon.payload_hash(data)
+    policy, _ = memo.once(("policy", pol_ref), _policy, store, pol_ref)
+    if actual != raw_ref or policy is None:
+        return actual, actual
+    try:
+        return actual, extracted_hash(canon.canonical_decode(data), policy)
+    except (ExtractionError, CanonicalizationError):
+        return actual, actual
 
 
 class ReplayMemo:
@@ -107,57 +136,21 @@ class ReplayMemo:
     once per command. It keeps blob hashes, decoded policies, the
     snapshot and decision rows and derived identifiers, never blob
     bytes; run and representation rows are one per entry, so they are
-    not kept. A missing row or blob is not remembered, so every entry
-    that needs it reports its own broken chain.
+    not kept. Each key is a tuple whose first item names what was
+    computed. A computation that raises is not kept, so every entry that
+    needs a missing row or blob reports its own broken chain.
     """
 
     def __init__(self):
-        self.hashes: dict[str, str] = {}
-        self.policies: dict[str, Optional[EquivalencePolicy]] = {}
-        # (raw output ref, policy ref) -> the payload hash recomputed from them
-        self.extracted: dict[tuple[str, str], str] = {}
-        self.rows: dict[Identifier, object] = {}
-        self.ids: dict[object, Identifier] = {}
+        self._values: dict[tuple, object] = {}
 
-    def row(self, store: Store, ident: Identifier, what: str):
-        if ident not in self.rows:
-            self.rows[ident] = _row(store, ident, what)
-        return self.rows[ident]
-
-    def read(self, store: Store, ref: str, what: str) -> bytes:
-        """The blob's bytes, its actual hash remembered."""
-        data = store.read_blob_unverified(ref)
-        if data is None:
-            raise BrokenChainError(f"{what} blob {ref} is missing")
-        self.hashes[ref] = canon.payload_hash(data)
-        return data
-
-    def hash(self, store: Store, ref: str, what: str) -> str:
-        """The hash of the bytes stored under ``ref``."""
-        if ref not in self.hashes:
-            self.read(store, ref, what)
-        return self.hashes[ref]
-
-    def policy(self, store: Store, ref: str) -> Optional[EquivalencePolicy]:
-        """The policy stored under ``ref``, None when it does not decode."""
-        if ref not in self.policies:
-            self.policies[ref] = _decode_policy(self.read(store, ref, "policy"))
-        return self.policies[ref]
-
-    def row_id(self, ident: Identifier) -> Identifier:
-        """The identifier a kept row's own columns derive."""
-        if ident not in self.ids:
-            self.ids[ident] = self.rows[ident].derived_id()
-        return self.ids[ident]
-
-    def decision_id(self, policy_hash: str, payload_hash: str, version: str):
-        """The identifier of the decision these three values make."""
-        key = (policy_hash, payload_hash, version)
-        if key not in self.ids:
-            pol_id = Identifier("pol", policy_hash)
-            record = DecisionRecord(None, pol_id, payload_hash, version)
-            self.ids[key] = record.derived_id()
-        return self.ids[key]
+    def once(self, key: tuple, compute, *args):
+        """``compute(*args)``, computed on the first call for ``key``."""
+        # The memo itself marks a missing key: no computation returns it.
+        value = self._values.get(key, self)
+        if value is self:
+            value = self._values[key] = compute(*args)
+        return value
 
 
 def replay_entry(
@@ -178,25 +171,15 @@ def replay_entry(
     if memo is None:
         memo = ReplayMemo()
     run = _row(store, entry.run_id, "engine run")
-    decision = memo.row(store, entry.decision_id, "decision")
+    decision = memo.once(("row", entry.decision_id), _row, store, entry.decision_id, "decision")
     raw_ref = run.raw_output_ref
     pol_ref = decision.policy_id.digest16
-    key = (raw_ref, pol_ref)
-    raw_bytes = None
-    if key not in memo.extracted:
-        raw_bytes = memo.read(store, raw_ref, "raw output")
-    raw_actual = memo.hashes[raw_ref]
-    policy = memo.policy(store, pol_ref)
-    pol_actual_hash = memo.hashes[pol_ref]
-    if raw_bytes is not None:
-        memo.extracted[key] = raw_actual
-        if raw_actual == raw_ref and policy is not None:
-            memo.extracted[key] = _extracted_hash(raw_bytes, policy, raw_actual)
-    recomputed_hash = memo.extracted[key]
-
-    recomputed_decision = memo.decision_id(
-        pol_actual_hash, recomputed_hash, decision.version
+    raw_actual, recomputed_hash = memo.once(
+        ("output", raw_ref, pol_ref), _output, store, memo, raw_ref, pol_ref
     )
+    _, pol_actual_hash = memo.once(("policy", pol_ref), _policy, store, pol_ref)
+    made = (pol_actual_hash, recomputed_hash, decision.version)
+    recomputed_decision = memo.once(("decision", *made), _decision_id, *made)
 
     checks = [
         FieldCheck("raw_output_ref", raw_ref, raw_actual),
@@ -207,45 +190,29 @@ def replay_entry(
 
     if deep:
         rep = _row(store, entry.repr_id, "representation")
-        snapshot = memo.row(store, entry.snapshot_id, "snapshot")
-        checks.append(
-            FieldCheck(
-                "encoded_artifact_ref",
-                rep.encoded_artifact_ref,
-                memo.hash(store, rep.encoded_artifact_ref, "encoded artifact"),
-            )
+        snapshot = memo.once(("row", entry.snapshot_id), _row, store, entry.snapshot_id, "snapshot")
+        blobs = [("encoded_artifact_ref", rep.encoded_artifact_ref, "encoded artifact")]
+        blobs.extend(
+            (f"artifact:{manifest_entry.name}", manifest_entry.artifact_ref, "snapshot artifact")
+            for manifest_entry in snapshot.artifact_manifest
         )
-        for manifest_entry in snapshot.artifact_manifest:
-            checks.append(
-                FieldCheck(
-                    f"artifact:{manifest_entry.name}",
-                    manifest_entry.artifact_ref,
-                    memo.hash(store, manifest_entry.artifact_ref, "snapshot artifact"),
-                )
-            )
+        checks.extend(
+            FieldCheck(field, ref, memo.once(("hash", ref), _hash, store, ref, what))
+            for field, ref, what in blobs
+        )
+        # Each row's identifier re-derived from its own columns, then the
+        # row-to-row links.
         rows = (
-            ("snapshot_row", entry.snapshot_id, memo.row_id(entry.snapshot_id)),
+            ("snapshot_row", entry.snapshot_id, memo.once(("id", entry.snapshot_id), snapshot.derived_id)),
             ("representation_row", entry.repr_id, rep.derived_id()),
             ("run_row", entry.run_id, run.derived_id()),
-            ("decision_row", entry.decision_id, memo.row_id(entry.decision_id)),
+            ("decision_row", entry.decision_id, memo.once(("id", entry.decision_id), decision.derived_id)),
+            ("run_links_representation", entry.repr_id, run.repr_id),
+            ("representation_links_snapshot", entry.snapshot_id, rep.snapshot_id),
         )
         checks.extend(
-            FieldCheck(field, str(ident), str(derived))
-            for field, ident, derived in rows
-        )
-        checks.extend(
-            [
-                FieldCheck(
-                    "run_links_representation",
-                    str(entry.repr_id),
-                    str(run.repr_id),
-                ),
-                FieldCheck(
-                    "representation_links_snapshot",
-                    str(entry.snapshot_id),
-                    str(rep.snapshot_id),
-                ),
-            ]
+            FieldCheck(field, str(persisted), str(recomputed))
+            for field, persisted, recomputed in rows
         )
 
     return ReplayReport(entry=entry, checks=tuple(checks))

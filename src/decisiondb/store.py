@@ -418,6 +418,7 @@ class Store:
         self._lock = threading.RLock()
         self._depth = 0
         self._opened = 0.0
+        self._read_only = not create
         self._conn = self._open_connection(create)
 
     def _open_connection(self, create: bool) -> sqlite3.Connection:
@@ -444,17 +445,20 @@ class Store:
                 self._create_layout(conn)
             self._check_integrity(conn)
         except sqlite3.Error as exc:
-            if _locked(exc):
-                raise StoreOpenError(
-                    f"store at {self.location} is locked by another connection"
-                ) from exc
-            if not create and _interrupted(exc):
-                raise StoreOpenError(
-                    "a write to this store was interrupted; run a write command "
-                    "(e.g. decisiondb init) to recover"
-                ) from exc
-            raise StoreOpenError(f"cannot open store at {self.location}: {exc}") from exc
+            raise self.error(exc, "open") from exc
         return conn
+
+    def error(self, exc: sqlite3.Error, doing: str = "use") -> StoreOpenError:
+        """The error to report for a SQLite error raised while opening
+        (``doing="open"``) or using this store."""
+        if _locked(exc):
+            return StoreOpenError(f"store at {self.location} is locked by another connection")
+        if self._read_only and _interrupted(exc):
+            return StoreOpenError(
+                "a write to this store was interrupted; run a write command "
+                "(e.g. decisiondb init) to recover"
+            )
+        return StoreOpenError(f"cannot {doing} store at {self.location}: {exc}")
 
     @staticmethod
     def _create_layout(conn: sqlite3.Connection) -> None:

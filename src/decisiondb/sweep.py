@@ -25,7 +25,7 @@ from .errors import (
     SweepExecutionError,
     ValidationError,
 )
-from .policy import EquivalencePolicy, extract_decision, load_policy
+from .policy import extract_decision, load_policy
 from .store import (
     EngineRunRecord,
     FMapEntry,
@@ -250,47 +250,114 @@ def load_plan(
     return plan
 
 
-def _load_artifacts(store: Store, plan: SweepPlan) -> dict[str, bytes]:
-    snapshot = store.get_record(plan.snapshot_id)
-    if snapshot is None:
-        raise ReferentialError(f"plan references missing snapshot {plan.snapshot_id}")
-    return {
-        entry.name: store.get_blob(entry.artifact_ref)
-        for entry in snapshot.artifact_manifest
-    }
+class _PlanRun:
+    """One call's checked hold on a plan: declares or runs its points.
 
+    Building one checks the engine, then the factory, against the plan's
+    (name, version), and ``axis``, when given, against the plan's axes
+    (``base`` holds the other parameters). With an engine it then needs
+    the persisted plan and loads the policy; with a factory it loads the
+    snapshot's artifacts.
+    """
 
-def _declare_point(
-    store: Store,
-    plan: SweepPlan,
-    factory: RepresentationFactory,
-    artifacts: Mapping[str, bytes],
-    params: Mapping[str, str],
-) -> RepresentationRecord:
-    first = factory.encode(artifacts, params)
-    second = factory.encode(artifacts, params)
-    if first != second:
-        raise DeterminismError(
-            f"factory {factory.name} produced differing artifacts for params {dict(params)}"
+    def __init__(
+        self,
+        store: Store,
+        plan: SweepPlan,
+        factory: Optional[RepresentationFactory] = None,
+        engine: Optional[EngineAdapter] = None,
+        axis: Optional[str] = None,
+    ):
+        for kind, plugin, name, version in (
+            ("engine", engine, plan.engine_name, plan.engine_version),
+            ("factory", factory, plan.factory_name, plan.factory_version),
+        ):
+            if plugin is not None and (plugin.name, plugin.version) != (name, version):
+                raise ValidationError(
+                    f"{kind} {plugin.name}/{plugin.version} does not match plan's {name}/{version}"
+                )
+        self.store, self.plan, self.factory, self.engine = store, plan, factory, engine
+        self.base = None if axis is None else _single_axis_base(plan, axis)
+        if engine is not None:
+            if not store.has_blob(plan.plan_id.digest16):
+                raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
+            self.policy = load_policy(store, plan.policy_id)
+        if factory is not None:
+            snapshot = store.get_record(plan.snapshot_id)
+            if snapshot is None:
+                raise ReferentialError(f"plan references missing snapshot {plan.snapshot_id}")
+            self.artifacts = {
+                entry.name: store.get_blob(entry.artifact_ref)
+                for entry in snapshot.artifact_manifest
+            }
+
+    def declare(self, params: Mapping[str, str]) -> RepresentationRecord:
+        """Encode one point twice, refusing differing bytes, and store it."""
+        first = self.factory.encode(self.artifacts, params)
+        second = self.factory.encode(self.artifacts, params)
+        if first != second:
+            raise DeterminismError(
+                f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
+            )
+        ref = self.store.put_blob(first)
+        plan = self.plan
+        record = RepresentationRecord.create(
+            plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref.hash
         )
-    ref = store.put_blob(first)
-    record = RepresentationRecord.create(
-        plan.snapshot_id,
-        plan.factory_name,
-        plan.factory_version,
-        params,
-        ref.hash,
-    )
-    store.put_record(record)
-    return record
+        self.store.put_record(record)
+        return record
 
-
-def _require_plugin(kind: str, plugin: Any, name: str, version: str) -> None:
-    """Refuse a factory or engine whose (name, version) is not the plan's."""
-    if (plugin.name, plugin.version) != (name, version):
-        raise ValidationError(
-            f"{kind} {plugin.name}/{plugin.version} does not match plan's {name}/{version}"
+    def run(
+        self, params: Mapping[str, str], rep_id: Identifier
+    ) -> tuple[Optional[FMapEntry], Optional[str]]:
+        """Evaluate one point, declaring it first when this run has a
+        factory; returns (entry, None) or (None, failure)."""
+        store, plan = self.store, self.plan
+        rep = store.get_record(rep_id)
+        if rep is None:
+            if self.factory is None:
+                raise ReferentialError(
+                    f"representation not declared for params {dict(params)} ({rep_id})"
+                )
+            rep = self.declare(params)
+        encoded = store.get_blob(rep.encoded_artifact_ref)
+        started = time.perf_counter()
+        failure = None
+        try:
+            raw = self.engine.evaluate(encoded, plan.query)
+        except EngineFailure as exc:
+            failure = str(exc)
+            raw = {"error": failure, "version": SCHEMA_VERSION}
+        elapsed = f"{(time.perf_counter() - started) * 1000:.3f}"
+        if not isinstance(raw, Mapping):
+            raise ValidationError(
+                f"engine {plan.engine_name} returned {type(raw).__name__}, expected a mapping"
+            )
+        raw_ref = store.put_blob(canon.canonical_encode(raw))
+        run = EngineRunRecord.create(
+            rep.repr_id,
+            plan.engine_name,
+            plan.engine_version,
+            plan.query,
+            raw_ref.hash,
+            elapsed,
+            status="ok" if failure is None else "failed",
         )
+        store.put_record(run)
+        if failure is not None:
+            return None, failure
+        decision = extract_decision(raw, self.policy)
+        store.put_record(decision)
+        entry = FMapEntry.create(
+            plan.experiment_id,
+            plan.snapshot_id,
+            rep.repr_id,
+            run.run_id,
+            decision.decision_id,
+            plan.plan_id,
+        )
+        store.put_record(entry)
+        return entry, None
 
 
 def declare_representations(
@@ -302,61 +369,9 @@ def declare_representations(
     deterministic and the declaration is refused. Rows are written in one
     store batch, so the points declared before a refusal stay stored.
     """
-    _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
-    artifacts = _load_artifacts(store, plan)
+    plan_run = _PlanRun(store, plan, factory=factory)
     with store.batch():
-        return [
-            _declare_point(store, plan, factory, artifacts, params)
-            for params in plan.grid_points()
-        ]
-
-
-def _run_point(
-    store: Store,
-    plan: SweepPlan,
-    engine: EngineAdapter,
-    pol: EquivalencePolicy,
-    rep: RepresentationRecord,
-) -> tuple[Optional[FMapEntry], Optional[str]]:
-    """Evaluate one declared point; returns (entry, None) or (None, failure)."""
-    encoded = store.get_blob(rep.encoded_artifact_ref)
-    started = time.perf_counter()
-    failure = None
-    try:
-        raw = engine.evaluate(encoded, plan.query)
-    except EngineFailure as exc:
-        failure = str(exc)
-        raw = {"error": failure, "version": SCHEMA_VERSION}
-    elapsed = f"{(time.perf_counter() - started) * 1000:.3f}"
-    if not isinstance(raw, Mapping):
-        raise ValidationError(
-            f"engine {plan.engine_name} returned {type(raw).__name__}, expected a mapping"
-        )
-    raw_ref = store.put_blob(canon.canonical_encode(raw))
-    run = EngineRunRecord.create(
-        rep.repr_id,
-        plan.engine_name,
-        plan.engine_version,
-        plan.query,
-        raw_ref.hash,
-        elapsed,
-        status="ok" if failure is None else "failed",
-    )
-    store.put_record(run)
-    if failure is not None:
-        return None, failure
-    decision = extract_decision(raw, pol)
-    store.put_record(decision)
-    entry = FMapEntry.create(
-        plan.experiment_id,
-        plan.snapshot_id,
-        rep.repr_id,
-        run.run_id,
-        decision.decision_id,
-        plan.plan_id,
-    )
-    store.put_record(entry)
-    return entry, None
+        return [plan_run.declare(params) for params in plan.grid_points()]
 
 
 def execute_sweep(
@@ -369,21 +384,12 @@ def execute_sweep(
     the completed entries attached, once the batch holding every row of
     the sweep has committed.
     """
-    _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
-    if not store.has_blob(plan.plan_id.digest16):
-        raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
-    pol = load_policy(store, plan.policy_id)
+    plan_run = _PlanRun(store, plan, engine=engine)
     entries = []
     failures = []
     with store.batch():
         for params in plan.grid_points():
-            rep_id = plan.repr_id(params)
-            rep = store.get_record(rep_id)
-            if rep is None:
-                raise ReferentialError(
-                    f"representation not declared for params {dict(params)} ({rep_id})"
-                )
-            entry, failure = _run_point(store, plan, engine, pol, rep)
+            entry, failure = plan_run.run(params, plan.repr_id(params))
             if entry is not None:
                 entries.append(entry)
             else:
@@ -548,33 +554,6 @@ class BoundaryRefinement:
     multi_region: bool
 
 
-def _point_decision(
-    store: Store,
-    plan: SweepPlan,
-    factory: RepresentationFactory,
-    engine: EngineAdapter,
-    pol: EquivalencePolicy,
-    artifacts: Mapping[str, bytes],
-    params: Mapping[str, str],
-) -> Identifier:
-    """Decision at a parameter point, evaluating through the full pipeline
-    and persisting the chain when the point is not already on the map."""
-    rep_id = plan.repr_id(params)
-    for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
-        if entry.repr_id == rep_id:
-            return entry.decision_id
-    rep = store.get_record(rep_id)
-    if rep is None:
-        rep = _declare_point(store, plan, factory, artifacts, params)
-    entry, failure = _run_point(store, plan, engine, pol, rep)
-    if entry is None:
-        raise SweepExecutionError(
-            f"engine failed at {dict(params)}: {failure}",
-            failures=[(dict(params), failure)],
-        )
-    return entry.decision_id
-
-
 def refine_boundary(
     store: Store,
     plan: SweepPlan,
@@ -596,13 +575,7 @@ def refine_boundary(
     neither endpoint, which reports the interval as multi-region. All
     rows are written in one store batch.
     """
-    _require_plugin("engine", engine, plan.engine_name, plan.engine_version)
-    _require_plugin("factory", factory, plan.factory_name, plan.factory_version)
-    base = _single_axis_base(plan, axis)
-    if not store.has_blob(plan.plan_id.digest16):
-        raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
-    pol = load_policy(store, plan.policy_id)
-    artifacts = _load_artifacts(store, plan)
+    plan_run = _PlanRun(store, plan, factory, engine, axis)
     try:
         lo = Decimal(interval[0])
         hi = Decimal(interval[1])
@@ -623,10 +596,20 @@ def refine_boundary(
             res = (hi - lo) * Decimal("0.000001")
 
         def decide(value: Decimal) -> Identifier:
-            value_str = canon.decimal_string(value)
-            return _point_decision(
-                store, plan, factory, engine, pol, artifacts, {**base, axis: value_str}
-            )
+            """Decision at one point: its f_map row when the point is
+            already on the map, else a run through the full chain."""
+            params = {**plan_run.base, axis: canon.decimal_string(value)}
+            rep_id = plan.repr_id(params)
+            for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
+                if entry.repr_id == rep_id:
+                    return entry.decision_id
+            entry, failure = plan_run.run(params, rep_id)
+            if entry is None:
+                raise SweepExecutionError(
+                    f"engine failed at {params}: {failure}",
+                    failures=[(params, failure)],
+                )
+            return entry.decision_id
 
         lo_dec = decide(lo)
         hi_dec = decide(hi)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import types
 from collections import OrderedDict
 from decimal import Decimal
 from pathlib import Path
@@ -221,6 +222,17 @@ def test_unencodable_object_rejected():
         canon.canonical_encode({"v": object(), "version": "1"})
 
 
+def test_mapping_that_is_not_a_dict_rejected():
+    # The JSON encoder writes dicts (subclasses included) and no other mapping.
+    with pytest.raises(
+        CanonicalizationError, match=r"^type mappingproxy at \$\.m has no canonical form$"
+    ):
+        canon.canonical_encode({"m": types.MappingProxyType({"a": 1})})
+    with pytest.raises(CanonicalizationError, match=r"type mappingproxy at \$ has"):
+        canon.canonical_encode(types.MappingProxyType({"a": 1}))
+    assert canon.canonical_encode(OrderedDict([("b", 1), ("a", 2)])) == b'{"a":2,"b":1}'
+
+
 def test_surrogate_text_rejected():
     with pytest.raises(CanonicalizationError):
         canon.canonical_encode({"s": "\ud800", "version": "1"})
@@ -279,6 +291,16 @@ def test_identifier_parse_and_render():
 def test_identifier_malformed_rejected(bad):
     with pytest.raises(IdentifierFormatError):
         canon.parse_identifier(bad)
+
+
+@pytest.mark.parametrize("tail", ["\n", "\r\n", " "], ids=["newline", "crlf", "space"])
+def test_identifier_with_trailing_text_rejected(tail):
+    with pytest.raises(IdentifierFormatError):
+        canon.parse_identifier("snap_aa5bc61f44d5f633" + tail)
+    with pytest.raises(IdentifierFormatError):
+        canon.Identifier("snap", "aa5bc61f44d5f633" + tail)
+    assert not canon.is_payload_hash("aa5bc61f44d5f633" + tail)
+    assert canon.is_payload_hash("aa5bc61f44d5f633")
 
 
 def test_unregistered_prefix_rejected():

@@ -388,6 +388,18 @@ class TestReplayCommand:
         assert "NO" in out
         assert "1 mismatched" in out
 
+    @pytest.mark.parametrize("subject", ["--decision", "--plan"])
+    def test_identifier_with_a_trailing_newline_exits_one(self, demo_db, capsys, subject):
+        st = open_store(demo_db, create=False)
+        row = st.table_rows("f_map")[0]
+        st.close()
+        ident = row["decision_id" if subject == "--decision" else "plan_id"] + "\n"
+        argv = ["replay", "--db", str(demo_db), subject, ident]
+        if subject == "--plan":
+            argv += ["--experiment", "demo"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: malformed identifier: {ident!r}\n"
+
     def test_missing_blob_exits_two(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)

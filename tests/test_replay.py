@@ -13,7 +13,7 @@ import pytest
 from decisiondb import canon, replay, sweep
 from decisiondb.errors import BrokenChainError, ValidationError
 from decisiondb.policy import EquivalencePolicy, persist_policy
-from decisiondb.store import DecisionRecord, open_store
+from decisiondb.store import DecisionRecord, Store, open_store
 from toy_arena import StepEngine, StepFactory, make_plan, run_plan, setup_world
 
 
@@ -125,6 +125,25 @@ class TestCleanReplay:
         assert report.verified == report.matched == 8
 
 
+class TestReads:
+    # 4 entries with 2 decisions, 4 raw outputs, 1 policy, 4 encoded
+    # artifacts and 1 snapshot artifact: each row and blob is read once,
+    # and the run and representation rows once per entry.
+    @pytest.mark.parametrize("deep, rows, blobs", [(False, 6, 5), (True, 11, 10)])
+    def test_each_row_and_blob_is_read_once(self, st, executed, monkeypatch, deep, rows, blobs):
+        calls = {"get_record": 0, "read_blob_unverified": 0}
+        for name in calls:
+            method = getattr(Store, name)
+
+            def counted(self, ident, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, ident)
+
+            monkeypatch.setattr(Store, name, counted)
+        assert replay.replay_all(st, "exp", deep=deep).ok
+        assert calls == {"get_record": rows, "read_blob_unverified": blobs}
+
+
 class TestCorruption:
     def test_raw_output_flip_flags_three_fields(self, st, executed):
         _, entries = executed
@@ -200,6 +219,16 @@ class TestCorruption:
         Path(st._blob_path(run.raw_output_ref)).unlink()
         with pytest.raises(BrokenChainError, match=run.raw_output_ref):
             replay.replay_entry(st, entries[1])
+
+    def test_missing_raw_output_is_named_before_a_missing_policy(self, st, executed):
+        plan, entries = executed
+        run = st.get_record(entries[0].run_id)
+        Path(st._blob_path(run.raw_output_ref)).unlink()
+        Path(st._blob_path(plan.policy_id.digest16)).unlink()
+        with pytest.raises(
+            BrokenChainError, match=f"raw output blob {run.raw_output_ref} is missing"
+        ):
+            replay.replay_entry(st, entries[0])
 
     def test_replay_all_reports_broken_chains_as_errors(self, st, executed):
         _, entries = executed

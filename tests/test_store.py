@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import random
 import re
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -252,6 +253,13 @@ class TestBlobs:
     def test_malformed_ref(self, store):
         with pytest.raises(IdentifierFormatError):
             store.get_blob("not-a-hash")
+
+    def test_ref_with_a_trailing_newline_refused(self, store):
+        ref = store.put_blob(b"payload").hash
+        with pytest.raises(IdentifierFormatError):
+            store._blob_path(ref + "\n")
+        with pytest.raises(IdentifierFormatError):
+            store.read_blob_unverified(ref + "\n")
 
     def test_corruption_detected_on_read(self, store):
         ref = store.put_blob(b"fragile payload")
@@ -827,6 +835,40 @@ class TestCrash:
                 assert st.table_counts()["f_map"] == 10
                 digests.append(store_digest(st))
         assert digests[0] == digests[1]
+
+    def test_a_journal_left_after_open_exits_one(self, tmp_path, capsys, monkeypatch):
+        db = tmp_path / "db"
+        with open_store(db) as st:
+            run_plan(st, make_plan(st, *setup_world(st)))
+        # A write transaction open on a copy leaves a journal there that
+        # would be hot once its writer died; a one-page cache spills it,
+        # which syncs the journal and writes its header.
+        source = tmp_path / "source"
+        shutil.copytree(db, source)
+        writer = sqlite3.connect(source / store_module.DB_FILENAME)
+        writer.execute("PRAGMA cache_size = 1")
+        writer.execute("BEGIN IMMEDIATE")
+        writer.execute("INSERT INTO meta (key, value) VALUES ('probe', ?)", ("x" * 20000,))
+        journal = (source / (store_module.DB_FILENAME + "-journal")).read_bytes()
+        writer.rollback()
+        writer.close()
+        assert journal
+        target = db / (store_module.DB_FILENAME + "-journal")
+
+        def open_then_crash(location, create=True):
+            opened = open_store(location, create)
+            target.write_bytes(journal)
+            return opened
+
+        monkeypatch.setattr(cli, "open_store", open_then_crash)
+        for argv in (["inspect"], ["replay", "--experiment", "exp", "--deep"]):
+            assert cli.main([*argv, "--db", str(db)]) == 1, argv
+            assert capsys.readouterr().err == (
+                "error: a write to this store was interrupted; run a write command "
+                "(e.g. decisiondb init) to recover\n"
+            )
+            assert target.read_bytes() == journal
+            target.unlink()
 
     def test_read_commands_leave_a_hot_journal_alone(self, tmp_path, capsys):
         killed = tmp_path / "killed"

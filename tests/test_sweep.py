@@ -7,12 +7,14 @@ decision, boundary, and refinement outcome here is predictable by eye.
 
 from __future__ import annotations
 
+import types
 from decimal import Decimal
 
 import pytest
 
 from decisiondb import canon, store, sweep
 from decisiondb.errors import (
+    CanonicalizationError,
     DeterminismError,
     InvalidComparisonError,
     PlanNotFoundError,
@@ -41,6 +43,22 @@ def st(tmp_path):
 @pytest.fixture()
 def world(st):
     return setup_world(st)
+
+
+def unpersisted_plan(snap, pol_id, xs=("1",)):
+    """The toy plan over ``xs``, built but not persisted."""
+    return sweep.SweepPlan(
+        snapshot_id=snap.snapshot_id,
+        factory_name="step-table",
+        factory_version="1",
+        axes=[sweep.Axis(param="x", values=tuple(xs))],
+        fixed_params={},
+        engine_name="step-compare",
+        engine_version="1",
+        query={"q": 1},
+        policy_id=pol_id,
+        experiment_id="exp",
+    )
 
 
 class TestFreeze:
@@ -222,21 +240,8 @@ class TestExecute:
         assert st.table_counts() == before
 
     def test_requires_persisted_plan(self, st, world):
-        snap, pol_id = world
-        plan = sweep.SweepPlan(
-            snapshot_id=snap.snapshot_id,
-            factory_name="step-table",
-            factory_version="1",
-            axes=[sweep.Axis(param="x", values=("1",))],
-            fixed_params={},
-            engine_name="step-compare",
-            engine_version="1",
-            query={"q": 1},
-            policy_id=pol_id,
-            experiment_id="exp",
-        )
         with pytest.raises(PlanNotFoundError):
-            sweep.execute_sweep(st, plan, StepEngine())
+            sweep.execute_sweep(st, unpersisted_plan(*world), StepEngine())
 
     def test_requires_declared_representations(self, st, world):
         plan = make_plan(st, *world)
@@ -250,6 +255,24 @@ class TestExecute:
         engine.version = "2"
         with pytest.raises(ValidationError, match="does not match"):
             sweep.execute_sweep(st, plan, engine)
+
+    def test_engine_is_checked_before_the_plan_is_looked_up(self, st, world):
+        plan = unpersisted_plan(*world)
+        engine = StepEngine()
+        engine.version = "2"
+        with pytest.raises(ValidationError, match="engine step-compare/2 does not match"):
+            sweep.execute_sweep(st, plan, engine)
+
+    def test_mapping_output_that_is_not_a_dict_refused(self, st, world):
+        class ProxyEngine(StepEngine):
+            def evaluate(self, representation, query):
+                return types.MappingProxyType(super().evaluate(representation, query))
+
+        plan = make_plan(st, *world)
+        sweep.declare_representations(st, plan, StepFactory())
+        with pytest.raises(CanonicalizationError, match=r"type mappingproxy at \$ has no"):
+            sweep.execute_sweep(st, plan, ProxyEngine())
+        assert st.table_counts()["engine_runs"] == 0
 
     def test_failed_point_recorded_and_sweep_continues(self, st, world):
         plan = make_plan(st, *world)
@@ -521,6 +544,33 @@ class TestRefine:
         with pytest.raises(ValidationError, match="does not match"):
             sweep.refine_boundary(st, plan, "x", ("1", "9"), engine, factory, 3)
         assert (st.table_counts(), st.blob_count()) == before
+
+    def test_preconditions_are_checked_in_order(self, st, world):
+        # Every precondition fails at first; each is mended in turn, and
+        # the next one in line is the error reported.
+        plan = unpersisted_plan(*world, xs=("1", "9"))
+        engine, factory = StepEngine(), StepFactory()
+        engine.name, factory.name = "other-engine", "other-factory"
+        axis = "y"
+
+        def refine():
+            sweep.refine_boundary(st, plan, axis, ("1", "nine"), engine, factory, 3)
+
+        with pytest.raises(ValidationError, match="engine other-engine/1 does not match"):
+            refine()
+        engine.name = "step-compare"
+        with pytest.raises(ValidationError, match="factory other-factory/1 does not match"):
+            refine()
+        factory.name = "step-table"
+        with pytest.raises(ValidationError, match="does not sweep an axis named 'y'"):
+            refine()
+        axis = "x"
+        with pytest.raises(PlanNotFoundError):
+            refine()
+        sweep.persist_plan(st, plan)
+        with pytest.raises(ValidationError, match="must be decimal strings"):
+            refine()
+        assert st.table_counts()["representations"] == 0
 
     def test_engine_failure_surfaces(self, st, world):
         engine = StepEngine(refuse={"5"})
