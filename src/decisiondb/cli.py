@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import sqlite3
 import sys
 from collections.abc import Mapping
 from pathlib import Path
@@ -407,16 +406,12 @@ def main(argv=None) -> int:
         if args.reads and not (Path(db) / DB_FILENAME).exists():
             raise DecisionDBError(f"no store at {db}")
         with open_store(db, create=not args.reads) as store:
-            try:
-                payload = args.handler(store, args)
-                if args.json:
-                    payload = {**payload, "version": canon.SCHEMA_VERSION}
-                    print(canon.canonical_encode(payload).decode("utf-8"))
-                else:
-                    args.render(store, payload)
-            except sqlite3.Error as exc:
-                # A writer can die, or lock the store, after it was opened.
-                raise store.error(exc) from exc
+            payload = args.handler(store, args)
+            if args.json:
+                payload = {**payload, "version": canon.SCHEMA_VERSION}
+                print(canon.canonical_encode(payload).decode("utf-8"))
+            else:
+                args.render(store, payload)
     except DecisionDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

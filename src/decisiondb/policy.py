@@ -112,7 +112,7 @@ def persist_policy(store: Store, policy: EquivalencePolicy) -> Identifier:
     """
     ident = policy_identifier(policy)
     ref = store.put_blob(canon.canonical_encode(policy.payload()))
-    assert ref.hash == ident.digest16
+    assert ref == ident.digest16
     return ident
 
 

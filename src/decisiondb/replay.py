@@ -299,7 +299,8 @@ def replay_all(
     """
     entries = store.query_fmap(experiment_id, plan_id=plan_id)
     if not entries:
-        raise ValidationError(f"experiment {experiment_id!r} has no map entries")
+        scope = "" if plan_id is None else f" for plan {plan_id}"
+        raise ValidationError(f"experiment {experiment_id!r} has no map entries{scope}")
     return _replay(store, {"experiment_id": experiment_id}, entries, deep)
 
 

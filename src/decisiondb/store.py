@@ -15,7 +15,7 @@ import sqlite3
 import threading
 import time
 import urllib.parse
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -52,14 +52,6 @@ CREATE TABLE IF NOT EXISTS meta (
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
-@dataclass(frozen=True)
-class BlobRef:
-    """Address and length of a stored byte sequence."""
-
-    hash: str
-    length: int
 
 
 @dataclass(frozen=True)
@@ -205,12 +197,12 @@ class Table:
             values[at] = value if self.json[name] is None else self.json[name](value)
         return self.cls(*values)
 
-    def select(self, conn: sqlite3.Connection, filters: Mapping[str, Any]) -> list:
+    def select(self, execute: Callable, filters: Mapping[str, Any]) -> list:
         """Records whose columns equal every filter, in the declared order."""
         where = " AND ".join(f"{column} = ?" for column in filters)
         sql = f"{self.select_sql} WHERE {where}" if filters else self.select_sql
-        cur = conn.execute(sql + self.order_sql, [str(v) for v in filters.values()])
-        return [self.record(row) for row in cur]
+        rows = execute(sql + self.order_sql, [str(v) for v in filters.values()])
+        return [self.record(row) for row in rows]
 
 
 class _Record:
@@ -381,6 +373,8 @@ class FMapEntry(_Record):
 
 TABLES = tuple(table.name for table in _TABLES.values())
 _BY_PREFIX = {t.prefix: t for t in _TABLES.values() if t.prefix}
+# Every table's row count from one read, so all of them see one state.
+_COUNTS_SQL = "SELECT " + ", ".join(f"(SELECT COUNT(*) FROM {t})" for t in TABLES)
 
 
 def _locked(exc: sqlite3.Error) -> bool:
@@ -437,19 +431,18 @@ class Store:
                 uri=True,
                 check_same_thread=False,
             )
-            conn.row_factory = sqlite3.Row
             conn.execute("PRAGMA foreign_keys = ON")
             # A store that has tables is only read here, so opening one
             # never waits on another connection's write transaction.
             if create and not _table_names(conn):
                 self._create_layout(conn)
             self._check_integrity(conn)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, OSError) as exc:
             raise self.error(exc, "open") from exc
         return conn
 
-    def error(self, exc: sqlite3.Error, doing: str = "use") -> StoreOpenError:
-        """The error to report for a SQLite error raised while opening
+    def error(self, exc: Exception, doing: str = "use") -> StoreOpenError:
+        """The error to report for a SQLite or OS error raised while opening
         (``doing="open"``) or using this store."""
         if _locked(exc):
             return StoreOpenError(f"store at {self.location} is locked by another connection")
@@ -501,6 +494,16 @@ class Store:
                 f"store format mismatch: found {found!r}, expected {STORE_FORMAT_VERSION!r}"
             )
 
+    def _execute(self, sql: str, params: Sequence = ()) -> list:
+        """Run one statement under the lock and return all its rows, so a
+        read waits for another thread's open batch; a SQLite error is
+        reported through ``error``."""
+        with self._lock:
+            try:
+                return self._conn.execute(sql, params).fetchall()
+            except sqlite3.Error as exc:
+                raise self.error(exc) from exc
+
     def close(self) -> None:
         self._conn.close()
 
@@ -521,8 +524,8 @@ class Store:
         sep = os.sep
         return f"{self._blob_root}{sep}{ref[:2]}{sep}{ref[2:4]}{sep}{ref}"
 
-    def put_blob(self, data: bytes) -> BlobRef:
-        """Store bytes under their content hash. Re-storing is a no-op."""
+    def put_blob(self, data: bytes) -> str:
+        """Store bytes under their content hash and return it; re-storing is a no-op."""
         ref = canon.payload_hash(data)
         path = self._blob_path(ref)
         if not os.path.exists(path):
@@ -538,7 +541,7 @@ class Store:
             with open(tmp, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, path)
-        return BlobRef(hash=ref, length=len(data))
+        return ref
 
     def get_blob(self, ref: str) -> bytes:
         """Load bytes by hash, verifying them against their address."""
@@ -631,9 +634,7 @@ class Store:
         found = ()
         if table.references:
             idents = [getattr(record, column) for column in table.references]
-            found = self._conn.execute(
-                table.references_sql, [str(ident) for ident in idents]
-            ).fetchone()
+            (found,) = self._execute(table.references_sql, [str(ident) for ident in idents])
             for column, ident, value in zip(table.references, idents, found):
                 if value is None:
                     raise ReferentialError(f"{owner} references missing {column} {ident}")
@@ -665,25 +666,11 @@ class Store:
         table = _BY_PREFIX.get(ident.prefix)
         if table is None:
             return None
-        row = self._conn.execute(table.select_by_key_sql, (str(ident),)).fetchone()
-        return None if row is None else table.record(row)
+        rows = self._execute(table.select_by_key_sql, (str(ident),))
+        return table.record(rows[0]) if rows else None
 
     def table_counts(self) -> dict[str, int]:
-        counts = {}
-        for table in TABLES:
-            counts[table] = self._conn.execute(
-                f"SELECT COUNT(*) FROM {table}"
-            ).fetchone()[0]
-        return counts
-
-    def table_rows(self, table: str) -> list[dict]:
-        """All rows of one table as dicts, in a deterministic order."""
-        if table not in TABLES:
-            raise ValueError(f"unknown table {table!r}")
-        cur = self._conn.execute(f"SELECT * FROM {table}")
-        rows = [dict(row) for row in cur.fetchall()]
-        rows.sort(key=lambda r: tuple(str(v) for v in r.values()))
-        return rows
+        return dict(zip(TABLES, self._execute(_COUNTS_SQL)[0]))
 
     def query_fmap(
         self,
@@ -699,7 +686,7 @@ class Store:
         ):
             if value is not None:
                 filters[column] = canon.parse_identifier(value, prefix)
-        return FMapEntry.TABLE.select(self._conn, filters)
+        return FMapEntry.TABLE.select(self._execute, filters)
 
 
 def open_store(location: Union[str, Path], create: bool = True) -> Store:

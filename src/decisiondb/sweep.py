@@ -214,7 +214,7 @@ def freeze_snapshot(
     manifest = []
     for name in sorted(artifacts):
         ref = store.put_blob(canon.canonical_encode(artifacts[name]))
-        manifest.append(ManifestEntry(name=name, artifact_ref=ref.hash))
+        manifest.append(ManifestEntry(name=name, artifact_ref=ref))
     record = SnapshotRecord.create(time_window, manifest)
     store.put_record(record)
     return record
@@ -302,7 +302,7 @@ class _PlanRun:
         ref = self.store.put_blob(first)
         plan = self.plan
         record = RepresentationRecord.create(
-            plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref.hash
+            plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref
         )
         self.store.put_record(record)
         return record
@@ -339,7 +339,7 @@ class _PlanRun:
             plan.engine_name,
             plan.engine_version,
             plan.query,
-            raw_ref.hash,
+            raw_ref,
             elapsed,
             status="ok" if failure is None else "failed",
         )

@@ -31,6 +31,7 @@ from decisiondb.routing import Edge, GraphSnapshot, Node
 from decisiondb.store import open_store
 from payload_gen import random_payload
 from test_routing import direct_rep, enumerate_routes
+from test_store import raw_rows
 
 TESTS_DIR = Path(__file__).resolve().parent
 PROBE = TESTS_DIR / "process_probe.py"
@@ -249,7 +250,7 @@ class TestAcceptance:
             shutil.copytree(demo_db, db)
             with open_store(db) as st:
                 raw_refs = sorted(
-                    {row["raw_output_ref"] for row in st.table_rows("engine_runs")}
+                    {row["raw_output_ref"] for row in raw_rows(st, "engine_runs")}
                 )
                 paths = {ref: Path(st._blob_path(ref)) for ref in raw_refs}
             rng = random.Random(808)

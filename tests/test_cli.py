@@ -7,6 +7,7 @@ and corruption tests work on throwaway copies.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sqlite3
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from decisiondb import canon, cli, routing, sweep
 from decisiondb.policy import EquivalencePolicy
 from decisiondb.store import TABLES, Store, open_store
+from test_store import raw_rows
 from toy_arena import make_plan, setup_world
 
 
@@ -41,9 +43,9 @@ def demo_plan_ids(capsys, demo_db):
 def delete_raw_output(db):
     """Delete one engine run's raw-output blob; return the decision it backs."""
     st = open_store(db)
-    run = st.table_rows("engine_runs")[0]
+    run = raw_rows(st, "engine_runs")[0]
     decision = next(
-        row["decision_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
+        row["decision_id"] for row in raw_rows(st, "f_map") if row["run_id"] == run["run_id"]
     )
     path = Path(st._blob_path(run["raw_output_ref"]))
     st.close()
@@ -169,6 +171,20 @@ class TestInitInspect:
         assert capsys.readouterr().err == "error: existing database has no meta table\n"
         assert [p.name for p in db.iterdir()] == ["store.sqlite"]
         assert (db / "store.sqlite").read_bytes() == b""
+
+    @pytest.mark.parametrize("argv", [["init"], ["demo", "sweep"]], ids=["init", "demo-sweep"])
+    def test_a_db_path_under_a_regular_file_exits_one(self, tmp_path, capsys, argv):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory")
+        db = afile / "sub"
+        assert cli.main([*argv, "--db", str(db)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            f"error: cannot open store at {re.escape(str(db))}: .*Not a directory.*\n",
+            captured.err,
+        )
+        assert afile.read_bytes() == b"not a directory"
 
     def test_write_command_initialises_a_store_without_tables(self, tmp_path, capsys):
         db = tmp_path / "db"
@@ -321,9 +337,9 @@ class TestDemo:
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
         st = open_store(db)
-        run = st.table_rows("engine_runs")[0]
+        run = raw_rows(st, "engine_runs")[0]
         plan_id = next(
-            row["plan_id"] for row in st.table_rows("f_map") if row["run_id"] == run["run_id"]
+            row["plan_id"] for row in raw_rows(st, "f_map") if row["run_id"] == run["run_id"]
         )
         path = Path(st._blob_path(run["raw_output_ref"]))
         st.close()
@@ -360,6 +376,14 @@ class TestReplayCommand:
         assert payload["verified"] == 4
         assert payload["store_unchanged"] is True
 
+    def test_replay_names_the_plan_it_found_no_entries_for(self, demo_db, capsys):
+        plan = "plan_0123456789abcdef"
+        argv = ["replay", "--experiment", "demo", "--plan", plan, "--db", str(demo_db)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: experiment 'demo' has no map entries for plan {plan}\n"
+        )
+
     def test_replay_single_decision(self, demo_db, capsys):
         plan_ids = demo_plan_ids(capsys, demo_db)
         _, payload = run_json(
@@ -376,7 +400,7 @@ class TestReplayCommand:
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
         st = open_store(db)
-        ref = st.table_rows("engine_runs")[0]["raw_output_ref"]
+        ref = raw_rows(st, "engine_runs")[0]["raw_output_ref"]
         path = Path(st._blob_path(ref))
         st.close()
         data = bytearray(path.read_bytes())
@@ -391,7 +415,7 @@ class TestReplayCommand:
     @pytest.mark.parametrize("subject", ["--decision", "--plan"])
     def test_identifier_with_a_trailing_newline_exits_one(self, demo_db, capsys, subject):
         st = open_store(demo_db, create=False)
-        row = st.table_rows("f_map")[0]
+        row = raw_rows(st, "f_map")[0]
         st.close()
         ident = row["decision_id" if subject == "--decision" else "plan_id"] + "\n"
         argv = ["replay", "--db", str(demo_db), subject, ident]
@@ -422,7 +446,7 @@ class TestReplayCommand:
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
         st = open_store(db)
-        (graph,) = json.loads(st.table_rows("snapshots")[0]["artifact_manifest"])
+        (graph,) = json.loads(raw_rows(st, "snapshots")[0]["artifact_manifest"])
         path = Path(st._blob_path(graph["artifact_ref"]))
         st.close()
         data = bytearray(path.read_bytes())
@@ -441,7 +465,7 @@ class TestReplayCommand:
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
         st = open_store(db)
-        policy_ref = st.table_rows("decisions")[0]["policy_id"].removeprefix("pol_")
+        policy_ref = raw_rows(st, "decisions")[0]["policy_id"].removeprefix("pol_")
         Path(st._blob_path(policy_ref)).unlink()
         st.close()
         assert cli.main(["replay", "--experiment", "demo", "--db", str(db)]) == 2

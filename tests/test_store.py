@@ -34,6 +34,7 @@ from decisiondb.store import (
     open_store,
 )
 from decisiondb.replay import replay_all
+from decisiondb.sweep import materialize_map
 from toy_arena import StepEngine, make_plan, run_plan, setup_world
 
 WINDOW = ("2025-01-01T00:00:00Z", "2025-01-08T00:00:00Z")
@@ -70,19 +71,19 @@ def build_chain(store, experiment_id="exp", answer=None):
     answer = answer if answer is not None else [1, 2]
     artifact = {"data": [1, 2, 3], "version": "1"}
     art_ref = store.put_blob(canon.canonical_encode(artifact))
-    snap = SnapshotRecord.create(WINDOW, [ManifestEntry("world", art_ref.hash)])
+    snap = SnapshotRecord.create(WINDOW, [ManifestEntry("world", art_ref)])
     store.put_record(snap)
 
     enc_ref = store.put_blob(b'{"encoded":true,"version":"1"}')
     rep = RepresentationRecord.create(
-        snap.snapshot_id, "fac", "1", {"w": "0.5"}, enc_ref.hash
+        snap.snapshot_id, "fac", "1", {"w": "0.5"}, enc_ref
     )
     store.put_record(rep)
 
     raw = {"answer": answer, "cost": "3.5", "version": "1"}
     raw_ref = store.put_blob(canon.canonical_encode(raw))
     run = EngineRunRecord.create(
-        rep.repr_id, "eng", "1", {"q": 1}, raw_ref.hash, "1.000"
+        rep.repr_id, "eng", "1", {"q": 1}, raw_ref, "1.000"
     )
     store.put_record(run)
 
@@ -226,8 +227,8 @@ class TestOpen:
 class TestBlobs:
     def test_round_trip(self, store):
         ref = store.put_blob(b"some bytes")
-        assert ref.length == len(b"some bytes")
-        assert store.get_blob(ref.hash) == b"some bytes"
+        assert ref == canon.payload_hash(b"some bytes")
+        assert store.get_blob(ref) == b"some bytes"
 
     def test_put_is_idempotent(self, store):
         a = store.put_blob(b"xyz")
@@ -241,7 +242,7 @@ class TestBlobs:
         refs = set()
         for _ in range(50):
             data = rng.randbytes(rng.randrange(0, 64))
-            refs.add(store.put_blob(data).hash)
+            refs.add(store.put_blob(data))
         assert len(refs) >= 49  # allows the empty-bytes repeat
 
     def test_missing_blob(self, store):
@@ -255,7 +256,7 @@ class TestBlobs:
             store.get_blob("not-a-hash")
 
     def test_ref_with_a_trailing_newline_refused(self, store):
-        ref = store.put_blob(b"payload").hash
+        ref = store.put_blob(b"payload")
         with pytest.raises(IdentifierFormatError):
             store._blob_path(ref + "\n")
         with pytest.raises(IdentifierFormatError):
@@ -263,12 +264,12 @@ class TestBlobs:
 
     def test_corruption_detected_on_read(self, store):
         ref = store.put_blob(b"fragile payload")
-        path = Path(store._blob_path(ref.hash))
+        path = Path(store._blob_path(ref))
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(BlobCorruptionError):
-            store.get_blob(ref.hash)
+            store.get_blob(ref)
 
     def test_threads_writing_the_same_blobs(self, store):
         blobs = [f"shared blob {i}".encode() * 64 for i in range(300)]
@@ -303,14 +304,14 @@ class TestBlobs:
 class TestRecords:
     def test_insert_then_ignore(self, store):
         art = store.put_blob(b"a1")
-        snap = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art.hash)])
+        snap = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art)])
         assert store.put_record(snap) == "inserted"
         assert store.put_record(snap) == "ignored"
         assert store.table_counts()["snapshots"] == 1
 
     def test_first_write_wins_for_non_identifying_fields(self, store):
         art = store.put_blob(b"a1")
-        snap = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art.hash)])
+        snap = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art)])
         store.put_record(snap)
         later = SnapshotRecord(
             snapshot_id=snap.snapshot_id,
@@ -325,7 +326,7 @@ class TestRecords:
 
     def test_manifest_order_does_not_change_snapshot(self, store):
         a, b = store.put_blob(b"a1"), store.put_blob(b"b1")
-        entries = [ManifestEntry("a", a.hash), ManifestEntry("b", b.hash)]
+        entries = [ManifestEntry("a", a), ManifestEntry("b", b)]
         snap = SnapshotRecord.create(WINDOW, entries)
         backwards = SnapshotRecord.create(list(WINDOW), entries[::-1])
         assert backwards.snapshot_id == snap.snapshot_id
@@ -341,7 +342,7 @@ class TestRecords:
 
     def test_identifier_mismatch_rejected(self, store):
         art = store.put_blob(b"a1")
-        good = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art.hash)])
+        good = SnapshotRecord.create(WINDOW, [ManifestEntry("a", art)])
         forged = SnapshotRecord(
             snapshot_id=canon.Identifier("snap", "deadbeefdeadbeef"),
             time_window=good.time_window,
@@ -361,7 +362,7 @@ class TestRecords:
     def test_representation_requires_snapshot(self, store):
         enc = store.put_blob(b"enc")
         ghost = canon.content_id("snap", {"version": "1", "nope": 1})
-        rep = RepresentationRecord.create(ghost, "fac", "1", {"w": "1"}, enc.hash)
+        rep = RepresentationRecord.create(ghost, "fac", "1", {"w": "1"}, enc)
         with pytest.raises(ReferentialError):
             store.put_record(rep)
 
@@ -373,7 +374,7 @@ class TestRecords:
             store.put_record(run)
         ghost_rep = canon.content_id("repr", {"version": "1", "nope": 2})
         run2 = EngineRunRecord.create(
-            ghost_rep, "eng", "1", {}, chain["raw_ref"].hash, "1.0"
+            ghost_rep, "eng", "1", {}, chain["raw_ref"], "1.0"
         )
         with pytest.raises(ReferentialError):
             store.put_record(run2)
@@ -389,7 +390,7 @@ class TestRecords:
         art = store.put_blob(b"other world")
         other_snap = SnapshotRecord.create(
             ("2030-01-01T00:00:00Z", "2030-01-02T00:00:00Z"),
-            [ManifestEntry("w", art.hash)],
+            [ManifestEntry("w", art)],
         )
         store.put_record(other_snap)
         entry = FMapEntry.create(
@@ -462,7 +463,7 @@ class TestRecords:
     def test_fmap_reports_a_missing_plan_blob_before_a_link_mismatch(self, store):
         chain = build_chain(store)
         art = store.put_blob(b"another world")
-        other_snap = SnapshotRecord.create(WINDOW, [ManifestEntry("w", art.hash)])
+        other_snap = SnapshotRecord.create(WINDOW, [ManifestEntry("w", art)])
         store.put_record(other_snap)
         ghost_plan = canon.content_id("plan", {"version": "1", "nope": 7})
         entry = FMapEntry.create(
@@ -490,7 +491,7 @@ class TestRecords:
         chain = build_chain(store)
         run = EngineRunRecord.create(
             chain["representation"].repr_id, "eng", "1", {"q": 2},
-            chain["raw_ref"].hash, "1.0", status="bogus",
+            chain["raw_ref"], "1.0", status="bogus",
         )
         before = store.table_counts()
         with pytest.raises(DecisionDBError):
@@ -553,13 +554,6 @@ class TestLookups:
         found = store.query_fmap(decision_id=chain["decision"].decision_id)
         assert len(found) == 1
         assert found[0].run_id == chain["run"].run_id
-
-    def test_table_rows_sorted(self, store):
-        build_chain(store)
-        rows = store.table_rows("snapshots")
-        assert len(rows) == 1
-        with pytest.raises(ValueError):
-            store.table_rows("sqlite_master")
 
 
 # Columns, foreign keys and indexes of a fresh store as SQLite reports
@@ -730,10 +724,18 @@ def test_fresh_store_schema_is_pinned(store):
 GOLDEN_STORE_DIGEST = "2773a01456303b8deb4e214e9848e1a7e59eb23c4a11802bc0edacc91654121c"
 
 
+def raw_rows(store, table):
+    """One table's rows as dicts of the stored column text, in a fixed order."""
+    cur = store._conn.execute(f"SELECT * FROM {table}")
+    names = [column[0] for column in cur.description]
+    rows = (dict(zip(names, row)) for row in cur)
+    return sorted(rows, key=lambda r: [str(v) for v in r.values()])
+
+
 def store_digest(store):
     rows = []
     for table in TABLES:
-        for row in store.table_rows(table):
+        for row in raw_rows(store, table):
             row.pop("created_at")
             row.pop("exec_time_ms", None)
             rows.append(canon.canonical_encode({"table": table, "row": row, "version": "1"}))
@@ -752,7 +754,7 @@ class TestStoredBytes:
         with pytest.raises(SweepExecutionError):
             run_plan(store, plan, StepEngine(refuse={"3"}))
         run_plan(store, plan)
-        runs = store.table_rows("engine_runs")
+        runs = raw_rows(store, "engine_runs")
         assert sorted(row["status"] for row in runs) == ["failed", "ok", "ok", "ok", "ok"]
         assert store_digest(store) == GOLDEN_STORE_DIGEST
 
@@ -800,6 +802,28 @@ class TestBatch:
         build_chain(store)
         assert committed_counts(tmp_path / "db") == dict.fromkeys(TABLES, 1)
 
+    def test_a_read_waits_for_another_threads_batch(self, store, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "_COMMIT_INTERVAL_S", 3600)
+        snap = SnapshotRecord.create(WINDOW, [ManifestEntry("a", store.put_blob(b"a1"))])
+        reading = threading.Event()
+        seen = []
+
+        def read():
+            reading.set()
+            seen.append(store.table_counts()["snapshots"])
+            seen.append(committed_counts(tmp_path / "db")["snapshots"])
+
+        reader = threading.Thread(target=read)
+        with store.batch():
+            store.put_record(snap)
+            reader.start()
+            assert reading.wait(timeout=30)
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and seen == []
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert seen == [1, 1]
+
     def test_lone_put_record_commits_at_once(self, store, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "_COMMIT_INTERVAL_S", 3600)
         build_chain(store)
@@ -808,6 +832,30 @@ class TestBatch:
 
 PROBE = Path(__file__).resolve().parent / "sweep_probe.py"
 CRASH_XS = [str(x) for x in range(1, 11)]
+
+
+def executed_store_and_journal(tmp_path):
+    """A store holding an executed toy plan, the plan, the bytes of a
+    journal that would be hot in that store once its writer died, and
+    the path that journal belongs at."""
+    db = tmp_path / "db"
+    with open_store(db) as st:
+        plan = make_plan(st, *setup_world(st))
+        run_plan(st, plan)
+    # A write transaction open on a copy leaves a journal there; a
+    # one-page cache spills it, which syncs the journal and writes its
+    # header.
+    source = tmp_path / "source"
+    shutil.copytree(db, source)
+    writer = sqlite3.connect(source / store_module.DB_FILENAME)
+    writer.execute("PRAGMA cache_size = 1")
+    writer.execute("BEGIN IMMEDIATE")
+    writer.execute("INSERT INTO meta (key, value) VALUES ('probe', ?)", ("x" * 20000,))
+    journal = (source / (store_module.DB_FILENAME + "-journal")).read_bytes()
+    writer.rollback()
+    writer.close()
+    assert journal
+    return db, plan, journal, db / (store_module.DB_FILENAME + "-journal")
 
 
 class TestCrash:
@@ -837,23 +885,7 @@ class TestCrash:
         assert digests[0] == digests[1]
 
     def test_a_journal_left_after_open_exits_one(self, tmp_path, capsys, monkeypatch):
-        db = tmp_path / "db"
-        with open_store(db) as st:
-            run_plan(st, make_plan(st, *setup_world(st)))
-        # A write transaction open on a copy leaves a journal there that
-        # would be hot once its writer died; a one-page cache spills it,
-        # which syncs the journal and writes its header.
-        source = tmp_path / "source"
-        shutil.copytree(db, source)
-        writer = sqlite3.connect(source / store_module.DB_FILENAME)
-        writer.execute("PRAGMA cache_size = 1")
-        writer.execute("BEGIN IMMEDIATE")
-        writer.execute("INSERT INTO meta (key, value) VALUES ('probe', ?)", ("x" * 20000,))
-        journal = (source / (store_module.DB_FILENAME + "-journal")).read_bytes()
-        writer.rollback()
-        writer.close()
-        assert journal
-        target = db / (store_module.DB_FILENAME + "-journal")
+        db, _, journal, target = executed_store_and_journal(tmp_path)
 
         def open_then_crash(location, create=True):
             opened = open_store(location, create)
@@ -869,6 +901,25 @@ class TestCrash:
             )
             assert target.read_bytes() == journal
             target.unlink()
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda st, plan: replay_all(st, "exp"),
+            lambda st, plan: materialize_map(st, plan.plan_id, "exp"),
+            lambda st, plan: st.query_fmap("exp"),
+            lambda st, plan: st.get_record(plan.snapshot_id),
+            lambda st, plan: st.table_counts(),
+        ],
+        ids=["replay_all", "materialize_map", "query_fmap", "get_record", "table_counts"],
+    )
+    def test_a_journal_left_after_open_is_reported_by_the_api(self, tmp_path, read):
+        db, plan, journal, target = executed_store_and_journal(tmp_path)
+        with open_store(db, create=False) as st:
+            target.write_bytes(journal)
+            with pytest.raises(StoreOpenError, match="^a write to this store was interrupted"):
+                read(st, plan)
+        assert target.read_bytes() == journal
 
     def test_read_commands_leave_a_hot_journal_alone(self, tmp_path, capsys):
         killed = tmp_path / "killed"

@@ -24,6 +24,7 @@ from decisiondb.errors import (
 )
 from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy
 from decisiondb.store import open_store
+from test_store import raw_rows
 from toy_arena import (
     WINDOW,
     FlakyFactory,
@@ -285,7 +286,7 @@ class TestExecute:
         assert counts["engine_runs"] == 4
         assert counts["f_map"] == 3
         statuses = sorted(
-            row["status"] for row in st.table_rows("engine_runs")
+            row["status"] for row in raw_rows(st, "engine_runs")
         )
         assert statuses == ["failed", "ok", "ok", "ok"]
 
@@ -294,7 +295,7 @@ class TestExecute:
         sweep.declare_representations(st, plan, StepFactory())
         with pytest.raises(SweepExecutionError):
             sweep.execute_sweep(st, plan, StepEngine(refuse={"7"}))
-        (row,) = st.table_rows("engine_runs")
+        (row,) = raw_rows(st, "engine_runs")
         error = canon.canonical_decode(st.get_blob(row["raw_output_ref"]))
         assert error["error"] == "engine refuses x=7"
 
