@@ -33,6 +33,7 @@ from .store import (
     RepresentationRecord,
     SnapshotRecord,
     Store,
+    _now,
 )
 
 
@@ -257,7 +258,8 @@ class _PlanRun:
     (name, version), and ``axis``, when given, against the plan's axes
     (``base`` holds the other parameters). With an engine it then needs
     the persisted plan and loads the policy; with a factory it loads the
-    snapshot's artifacts.
+    snapshot's artifacts. A sweep call fills ``stored_reprs`` and
+    ``stored_chains`` up front; a point found there is checked, not stored.
     """
 
     def __init__(
@@ -277,6 +279,8 @@ class _PlanRun:
                     f"{kind} {plugin.name}/{plugin.version} does not match plan's {name}/{version}"
                 )
         self.store, self.plan, self.factory, self.engine = store, plan, factory, engine
+        # repr id -> row; (repr id, run id) -> decision ids of the plan's f_map rows
+        self.stored_reprs, self.stored_chains = {}, {}
         self.base = None if axis is None else _single_axis_base(plan, axis)
         if engine is not None:
             if not store.has_blob(plan.plan_id.digest16):
@@ -291,18 +295,27 @@ class _PlanRun:
                 for entry in snapshot.artifact_manifest
             }
 
-    def declare(self, params: Mapping[str, str]) -> RepresentationRecord:
-        """Encode one point twice, refusing differing bytes, and store it."""
+    def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
+        """Encode a stored point once and check it against its row's
+        blob hash; encode any other point twice, refusing differing
+        bytes, and store it under ``rep_id``."""
         first = self.factory.encode(self.artifacts, params)
-        second = self.factory.encode(self.artifacts, params)
-        if first != second:
+        stored = self.stored_reprs.get(rep_id)
+        if stored is not None and self.store.has_blob(stored.encoded_artifact_ref):
+            if canon.payload_hash(first) != stored.encoded_artifact_ref:
+                raise DeterminismError(
+                    f"factory {self.factory.name} encodes params {dict(params)} to bytes "
+                    f"other than those stored for {rep_id}"
+                )
+            return stored
+        if first != self.factory.encode(self.artifacts, params):
             raise DeterminismError(
                 f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
             )
-        ref = self.store.put_blob(first)
         plan = self.plan
-        record = RepresentationRecord.create(
-            plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref
+        record = RepresentationRecord(
+            rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params,
+            self.store.put_blob(first), created_at=_now(),
         )
         self.store.put_record(record)
         return record
@@ -319,7 +332,7 @@ class _PlanRun:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
                 )
-            rep = self.declare(params)
+            rep = self.declare(params, rep_id)
         encoded = store.get_blob(rep.encoded_artifact_ref)
         started = time.perf_counter()
         failure = None
@@ -343,11 +356,13 @@ class _PlanRun:
             elapsed,
             status="ok" if failure is None else "failed",
         )
-        store.put_record(run)
+        # A chain already stored would only have its inserts ignored.
+        decisions = self.stored_chains.get((str(rep.repr_id), str(run.run_id)), ())
+        if not decisions:
+            store.put_record(run)
         if failure is not None:
             return None, failure
         decision = extract_decision(raw, self.policy)
-        store.put_record(decision)
         entry = FMapEntry.create(
             plan.experiment_id,
             plan.snapshot_id,
@@ -356,7 +371,9 @@ class _PlanRun:
             decision.decision_id,
             plan.plan_id,
         )
-        store.put_record(entry)
+        if str(decision.decision_id) not in decisions:
+            store.put_record(decision)
+            store.put_record(entry)
         return entry, None
 
 
@@ -365,13 +382,31 @@ def declare_representations(
 ) -> list[RepresentationRecord]:
     """Encode and persist one representation per grid point, in grid order.
 
-    Every point is encoded twice; differing bytes mean the factory is not
-    deterministic and the declaration is refused. Rows are written in one
-    store batch, so the points declared before a refusal stay stored.
+    A point whose row and blob are stored is encoded once; bytes that do
+    not hash to its ``encoded_artifact_ref`` mean the factory drifted
+    under its (name, version). Every other point is encoded twice, and
+    differing bytes mean the factory is not deterministic. Either refusal
+    comes before anything is written for its point. Rows are written in
+    one store batch, so the points declared before a refusal stay stored.
     """
     plan_run = _PlanRun(store, plan, factory=factory)
     with store.batch():
-        return [plan_run.declare(params) for params in plan.grid_points()]
+        filters = {c: getattr(plan, c) for c in ("snapshot_id", "factory_name", "factory_version")}
+        stored = RepresentationRecord.TABLE.select(store._execute, filters)
+        plan_run.stored_reprs = {record.repr_id: record for record in stored}
+        return [plan_run.declare(p, plan.repr_id(p)) for p in plan.grid_points()]
+
+
+# A plan's f_map rows under one experiment whose snapshot, representation,
+# run and decision rows all exist: storing such a chain again writes nothing.
+_STORED_CHAINS_SQL = (
+    "SELECT repr_id, run_id, decision_id FROM f_map AS f"
+    " WHERE experiment_id = ? AND plan_id = ?"
+    + "".join(
+        f" AND EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
+        for column, table in FMapEntry.TABLE.references.items()
+    )
+)
 
 
 def execute_sweep(
@@ -379,6 +414,8 @@ def execute_sweep(
 ) -> list[FMapEntry]:
     """Run the engine over every declared grid point and persist the chain.
 
+    Every point is evaluated and its raw output blob stored (again, if it
+    was deleted); a point whose whole chain is stored writes no row.
     Engine failures mark their run ``failed`` and the sweep carries on; a
     summary error listing the failed points is raised at the end, with
     the completed entries attached, once the batch holding every row of
@@ -388,6 +425,9 @@ def execute_sweep(
     entries = []
     failures = []
     with store.batch():
+        rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, str(plan.plan_id)))
+        for rep_id, run_id, decision_id in rows:
+            plan_run.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
         for params in plan.grid_points():
             entry, failure = plan_run.run(params, plan.repr_id(params))
             if entry is not None:

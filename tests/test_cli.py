@@ -358,6 +358,25 @@ class TestDemo:
         assert out == ""
         assert err.startswith("error: blob ") and message in err
 
+    def test_sweep_writes_deleted_blobs_again(self, demo_db, tmp_path):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        with open_store(db) as st:
+            intact = {table: raw_rows(st, table) for table in TABLES}
+            blobs = list(st.iter_blob_hashes())
+            refs = [
+                raw_rows(st, "engine_runs")[0]["raw_output_ref"],
+                raw_rows(st, "representations")[0]["encoded_artifact_ref"],
+            ]
+            paths = [Path(st._blob_path(ref)) for ref in refs]
+        for path in paths:
+            path.unlink()
+        assert cli.main(["demo", "sweep", "--db", str(db)]) == 0
+        with open_store(db) as st:
+            assert {table: raw_rows(st, table) for table in TABLES} == intact
+            assert list(st.iter_blob_hashes()) == blobs
+        assert cli.main(["demo", "replay", "--deep", "--db", str(db)]) == 0
+
 
 class TestReplayCommand:
     def test_clean_replay_exits_zero(self, demo_db, capsys):

@@ -7,8 +7,12 @@ decision, boundary, and refinement outcome here is predictable by eye.
 
 from __future__ import annotations
 
+import random
+import re
+import sqlite3
 import types
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from decisiondb.errors import (
 )
 from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy
 from decisiondb.store import open_store
-from test_store import raw_rows
+from test_store import raw_rows, store_digest
 from toy_arena import (
     WINDOW,
     FlakyFactory,
@@ -646,3 +650,123 @@ class TestBatchedWrites:
         assert (
             found["representations"], found["engine_runs"], found["decisions"], found["f_map"]
         ) == counts
+
+
+class CountingFactory(StepFactory):
+    def __init__(self):
+        self.calls = 0
+
+    def encode(self, artifacts, params):
+        self.calls += 1
+        return super().encode(artifacts, params)
+
+
+class DriftedFactory(StepFactory):
+    """Same (name, version) as StepFactory, other bytes for every point."""
+
+    def encode(self, artifacts, params):
+        return super().encode(artifacts, {**params, "gain": "2"})
+
+
+class CoinFlipEngine(StepEngine):
+    """Answers a label of the point's own on a seeded coin flip, so some
+    points' outputs differ from a StepEngine run and the rest do not."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+        self.flipped = []
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        if self.rng.random() < 0.5:
+            self.flipped.append(raw["x"])
+            raw = {**raw, "label": f"flip-{raw['x']}"}
+        return raw
+
+
+def delete_row(st, table, column, index=0):
+    """Delete one row through a second connection, foreign keys off, as
+    hand damage to a store would."""
+    value = raw_rows(st, table)[index][column]
+    conn = sqlite3.connect(st.location / store.DB_FILENAME)
+    try:
+        conn.execute("PRAGMA foreign_keys = OFF")
+        conn.execute(f"DELETE FROM {table} WHERE {column} = ?", (value,))
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def delete_blob(st, table, column, index=0):
+    ref = raw_rows(st, table)[index][column]
+    Path(st._blob_path(ref)).unlink()
+
+
+class TestRerun:
+    def test_rerun_runs_no_insert_and_encodes_each_point_once(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        factory = CountingFactory()
+        statements = traced(st)
+        sweep.declare_representations(st, plan, factory)
+        assert factory.calls == 4
+        sweep.execute_sweep(st, plan, StepEngine())
+        assert not [s for s in statements if s.startswith("INSERT")]
+        assert "COMMIT" not in statements
+
+    def test_rerun_returns_the_stored_records(self, st, world):
+        plan = make_plan(st, *world)
+        first = run_plan(st, plan)
+        declared = sweep.declare_representations(st, plan, StepFactory())
+        assert declared == [st.get_record(entry.repr_id) for entry in first]
+        assert sweep.execute_sweep(st, plan, StepEngine()) == first
+
+    def test_drifted_factory_refused_before_any_write(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        counts, blobs = st.table_counts(), st.blob_count()
+        rep_id = plan.repr_id({"x": "1"})
+        with pytest.raises(DeterminismError, match=re.escape(str(rep_id))) as excinfo:
+            sweep.declare_representations(st, plan, DriftedFactory())
+        assert "factory step-table" in str(excinfo.value)
+        assert "{'x': '1'}" in str(excinfo.value)
+        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda st: delete_row(st, "decisions", "decision_id"),
+            lambda st: delete_row(st, "engine_runs", "run_id", index=2),
+            lambda st: delete_row(st, "f_map", "run_id", index=1),
+            lambda st: delete_blob(st, "engine_runs", "raw_output_ref", index=3),
+            lambda st: delete_blob(st, "representations", "encoded_artifact_ref"),
+        ],
+        ids=["decision-row", "run-row", "fmap-row", "raw-output-blob", "representation-blob"],
+    )
+    def test_rerun_restores_a_damaged_store(self, st, world, damage):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        intact = store_digest(st)
+        damage(st)
+        assert store_digest(st) != intact
+        run_plan(st, plan)
+        assert store_digest(st) == intact
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_rerun_stores_each_output_that_differs(self, st, world, seed):
+        plan = make_plan(st, *world, xs=[str(x) for x in range(8)])
+        run_plan(st, plan)
+        before = st.table_counts()
+        engine = CoinFlipEngine(seed)
+        run_plan(st, plan, engine)
+        assert 0 < len(engine.flipped) < 8
+        added = {table: st.table_counts()[table] - before[table] for table in before}
+        flipped = len(engine.flipped)
+        assert added == {
+            "snapshots": 0,
+            "representations": 0,
+            "engine_runs": flipped,
+            "decisions": flipped,
+            "f_map": flipped,
+        }
