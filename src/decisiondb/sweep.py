@@ -92,6 +92,9 @@ class SweepPlan:
         setattr_(self, "policy_id", canon.parse_identifier(self.policy_id, "pol"))
         if not self.experiment_id:
             raise ValidationError("experiment_id must be a non-empty string")
+        for name, value in self.fixed_params.items():
+            if not isinstance(value, str):
+                raise ValidationError(f"fixed parameter {name!r} value {value!r} is not a string")
         axes = []
         seen_params = set(self.fixed_params)
         for axis in self.axes:
@@ -106,19 +109,11 @@ class SweepPlan:
 
     def payload(self) -> dict:
         # experiment_id scopes map rows but does not identify the plan itself.
-        return {
+        return {name: getattr(self, name) for name in _PLAN_FIELD_TYPES} | {
             "snapshot_id": str(self.snapshot_id),
-            "factory_name": self.factory_name,
-            "factory_version": self.factory_version,
-            "axes": [
-                {"param": a.param, "values": list(a.values)} for a in self.axes
-            ],
+            "axes": [{"param": a.param, "values": list(a.values)} for a in self.axes],
             "fixed_params": dict(self.fixed_params),
-            "engine_name": self.engine_name,
-            "engine_version": self.engine_version,
-            "query": self.query,
             "policy_id": str(self.policy_id),
-            "version": self.version,
         }
 
     @classmethod
@@ -160,15 +155,11 @@ class SweepPlan:
 
     def grid_points(self) -> list[dict[str, str]]:
         """Parameter assignments in grid order: declared axes, values ascending."""
-        if not self.axes:
-            return [dict(self.fixed_params)]
-        points = []
-        for combo in itertools.product(*(a.values for a in self.axes)):
-            params = dict(self.fixed_params)
-            for axis, value in zip(self.axes, combo):
-                params[axis.param] = value
-            points.append(params)
-        return points
+        names = [axis.param for axis in self.axes]
+        return [
+            {**self.fixed_params, **dict(zip(names, combo))}
+            for combo in itertools.product(*(axis.values for axis in self.axes))
+        ]
 
 
 _PLAN_FIELD_TYPES = {
@@ -193,9 +184,11 @@ def _normalize_axis(axis: Axis) -> Axis:
         raise ValidationError(f"axis {axis.param!r} has no values")
     first_spelling: dict[Decimal, str] = {}
     for value in axis.values:
+        if not isinstance(value, str):
+            raise ValidationError(f"axis {axis.param!r} value {value!r} is not a string")
         try:
             num = Decimal(value)
-        except (InvalidOperation, TypeError) as exc:
+        except InvalidOperation as exc:
             raise ValidationError(
                 f"axis {axis.param!r} value {value!r} is not a decimal string"
             ) from exc
@@ -251,6 +244,18 @@ def load_plan(
     return plan
 
 
+# A plan's f_map rows under one experiment whose snapshot, representation,
+# run and decision rows all exist: storing such a chain again writes nothing.
+_STORED_CHAINS_SQL = (
+    "SELECT repr_id, run_id, decision_id FROM f_map AS f"
+    " WHERE experiment_id = ? AND plan_id = ?"
+    + "".join(
+        f" AND EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
+        for column, table in FMapEntry.TABLE.references.items()
+    )
+)
+
+
 class _PlanRun:
     """One call's checked hold on a plan: declares or runs its points.
 
@@ -258,8 +263,10 @@ class _PlanRun:
     (name, version), and ``axis``, when given, against the plan's axes
     (``base`` holds the other parameters). With an engine it then needs
     the persisted plan and loads the policy; with a factory it loads the
-    snapshot's artifacts. A sweep call fills ``stored_reprs`` and
-    ``stored_chains`` up front; a point found there is checked, not stored.
+    snapshot's artifacts. Last it reads, once per call and inside the
+    call's batch, what the store holds for the plan: its representation
+    rows and, with an engine, its chains. A point found there is checked,
+    not stored again.
     """
 
     def __init__(
@@ -279,8 +286,6 @@ class _PlanRun:
                     f"{kind} {plugin.name}/{plugin.version} does not match plan's {name}/{version}"
                 )
         self.store, self.plan, self.factory, self.engine = store, plan, factory, engine
-        # repr id -> row; (repr id, run id) -> decision ids of the plan's f_map rows
-        self.stored_reprs, self.stored_chains = {}, {}
         self.base = None if axis is None else _single_axis_base(plan, axis)
         if engine is not None:
             if not store.has_blob(plan.plan_id.digest16):
@@ -294,46 +299,58 @@ class _PlanRun:
                 entry.name: store.get_blob(entry.artifact_ref)
                 for entry in snapshot.artifact_manifest
             }
+        # repr id -> (encoded_artifact_ref, created_at) of each stored row
+        rows = store._execute(
+            "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
+            " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?",
+            (str(plan.snapshot_id), plan.factory_name, plan.factory_version),
+        )
+        self.stored_reprs = {row[0]: row[1:] for row in rows}
+        # (repr id, run id) -> decision ids of the plan's stored chains
+        self.stored_chains = {}
+        if engine is not None:
+            rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, str(plan.plan_id)))
+            for rep_id, run_id, decision_id in rows:
+                self.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
 
     def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
-        """Encode a stored point once and check it against its row's
-        blob hash; encode any other point twice, refusing differing
-        bytes, and store it under ``rep_id``."""
+        """Encode a stored point once, refuse bytes not hashing to its row's
+        blob, and store them again if that blob was deleted; encode any other
+        point twice, refuse differing bytes, and store it under ``rep_id``."""
         first = self.factory.encode(self.artifacts, params)
-        stored = self.stored_reprs.get(rep_id)
-        if stored is not None and self.store.has_blob(stored.encoded_artifact_ref):
-            if canon.payload_hash(first) != stored.encoded_artifact_ref:
-                raise DeterminismError(
-                    f"factory {self.factory.name} encodes params {dict(params)} to bytes "
-                    f"other than those stored for {rep_id}"
-                )
-            return stored
-        if first != self.factory.encode(self.artifacts, params):
+        stored = self.stored_reprs.get(str(rep_id))
+        if stored is None and first != self.factory.encode(self.artifacts, params):
             raise DeterminismError(
                 f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
+            )
+        if stored is not None and canon.payload_hash(first) != stored[0]:
+            raise DeterminismError(
+                f"factory {self.factory.name} encodes params {dict(params)} to bytes "
+                f"other than those stored for {rep_id}"
             )
         plan = self.plan
         record = RepresentationRecord(
             rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params,
-            self.store.put_blob(first), created_at=_now(),
+            self.store.put_blob(first), created_at=_now() if stored is None else stored[1],
         )
-        self.store.put_record(record)
+        if stored is None:
+            self.store.put_record(record)
+            self.stored_reprs[str(rep_id)] = (record.encoded_artifact_ref, record.created_at)
         return record
 
     def run(
         self, params: Mapping[str, str], rep_id: Identifier
     ) -> tuple[Optional[FMapEntry], Optional[str]]:
-        """Evaluate one point, declaring it first when this run has a
-        factory; returns (entry, None) or (None, failure)."""
+        """Evaluate one point, declaring it first when it is not stored
+        and this run has a factory; returns (entry, None) or (None, failure)."""
         store, plan = self.store, self.plan
-        rep = store.get_record(rep_id)
-        if rep is None:
+        if str(rep_id) not in self.stored_reprs:
             if self.factory is None:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
                 )
-            rep = self.declare(params, rep_id)
-        encoded = store.get_blob(rep.encoded_artifact_ref)
+            self.declare(params, rep_id)
+        encoded = store.get_blob(self.stored_reprs[str(rep_id)][0])
         started = time.perf_counter()
         failure = None
         try:
@@ -348,7 +365,7 @@ class _PlanRun:
             )
         raw_ref = store.put_blob(canon.canonical_encode(raw))
         run = EngineRunRecord.create(
-            rep.repr_id,
+            rep_id,
             plan.engine_name,
             plan.engine_version,
             plan.query,
@@ -357,7 +374,7 @@ class _PlanRun:
             status="ok" if failure is None else "failed",
         )
         # A chain already stored would only have its inserts ignored.
-        decisions = self.stored_chains.get((str(rep.repr_id), str(run.run_id)), ())
+        decisions = self.stored_chains.get((str(rep_id), str(run.run_id)), ())
         if not decisions:
             store.put_record(run)
         if failure is not None:
@@ -366,7 +383,7 @@ class _PlanRun:
         entry = FMapEntry.create(
             plan.experiment_id,
             plan.snapshot_id,
-            rep.repr_id,
+            rep_id,
             run.run_id,
             decision.decision_id,
             plan.plan_id,
@@ -382,31 +399,17 @@ def declare_representations(
 ) -> list[RepresentationRecord]:
     """Encode and persist one representation per grid point, in grid order.
 
-    A point whose row and blob are stored is encoded once; bytes that do
-    not hash to its ``encoded_artifact_ref`` mean the factory drifted
-    under its (name, version). Every other point is encoded twice, and
-    differing bytes mean the factory is not deterministic. Either refusal
-    comes before anything is written for its point. Rows are written in
-    one store batch, so the points declared before a refusal stay stored.
+    A point whose row is stored is encoded once; bytes that do not hash
+    to its ``encoded_artifact_ref`` mean the factory drifted under its
+    (name, version), and bytes that do are stored again if their blob
+    was deleted. Every other point is encoded twice, and differing bytes
+    mean the factory is not deterministic. Either refusal comes before
+    anything is written for its point. Rows are written in one batch, so
+    the points declared before a refusal stay stored.
     """
-    plan_run = _PlanRun(store, plan, factory=factory)
     with store.batch():
-        filters = {c: getattr(plan, c) for c in ("snapshot_id", "factory_name", "factory_version")}
-        stored = RepresentationRecord.TABLE.select(store._execute, filters)
-        plan_run.stored_reprs = {record.repr_id: record for record in stored}
+        plan_run = _PlanRun(store, plan, factory=factory)
         return [plan_run.declare(p, plan.repr_id(p)) for p in plan.grid_points()]
-
-
-# A plan's f_map rows under one experiment whose snapshot, representation,
-# run and decision rows all exist: storing such a chain again writes nothing.
-_STORED_CHAINS_SQL = (
-    "SELECT repr_id, run_id, decision_id FROM f_map AS f"
-    " WHERE experiment_id = ? AND plan_id = ?"
-    + "".join(
-        f" AND EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
-        for column, table in FMapEntry.TABLE.references.items()
-    )
-)
 
 
 def execute_sweep(
@@ -421,13 +424,10 @@ def execute_sweep(
     the completed entries attached, once the batch holding every row of
     the sweep has committed.
     """
-    plan_run = _PlanRun(store, plan, engine=engine)
     entries = []
     failures = []
     with store.batch():
-        rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, str(plan.plan_id)))
-        for rep_id, run_id, decision_id in rows:
-            plan_run.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
+        plan_run = _PlanRun(store, plan, engine=engine)
         for params in plan.grid_points():
             entry, failure = plan_run.run(params, plan.repr_id(params))
             if entry is not None:
@@ -473,6 +473,15 @@ class DecisionMap:
         return self.points.values()
 
 
+def _map_rows(store: Store, plan: SweepPlan) -> dict[str, FMapEntry]:
+    """Each representation's row on the plan's map: its first f_map row in
+    query_fmap order, the decision a point with more than one row shows."""
+    rows: dict[str, FMapEntry] = {}
+    for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
+        rows.setdefault(str(entry.repr_id), entry)
+    return rows
+
+
 def materialize_map(
     store: Store, plan_id: Union[str, Identifier], experiment_id: str
 ) -> DecisionMap:
@@ -482,9 +491,7 @@ def materialize_map(
     order, the row refine_boundary reads for the same point.
     """
     plan = load_plan(store, plan_id, experiment_id)
-    by_repr: dict[str, FMapEntry] = {}
-    for entry in store.query_fmap(experiment_id, plan_id=plan.plan_id):
-        by_repr.setdefault(str(entry.repr_id), entry)
+    by_repr = _map_rows(store, plan)
     points = {}
     for params in plan.grid_points():
         entry = by_repr.get(str(plan.repr_id(params)))
@@ -615,40 +622,38 @@ def refine_boundary(
     neither endpoint, which reports the interval as multi-region. All
     rows are written in one store batch.
     """
-    plan_run = _PlanRun(store, plan, factory, engine, axis)
-    try:
-        lo = Decimal(interval[0])
-        hi = Decimal(interval[1])
-        res = None if resolution is None else Decimal(resolution)
-    except (InvalidOperation, TypeError) as exc:
-        raise ValidationError(
-            f"interval endpoints and resolution must be decimal strings: {exc}"
-        ) from exc
-    if any(value is not None and not value.is_finite() for value in (lo, hi, res)):
-        raise ValidationError("interval endpoints and resolution must be finite")
-    if not lo < hi:
-        raise ValidationError(f"interval is empty: [{interval[0]}, {interval[1]}]")
-    if max_evals < 0:
-        raise ValidationError("max_evals must be non-negative")
     with store.batch(), localcontext() as ctx:
+        plan_run = _PlanRun(store, plan, factory, engine, axis)
+        try:
+            lo, hi = Decimal(interval[0]), Decimal(interval[1])
+            res = None if resolution is None else Decimal(resolution)
+        except (InvalidOperation, TypeError) as exc:
+            raise ValidationError(
+                f"interval endpoints and resolution must be decimal strings: {exc}"
+            ) from exc
+        if any(value is not None and not value.is_finite() for value in (lo, hi, res)):
+            raise ValidationError("interval endpoints and resolution must be finite")
+        if not lo < hi:
+            raise ValidationError(f"interval is empty: [{interval[0]}, {interval[1]}]")
+        if max_evals < 0:
+            raise ValidationError("max_evals must be non-negative")
         ctx.prec = 60
         if res is None:
             res = (hi - lo) * Decimal("0.000001")
 
         def decide(value: Decimal) -> Identifier:
-            """Decision at one point: its f_map row when the point is
-            already on the map, else a run through the full chain."""
+            """Decision at one point: its row on the map when it has one,
+            else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
-                if entry.repr_id == rep_id:
-                    return entry.decision_id
-            entry, failure = plan_run.run(params, rep_id)
+            entry = _map_rows(store, plan).get(str(rep_id))
             if entry is None:
-                raise SweepExecutionError(
-                    f"engine failed at {params}: {failure}",
-                    failures=[(params, failure)],
-                )
+                entry, failure = plan_run.run(params, rep_id)
+                if entry is None:
+                    raise SweepExecutionError(
+                        f"engine failed at {params}: {failure}",
+                        failures=[(params, failure)],
+                    )
             return entry.decision_id
 
         lo_dec = decide(lo)

@@ -768,6 +768,30 @@ class TestFileWorkflow:
         assert err.startswith("error:")
         assert named in err
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"axes": [{"param": "neighbor_weight", "values": [1, 3]}]}, "axis 'neighbor_weight'"),
+            ({"fixed_params": {"second_order_weight": 2}}, "fixed parameter 'second_order_weight'"),
+        ],
+        ids=["number-axis-value", "number-fixed-param"],
+    )
+    def test_non_string_plan_value_exits_one(self, tmp_path, capsys, world_files, change, named):
+        root, graph_file, policy_file, pol_id = world_files
+        db = str(root / "db")
+        snap_id = self.freeze(db, graph_file, capsys)
+        plan_path = self.plan_file(root, snap_id, pol_id)
+        plan_path.write_text(json.dumps({**json.loads(plan_path.read_text()), **change}))
+        code = cli.main(
+            ["sweep", "run", "--db", db, "--plan", str(plan_path), "--policy", str(policy_file),
+             "--experiment", "x"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        _, counts = run_json(capsys, ["inspect", "--db", db])
+        assert counts["tables"]["representations"] == 0
+
     def test_missing_plan_file_named_plainly(self, tmp_path, capsys, world_files):
         root, graph_file, _, _ = world_files
         db = str(root / "db")

@@ -144,6 +144,22 @@ class TestPlans:
         with pytest.raises(ValidationError, match="not a number"):
             make_plan(st, *world, xs=("1", value))
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"axes": [{"param": "x", "values": [1, 3]}]}, "axis 'x' value 1"),
+            ({"axes": [{"param": "x", "values": ["1", True]}]}, "axis 'x' value True"),
+            ({"fixed_params": {"gain": 2}}, "fixed parameter 'gain' value 2"),
+        ],
+        ids=["number-axis-value", "bool-axis-value", "number-fixed-param"],
+    )
+    def test_non_string_plan_value_rejected(self, st, world, change, named):
+        # A number would name another representation than its decimal
+        # string, the spelling refine gives an endpoint.
+        payload = {**make_plan(st, *world).payload(), **change}
+        with pytest.raises(ValidationError, match=f"{named} is not a string"):
+            sweep.SweepPlan.from_payload(payload, "exp")
+
     @pytest.mark.parametrize("name", ["snapshot_id", "policy_id"])
     def test_identifier_of_the_wrong_kind_rejected(self, st, world, name):
         plan = make_plan(st, *world)
@@ -364,6 +380,12 @@ class TestMaterialize:
         assert len({row.decision_id for row in rows}) == 2
         point = sweep.materialize_map(st, plan.plan_id, "exp").get({"x": "1"})
         assert (point.run_id, point.decision_id) == (rows[0].run_id, rows[0].decision_id)
+        # Refine reads the same row for the point as an endpoint; x=9
+        # is a third label, so the endpoints' decisions differ.
+        refined = sweep.refine_boundary(
+            st, plan, "x", ("1", "9"), StepEngine(peak_at="9"), StepFactory(), 0
+        )
+        assert refined.lo_decision == point.decision_id
 
 
 class TestClassify:
@@ -732,6 +754,26 @@ class TestRerun:
         assert "factory step-table" in str(excinfo.value)
         assert "{'x': '1'}" in str(excinfo.value)
         assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+    def test_drifted_factory_refused_when_the_blob_was_deleted(self, st, world):
+        plan = make_plan(st, *world, xs=("1",))
+        run_plan(st, plan)
+        delete_blob(st, "representations", "encoded_artifact_ref")
+        counts, blobs = st.table_counts(), st.blob_count()
+        rep_id = plan.repr_id({"x": "1"})
+        with pytest.raises(DeterminismError, match=re.escape(str(rep_id))):
+            sweep.declare_representations(st, plan, DriftedFactory())
+        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+    def test_rerun_statements_do_not_grow_with_the_grid(self, st, world):
+        counts = []
+        for size in (4, 16):
+            plan = make_plan(st, *world, xs=[str(x) for x in range(size)])
+            run_plan(st, plan)
+            statements = traced(st)
+            run_plan(st, plan)
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize(
         "damage",
