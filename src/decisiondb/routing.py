@@ -175,13 +175,16 @@ class CostRepresentation:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "CostRepresentation":
-        return cls(
-            params=dict(payload["params"]),
-            node_ids=tuple(payload["nodes"]),
-            edge_costs={
-                (e["from"], e["to"]): e["cost"] for e in payload["edges"]
-            },
-        )
+        try:
+            return cls(
+                params=dict(payload["params"]),
+                node_ids=tuple(payload["nodes"]),
+                edge_costs={
+                    (e["from"], e["to"]): e["cost"] for e in payload["edges"]
+                },
+            )
+        except KeyError as exc:
+            raise ValidationError(f"representation payload is missing key {exc.args[0]!r}") from exc
 
 
 def _parse_weight(name: str, value: str) -> Decimal:
@@ -350,23 +353,28 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
         ctx.prec = 50
         forward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
         backward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
-        for (tail, head), cost_text in rep.edge_costs.items():
-            try:
-                cost = Decimal(cost_text)
-            except (InvalidOperation, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"edge ({tail}, {head}) cost {cost_text!r} is not a decimal string"
-                ) from exc
-            if not cost.is_finite():
-                raise ValidationError(
-                    f"edge ({tail}, {head}) has non-finite cost {cost_text}"
-                )
-            if cost <= 0:
-                raise ValidationError(
-                    f"edge ({tail}, {head}) has non-positive cost {cost_text}"
-                )
-            forward[tail].append((head, cost))
-            backward[head].append((tail, cost))
+        try:
+            for (tail, head), cost_text in rep.edge_costs.items():
+                try:
+                    cost = Decimal(cost_text)
+                except (InvalidOperation, TypeError, ValueError) as exc:
+                    raise ValidationError(
+                        f"edge ({tail}, {head}) cost {cost_text!r} is not a decimal string"
+                    ) from exc
+                if not cost.is_finite():
+                    raise ValidationError(
+                        f"edge ({tail}, {head}) has non-finite cost {cost_text}"
+                    )
+                if cost <= 0:
+                    raise ValidationError(
+                        f"edge ({tail}, {head}) has non-positive cost {cost_text}"
+                    )
+                forward[tail].append((head, cost))
+                backward[head].append((tail, cost))
+        except KeyError as exc:
+            raise ValidationError(
+                f"edge ({tail}, {head}) names node {exc.args[0]!r}, which is not in nodes"
+            ) from exc
 
         cost_to_end: dict[int, Decimal] = {}
         heap: list[tuple[Decimal, int]] = [(zero, end)]

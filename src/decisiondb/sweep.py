@@ -178,8 +178,14 @@ _PLAN_FIELD_TYPES = {
 
 def _normalize_axis(axis: Axis) -> Axis:
     """Sort axis values ascending by numeric value, dropping duplicates."""
+    if not isinstance(axis.param, str):
+        raise ValidationError(f"axis parameter name {axis.param!r} is not a string")
     if not axis.param:
         raise ValidationError("axis parameter name must not be empty")
+    if isinstance(axis.values, str):
+        raise ValidationError(
+            f"axis {axis.param!r} values {axis.values!r} are a string, not a sequence of strings"
+        )
     if not axis.values:
         raise ValidationError(f"axis {axis.param!r} has no values")
     first_spelling: dict[Decimal, str] = {}
@@ -255,6 +261,17 @@ _STORED_CHAINS_SQL = (
     )
 )
 
+# Each representation of a (snapshot, factory name, factory version) with
+# exactly one ok run under an (engine name, engine version, query): that
+# run's id and raw output blob. A group of one row gives its own columns.
+_SOLE_RUNS_SQL = (
+    "SELECT r.repr_id, e.run_id, e.raw_output_ref"
+    " FROM engine_runs AS e JOIN representations AS r ON r.repr_id = e.repr_id"
+    " WHERE r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
+    " AND e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
+    " GROUP BY r.repr_id HAVING COUNT(*) = 1"
+)
+
 
 class _PlanRun:
     """One call's checked hold on a plan: declares or runs its points.
@@ -265,8 +282,9 @@ class _PlanRun:
     the persisted plan and loads the policy; with a factory it loads the
     snapshot's artifacts. Last it reads, once per call and inside the
     call's batch, what the store holds for the plan: its representation
-    rows and, with an engine, its chains. A point found there is checked,
-    not stored again.
+    rows and, with an engine, its chains and the points with exactly one
+    ok run. A point found there is checked, not stored again, and a
+    point with one run takes its decision from that run.
     """
 
     def __init__(
@@ -308,10 +326,19 @@ class _PlanRun:
         self.stored_reprs = {row[0]: row[1:] for row in rows}
         # (repr id, run id) -> decision ids of the plan's stored chains
         self.stored_chains = {}
+        # repr id -> (run id, raw_output_ref) of its one stored ok run
+        self.sole_runs = {}
         if engine is not None:
             rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, str(plan.plan_id)))
             for rep_id, run_id, decision_id in rows:
                 self.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
+            query = canon.canonical_encode(plan.query).decode("utf-8")
+            rows = store._execute(
+                _SOLE_RUNS_SQL,
+                (str(plan.snapshot_id), plan.factory_name, plan.factory_version,
+                 plan.engine_name, plan.engine_version, query),
+            )
+            self.sole_runs = {row[0]: row[1:] for row in rows}
 
     def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
         """Encode a stored point once, refuse bytes not hashing to its row's
@@ -341,16 +368,54 @@ class _PlanRun:
     def run(
         self, params: Mapping[str, str], rep_id: Identifier
     ) -> tuple[Optional[FMapEntry], Optional[str]]:
-        """Evaluate one point, declaring it first when it is not stored
-        and this run has a factory; returns (entry, None) or (None, failure)."""
+        """Decide one point, declaring it first when it is not stored and
+        this run has a factory; returns (entry, None) or (None, failure).
+
+        A point with exactly one stored ok run re-extracts its decision
+        from that run's raw output, read verified, and the engine is not
+        called; a deleted output is evaluated again, which stores it."""
         store, plan = self.store, self.plan
-        if str(rep_id) not in self.stored_reprs:
+        key = str(rep_id)
+        if key not in self.stored_reprs:
             if self.factory is None:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
                 )
             self.declare(params, rep_id)
-        encoded = store.get_blob(self.stored_reprs[str(rep_id)][0])
+        # Read verified even when the stored run's output is used instead.
+        encoded = store.get_blob(self.stored_reprs[key][0])
+        sole, raw = self.sole_runs.get(key), None
+        if sole is not None:
+            try:
+                raw = canon.canonical_decode(store.get_blob(sole[1]))
+            except ReferentialError:
+                pass  # a deleted raw output: evaluating again stores it
+        if raw is not None:
+            run_id = canon.parse_identifier(sole[0])
+        else:
+            run_id, raw, failure = self._evaluate(encoded, rep_id)
+            if failure is not None:
+                return None, failure
+        decision = extract_decision(raw, self.policy)
+        entry = FMapEntry.create(
+            plan.experiment_id,
+            plan.snapshot_id,
+            rep_id,
+            run_id,
+            decision.decision_id,
+            plan.plan_id,
+        )
+        if str(decision.decision_id) not in self.stored_chains.get((key, str(run_id)), ()):
+            store.put_record(decision)
+            store.put_record(entry)
+        return entry, None
+
+    def _evaluate(
+        self, encoded: bytes, rep_id: Identifier
+    ) -> tuple[Identifier, Mapping[str, Any], Optional[str]]:
+        """Call the engine and store its raw output and run; returns the
+        run id, the output and the failure message, if any."""
+        store, plan = self.store, self.plan
         started = time.perf_counter()
         failure = None
         try:
@@ -374,24 +439,9 @@ class _PlanRun:
             status="ok" if failure is None else "failed",
         )
         # A chain already stored would only have its inserts ignored.
-        decisions = self.stored_chains.get((str(rep_id), str(run.run_id)), ())
-        if not decisions:
+        if (str(rep_id), str(run.run_id)) not in self.stored_chains:
             store.put_record(run)
-        if failure is not None:
-            return None, failure
-        decision = extract_decision(raw, self.policy)
-        entry = FMapEntry.create(
-            plan.experiment_id,
-            plan.snapshot_id,
-            rep_id,
-            run.run_id,
-            decision.decision_id,
-            plan.plan_id,
-        )
-        if str(decision.decision_id) not in decisions:
-            store.put_record(decision)
-            store.put_record(entry)
-        return entry, None
+        return run.run_id, raw, failure
 
 
 def declare_representations(

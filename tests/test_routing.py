@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
-from decisiondb import canon, routing
+from decisiondb import canon, routing, sweep
 from decisiondb.errors import EngineFailure, UnreachableError, ValidationError
 from decisiondb.routing import (
     CostRepresentation,
@@ -24,6 +25,7 @@ from decisiondb.routing import (
     dijkstra_route,
     generate_demo_graph,
 )
+from decisiondb.store import open_store
 
 
 def make_graph(nodes, edges):
@@ -472,6 +474,26 @@ class TestAdapters:
         with pytest.raises(ValidationError):
             engine.evaluate(encoded, query)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"edges": [{"from": 0, "to": 7, "cost": "1.000000000000"}]}, r"edge \(0, 7\) names node 7"),
+            ({"edges": [{"from": 0, "to": 1}]}, "missing key 'cost'"),
+            ({"params": None}, "missing key 'params'"),
+        ],
+        ids=["edge-to-unknown-node", "edge-without-cost", "no-params"],
+    )
+    def test_engine_refuses_a_malformed_representation(self, change, message):
+        payload = {
+            "nodes": [0, 1],
+            "edges": [{"from": 0, "to": 1, "cost": "1.000000000000"}],
+            "params": {},
+            "version": canon.SCHEMA_VERSION,
+        }
+        payload = {key: value for key, value in {**payload, **change}.items() if value is not None}
+        with pytest.raises(ValidationError, match=message):
+            routing.DijkstraEngine().evaluate(canon.canonical_encode(payload), {"start": 0, "end": 1})
+
     def test_engine_failure_on_unknown_node(self, artifacts):
         factory = routing.CostSurfaceFactory()
         engine = routing.DijkstraEngine()
@@ -502,3 +524,38 @@ class TestDemoArena:
         shared = {"neighbor_weight": "0.5", "second_order_weight": "0.25"}
         assert shared in grids[0]
         assert shared in grids[1]
+
+
+class CountingDijkstra(routing.DijkstraEngine):
+    calls = 0
+
+    def evaluate(self, representation, query):
+        self.calls += 1
+        return super().evaluate(representation, query)
+
+
+class TestDemoReuse:
+    def test_rerun_of_a_one_point_plan_calls_no_engine(self, tmp_path):
+        st = open_store(tmp_path / "db")
+        _, second_order = routing.persist_demo(st)
+        plan = sweep.persist_plan(
+            st, replace(second_order, axes=[sweep.Axis("second_order_weight", ("0.5",))])
+        )
+        first = routing.run_plan(st, plan)
+        statements = []
+        st._conn.set_trace_callback(statements.append)
+        engine = CountingDijkstra()
+        sweep.declare_representations(st, plan, routing.CostSurfaceFactory())
+        assert sweep.execute_sweep(st, plan, engine) == first
+        assert engine.calls == 0
+        assert not [s for s in statements if s.startswith("INSERT")]
+
+    def test_second_demo_plan_reuses_the_shared_point(self, tmp_path):
+        st = open_store(tmp_path / "db")
+        first, second = routing.persist_demo(st)
+        routing.run_plan(st, first)
+        engine = CountingDijkstra()
+        sweep.declare_representations(st, second, routing.CostSurfaceFactory())
+        sweep.execute_sweep(st, second, engine)
+        # (0.5, 0.25) is on both grids; only (0.5, 0.5) is new.
+        assert engine.calls == 1

@@ -11,13 +11,15 @@ import random
 import re
 import sqlite3
 import types
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from decisiondb import canon, store, sweep
+from decisiondb import canon, replay, store, sweep
 from decisiondb.errors import (
+    BlobCorruptionError,
     CanonicalizationError,
     DeterminismError,
     InvalidComparisonError,
@@ -26,8 +28,9 @@ from decisiondb.errors import (
     SweepExecutionError,
     ValidationError,
 )
-from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy
+from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy, persist_policy
 from decisiondb.store import open_store
+from test_replay import flip_byte
 from test_store import raw_rows, store_digest
 from toy_arena import (
     WINDOW,
@@ -159,6 +162,19 @@ class TestPlans:
         payload = {**make_plan(st, *world).payload(), **change}
         with pytest.raises(ValidationError, match=f"{named} is not a string"):
             sweep.SweepPlan.from_payload(payload, "exp")
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            (sweep.Axis(param=1, values=("1",)), "axis parameter name 1 is not a string"),
+            (sweep.Axis(param="x", values="13"), "axis 'x' values '13' are a string"),
+        ],
+        ids=["number-param", "string-values"],
+    )
+    def test_bad_axis_shape_rejected_at_construction(self, st, world, axis, message):
+        # A string of values would sweep its characters, x = 1 and 3.
+        with pytest.raises(ValidationError, match=message):
+            make_plan(st, *world, axes=[axis])
 
     @pytest.mark.parametrize("name", ["snapshot_id", "policy_id"])
     def test_identifier_of_the_wrong_kind_rejected(self, st, world, name):
@@ -375,6 +391,9 @@ class TestMaterialize:
         plan = make_plan(st, *world, xs=("1",))
         engine = AlternatingEngine()
         run_plan(st, plan, engine)
+        # Without its raw output the point's one run cannot be reused,
+        # so the second call evaluates it again.
+        delete_blob(st, "engine_runs", "raw_output_ref")
         run_plan(st, plan, engine)
         rows = st.query_fmap("exp", plan_id=plan.plan_id)
         assert len({row.decision_id for row in rows}) == 2
@@ -690,7 +709,20 @@ class DriftedFactory(StepFactory):
         return super().encode(artifacts, {**params, "gain": "2"})
 
 
-class CoinFlipEngine(StepEngine):
+class CountingEngine(StepEngine):
+    """A StepEngine that lists the x of every point it evaluates."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.evaluated = []
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        self.evaluated.append(raw["x"])
+        return raw
+
+
+class CoinFlipEngine(CountingEngine):
     """Answers a label of the point's own on a seeded coin flip, so some
     points' outputs differ from a StepEngine run and the rest do not."""
 
@@ -797,12 +829,21 @@ class TestRerun:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_rerun_stores_each_output_that_differs(self, st, world, seed):
+        # A point's one stored run is reused, so a drifting engine is not
+        # called and changes nothing. Only a point whose raw output was
+        # deleted is evaluated again; its answer is the first coin flip,
+        # which seed 3 flips and seed 17 does not.
         plan = make_plan(st, *world, xs=[str(x) for x in range(8)])
         run_plan(st, plan)
-        before = st.table_counts()
+        before, blobs = st.table_counts(), st.blob_count()
         engine = CoinFlipEngine(seed)
         run_plan(st, plan, engine)
-        assert 0 < len(engine.flipped) < 8
+        assert engine.evaluated == []
+        assert (st.table_counts(), st.blob_count()) == (before, blobs)
+        delete_blob(st, "engine_runs", "raw_output_ref", index=3)
+        run_plan(st, plan, engine)
+        assert len(engine.evaluated) == 1
+        assert engine.flipped == (engine.evaluated if seed == 3 else [])
         added = {table: st.table_counts()[table] - before[table] for table in before}
         flipped = len(engine.flipped)
         assert added == {
@@ -812,3 +853,103 @@ class TestRerun:
             "decisions": flipped,
             "f_map": flipped,
         }
+
+
+class TestReuse:
+    """A point with exactly one stored ok run takes its decision from that
+    run's raw output, read verified, and the engine is not called."""
+
+    def test_rerun_calls_no_engine_and_runs_no_insert(self, st, world):
+        plan = make_plan(st, *world)
+        first = run_plan(st, plan)
+        engine = CountingEngine()
+        statements = traced(st)
+        assert run_plan(st, plan, engine) == first
+        assert engine.evaluated == []
+        assert not [s for s in statements if s.startswith("INSERT")]
+
+    def test_plan_differing_only_in_policy_reuses_each_run(self, st, world, tmp_path):
+        snap, _ = world
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        before = st.table_counts()
+        pol_id = persist_policy(st, EquivalencePolicy(hash_source=("x",)))
+        other = make_plan(st, snap, pol_id)
+        engine = CountingEngine()
+        entries = run_plan(st, other, engine)
+        assert engine.evaluated == []
+        added = {table: st.table_counts()[table] - before[table] for table in before}
+        assert added == {
+            "snapshots": 0, "representations": 0, "engine_runs": 0, "decisions": 4, "f_map": 4
+        }
+        assert replay.replay_all(st, "exp", deep=True).ok
+        # A fresh store running only that plan writes the same rows.
+        fresh = open_store(tmp_path / "fresh")
+        fresh_snap, _ = setup_world(fresh)
+        persist_policy(fresh, EquivalencePolicy(hash_source=("x",)))
+        assert run_plan(fresh, make_plan(fresh, fresh_snap, pol_id)) == entries
+
+        def written(store, table, column, value):
+            rows = [row for row in raw_rows(store, table) if row[column] == str(value)]
+            return [{k: v for k, v in row.items() if k != "created_at"} for row in rows]
+
+        for table, column, value in (
+            ("decisions", "policy_id", pol_id),
+            ("f_map", "plan_id", other.plan_id),
+        ):
+            assert written(st, table, column, value) == written(fresh, table, column, value)
+
+    def test_plan_with_another_query_calls_the_engine(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        other = sweep.persist_plan(st, replace(plan, query={"q": 2}))
+        engine = CountingEngine()
+        run_plan(st, other, engine)
+        assert engine.evaluated == ["1", "3", "7", "9"]
+
+    def test_corrupt_raw_output_refused_before_any_write(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        ref = raw_rows(st, "engine_runs")[2]["raw_output_ref"]
+        flip_byte(st, ref)
+        counts, blobs = st.table_counts(), st.blob_count()
+        with pytest.raises(BlobCorruptionError, match=f"blob {ref} re-hashes"):
+            run_plan(st, plan)
+        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+    def test_point_with_two_ok_runs_is_evaluated(self, st, world):
+        # x=1 gets a second ok run with another output; x=9 keeps one.
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        rep_id = plan.repr_id({"x": "1"})
+        other = {"label": "other", "x": "1", "echo": {"q": 1}, "version": "1"}
+        run = store.EngineRunRecord.create(
+            rep_id, "step-compare", "1", {"q": 1}, st.put_blob(canon.canonical_encode(other)), "0"
+        )
+        st.put_record(run)
+        counts, blobs = st.table_counts(), st.blob_count()
+        engine = CountingEngine()
+        run_plan(st, plan, engine)
+        # Its output matches the first run, whose chain is stored.
+        assert engine.evaluated == ["1"]
+        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+    def test_failed_runs_alone_are_evaluated_again(self, st, world):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        sweep.declare_representations(st, plan, StepFactory())
+        with pytest.raises(SweepExecutionError):
+            sweep.execute_sweep(st, plan, StepEngine(refuse={"1"}))
+        engine = CountingEngine()
+        run_plan(st, plan, engine)
+        assert engine.evaluated == ["1"]
+        assert st.table_counts()["engine_runs"] == 3
+
+    def test_corrupt_representation_refused_before_any_write(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        ref = raw_rows(st, "representations")[1]["encoded_artifact_ref"]
+        flip_byte(st, ref)
+        counts, blobs = st.table_counts(), st.blob_count()
+        with pytest.raises(BlobCorruptionError, match=f"blob {ref} re-hashes"):
+            sweep.execute_sweep(st, plan, StepEngine())
+        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
