@@ -13,7 +13,6 @@ import hashlib
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any, Optional, Union
 
@@ -35,53 +34,51 @@ _PAYLOAD_HASH_RE = re.compile(r"[0-9a-f]{16}")
 CanonicalValue = Union[None, bool, int, str, list, tuple, dict[str, Any]]
 
 
-@dataclass(frozen=True)
-class Identifier:
-    """Typed content-derived key, rendered as ``<prefix>_<16 hex chars>``."""
+class Identifier(str):
+    """Typed content-derived key that is its own text, ``<prefix>_<16 hex
+    chars>``: built from its two parts, which are checked."""
 
-    prefix: str
-    digest16: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prefix not in PREFIXES:
-            raise IdentifierFormatError(f"unregistered identifier prefix: {self.prefix!r}")
-        if not _PAYLOAD_HASH_RE.fullmatch(self.digest16):
+    def __new__(cls, prefix: str, digest16: str) -> "Identifier":
+        if prefix not in PREFIXES:
+            raise IdentifierFormatError(f"unregistered identifier prefix: {prefix!r}")
+        if not _PAYLOAD_HASH_RE.fullmatch(digest16):
             raise IdentifierFormatError(
-                f"identifier digest must be {DIGEST_LENGTH} lowercase hex chars, got {self.digest16!r}"
+                f"identifier digest must be {DIGEST_LENGTH} lowercase hex chars, got {digest16!r}"
             )
+        return str.__new__(cls, f"{prefix}_{digest16}")
 
-    def __str__(self) -> str:
-        return f"{self.prefix}_{self.digest16}"
+    @property
+    def prefix(self) -> str:
+        return self[: -DIGEST_LENGTH - 1]
 
+    @property
+    def digest16(self) -> str:
+        return self[-DIGEST_LENGTH:]
 
-def _trusted_identifier(prefix: str, digest16: str) -> Identifier:
-    """An Identifier from parts the caller has already checked, built
-    without running ``__post_init__``'s checks a second time."""
-    ident = object.__new__(Identifier)
-    attrs = ident.__dict__
-    attrs["prefix"] = prefix
-    attrs["digest16"] = digest16
-    return ident
+    def __getnewargs__(self) -> tuple[str, str]:
+        # pickle and copy rebuild an identifier from its parts, not its text.
+        return self.prefix, self.digest16
 
 
 _KINDS = dict(snap="snapshot", repr="representation", run="engine run",
               dec="decision", pol="policy", plan="plan")
 
 
-def parse_identifier(
-    value: Union[str, Identifier], prefix: Optional[str] = None
-) -> Identifier:
-    """Parse an identifier string; an Identifier passes through as is.
+def parse_identifier(value: str, prefix: Optional[str] = None) -> Identifier:
+    """Parse an identifier's text; an Identifier passes through as is.
 
-    A malformed string raises IdentifierFormatError. When ``prefix`` is
-    given, a well-formed identifier of another kind raises
+    Anything else, a string that is not ``<prefix>_<16 hex chars>`` or a
+    value that is not a string, raises IdentifierFormatError. When
+    ``prefix`` is given, a well-formed identifier of another kind raises
     ValidationError.
     """
-    if isinstance(value, str):
-        m = _IDENTIFIER_RE.fullmatch(value)
-        if m is None:
+    if not isinstance(value, Identifier):
+        if not isinstance(value, str) or _IDENTIFIER_RE.fullmatch(value) is None:
             raise IdentifierFormatError(f"malformed identifier: {value!r}")
-        value = _trusted_identifier(m.group(1), m.group(2))
+        # Checked just above, so Identifier's own checks are skipped.
+        value = str.__new__(Identifier, value)
     if prefix is not None and value.prefix != prefix:
         raise ValidationError(f"not a {_KINDS[prefix]} identifier: {value}")
     return value
@@ -92,12 +89,13 @@ def is_payload_hash(text: str) -> bool:
     return isinstance(text, str) and _PAYLOAD_HASH_RE.fullmatch(text) is not None
 
 
-_PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
+_PLAIN_SCALARS = frozenset((str, Identifier, int, bool, type(None)))
 
 
 def _is_plain(value: Any) -> bool:
-    """True if the tree holds only exact dict/list/tuple/str/int/bool/None
-    with str keys: the common case, checked without building paths.
+    """True if the tree holds only exact dict/list/tuple/str/Identifier/
+    int/bool/None with str keys: the common case, checked without
+    building paths.
 
     Anything else, valid or not, is left to _validate.
     """
@@ -244,7 +242,7 @@ def content_id(prefix: str, payload: Mapping[str, Any]) -> Identifier:
     if "version" not in payload:
         raise CanonicalizationError("content-addressed payload is missing a version field")
     # The prefix is checked above and a hex digest is well formed.
-    return _trusted_identifier(prefix, payload_hash(canonical_encode(payload)))
+    return str.__new__(Identifier, f"{prefix}_{payload_hash(canonical_encode(payload))}")
 
 
 def decimal_string(value: Decimal) -> str:

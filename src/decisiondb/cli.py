@@ -52,14 +52,13 @@ class DecisionLetters:
     def __init__(self):
         self.assigned: dict[str, str] = {}
 
-    def label(self, decision_id) -> str:
-        key = str(decision_id)
-        if key not in self.assigned:
+    def label(self, decision_id: str) -> str:
+        if decision_id not in self.assigned:
             index = len(self.assigned)
-            self.assigned[key] = (
+            self.assigned[decision_id] = (
                 chr(ord("A") + index) if index < 26 else f"D{index}"
             )
-        return self.assigned[key]
+        return self.assigned[decision_id]
 
     def legend(self) -> list[str]:
         return [f"{letter} = {key}" for key, letter in self.assigned.items()]
@@ -93,11 +92,11 @@ def axis_report_payload(
     store: Store, dmap: sweep.DecisionMap, axis: str
 ) -> dict:
     payload = sweep.classify_axis(dmap, axis).to_payload()
-    payload["plan_id"] = str(dmap.plan.plan_id)
+    payload["plan_id"] = dmap.plan.plan_id
     payload["points"] = [
         {
             "params": dict(point.params),
-            "decision_id": str(point.decision_id),
+            "decision_id": point.decision_id,
             "route_nodes": route_length(store, point.run_id),
         }
         for point in dmap.values()
@@ -194,7 +193,7 @@ def cmd_freeze(store: Store, args) -> dict:
         artifacts[name] = load_payload_file(path)
     snap = sweep.freeze_snapshot(store, artifacts, tuple(args.window))
     return {
-        "snapshot_id": str(snap.snapshot_id),
+        "snapshot_id": snap.snapshot_id,
         "artifacts": sorted(artifacts),
         "time_window": list(snap.time_window),
     }
@@ -205,9 +204,9 @@ def cmd_demo_generate(store: Store, args) -> dict:
     return {
         "experiment_id": routing.DEMO_EXPERIMENT,
         "seed": args.seed,
-        "snapshot_id": str(plans[0].snapshot_id),
-        "policy_id": str(plans[0].policy_id),
-        "plan_ids": [str(plan.plan_id) for plan in plans],
+        "snapshot_id": plans[0].snapshot_id,
+        "policy_id": plans[0].policy_id,
+        "plan_ids": [plan.plan_id for plan in plans],
     }
 
 
@@ -249,7 +248,7 @@ def cmd_sweep_run(store: Store, args) -> dict:
         plan = sweep.load_plan(store, args.plan, args.experiment)
     entries = routing.run_plan(store, plan)
     return {
-        "plan_id": str(plan.plan_id),
+        "plan_id": plan.plan_id,
         "experiment_id": plan.experiment_id,
         "entries": len(entries),
     }
@@ -265,14 +264,14 @@ def cmd_map(store: Store, args) -> dict:
     points = [
         {
             "params": dict(point.params),
-            "repr_id": str(point.repr_id),
-            "run_id": str(point.run_id),
-            "decision_id": str(point.decision_id),
+            "repr_id": point.repr_id,
+            "run_id": point.run_id,
+            "decision_id": point.decision_id,
         }
         for point in dmap.values()
     ]
     return {
-        "plan_id": str(dmap.plan.plan_id),
+        "plan_id": dmap.plan.plan_id,
         "experiment_id": args.experiment,
         "points": points,
     }

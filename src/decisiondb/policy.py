@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -116,7 +116,7 @@ def persist_policy(store: Store, policy: EquivalencePolicy) -> Identifier:
     return ident
 
 
-def load_policy(store: Store, policy_id: Union[str, Identifier]) -> EquivalencePolicy:
+def load_policy(store: Store, policy_id: str) -> EquivalencePolicy:
     policy_id = canon.parse_identifier(policy_id, "pol")
     data = store.get_blob(policy_id.digest16)
     return EquivalencePolicy.from_payload(canon.canonical_decode(data))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -70,7 +70,7 @@ class ReplayReport:
 
     def to_payload(self) -> dict:
         return {
-            "entry": {name: str(getattr(self.entry, name)) for name in _ENTRY_FIELDS},
+            "entry": {name: getattr(self.entry, name) for name in _ENTRY_FIELDS},
             "checks": [check.to_payload() for check in self.checks],
             "ok": self.ok,
             "version": SCHEMA_VERSION,
@@ -183,9 +183,9 @@ def replay_entry(
 
     checks = [
         FieldCheck("raw_output_ref", raw_ref, raw_actual),
-        FieldCheck("policy_id", str(decision.policy_id), f"pol_{pol_actual_hash}"),
+        FieldCheck("policy_id", decision.policy_id, f"pol_{pol_actual_hash}"),
         FieldCheck("payload_hash", decision.payload_hash, recomputed_hash),
-        FieldCheck("decision_id", str(entry.decision_id), str(recomputed_decision)),
+        FieldCheck("decision_id", entry.decision_id, recomputed_decision),
     ]
 
     if deep:
@@ -210,10 +210,7 @@ def replay_entry(
             ("run_links_representation", entry.repr_id, run.repr_id),
             ("representation_links_snapshot", entry.snapshot_id, rep.snapshot_id),
         )
-        checks.extend(
-            FieldCheck(field, str(persisted), str(recomputed))
-            for field, persisted, recomputed in rows
-        )
+        checks.extend(FieldCheck(*row) for row in rows)
 
     return ReplayReport(entry=entry, checks=tuple(checks))
 
@@ -289,7 +286,7 @@ def _replay(
 def replay_all(
     store: Store,
     experiment_id: str,
-    plan_id: Optional[Union[str, Identifier]] = None,
+    plan_id: Optional[str] = None,
     deep: bool = False,
 ) -> AggregateReport:
     """Replay an experiment's whole map, capturing per-entry failures.
@@ -305,7 +302,7 @@ def replay_all(
 
 
 def replay_decision(
-    store: Store, decision_id: Union[str, Identifier], deep: bool = False
+    store: Store, decision_id: str, deep: bool = False
 ) -> AggregateReport:
     """Replay every map entry behind one decision, like ``replay_all``."""
     decision_id = canon.parse_identifier(decision_id, "dec")
@@ -314,4 +311,4 @@ def replay_decision(
         raise BrokenChainError(
             f"decision {decision_id} has no map entry linking it to a run"
         )
-    return _replay(store, {"decision_id": str(decision_id)}, entries, deep)
+    return _replay(store, {"decision_id": decision_id}, entries, deep)

@@ -174,17 +174,23 @@ class CostRepresentation:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "CostRepresentation":
-        try:
-            return cls(
-                params=dict(payload["params"]),
-                node_ids=tuple(payload["nodes"]),
-                edge_costs={
-                    (e["from"], e["to"]): e["cost"] for e in payload["edges"]
-                },
-            )
-        except KeyError as exc:
-            raise ValidationError(f"representation payload is missing key {exc.args[0]!r}") from exc
+    def from_payload(cls, payload: Any) -> "CostRepresentation":
+        """Read a decoded representation; one of another shape raises
+        ValidationError naming the part at fault."""
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"representation payload is a {type(payload).__name__}, not a mapping")
+        parts = []
+        for key, read in (
+            ("params", dict), ("nodes", tuple),
+            ("edges", lambda edges: {(e["from"], e["to"]): e["cost"] for e in edges}),
+        ):
+            try:
+                parts.append(read(payload[key]))
+            except KeyError as exc:
+                raise ValidationError(f"representation payload is missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"representation {key} are malformed: {exc}") from exc
+        return cls(*parts)
 
 
 def _parse_weight(name: str, value: str) -> Decimal:
@@ -340,7 +346,10 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
     is strictly below the start's, and Dijkstra settles all of those
     before the start. Every edge is still checked for a finite, positive cost.
     """
-    known = set(rep.node_ids)
+    try:
+        known = set(rep.node_ids)
+    except TypeError as exc:
+        raise ValidationError(f"representation nodes are malformed: {exc}") from exc
     if start not in known:
         raise EngineFailure(f"start node {start} is not in the graph")
     if end not in known:

@@ -178,8 +178,6 @@ class Table:
     def row(self, record, payload: Optional[Mapping[str, Any]]) -> list:
         """Column values in insert order; JSON columns come from ``payload``."""
         values = list(self.values_of(record))
-        for at in self.ids:
-            values[at] = str(values[at])
         for at, name in self.jsons:
             values[at] = canon.canonical_encode(payload[name]).decode("utf-8")
         for at, _, _ in reversed(self.splits):
@@ -201,7 +199,7 @@ class Table:
         """Records whose columns equal every filter, in the declared order."""
         where = " AND ".join(f"{column} = ?" for column in filters)
         sql = f"{self.select_sql} WHERE {where}" if filters else self.select_sql
-        rows = execute(sql + self.order_sql, [str(v) for v in filters.values()])
+        rows = execute(sql + self.order_sql, list(filters.values()))
         return [self.record(row) for row in rows]
 
 
@@ -284,7 +282,7 @@ class RepresentationRecord(_Record):
         # The encoded artifact is a deterministic function of the other
         # fields, so its hash is deliberately not identifying.
         return {
-            "snapshot_id": str(self.snapshot_id),
+            "snapshot_id": self.snapshot_id,
             "factory_name": self.factory_name,
             "factory_version": self.factory_version,
             "params": dict(self.params),
@@ -315,7 +313,7 @@ class EngineRunRecord(_Record):
 
     def identifying_payload(self) -> dict:
         return {
-            "repr_id": str(self.repr_id),
+            "repr_id": self.repr_id,
             "engine_name": self.engine_name,
             "engine_version": self.engine_version,
             "query": self.query,
@@ -335,7 +333,7 @@ class DecisionRecord(_Record):
 
     def identifying_payload(self) -> dict:
         return {
-            "policy_id": str(self.policy_id),
+            "policy_id": self.policy_id,
             "payload_hash": self.payload_hash,
             "version": self.version,
         }
@@ -634,7 +632,7 @@ class Store:
         found = ()
         if table.references:
             idents = [getattr(record, column) for column in table.references]
-            (found,) = self._execute(table.references_sql, [str(ident) for ident in idents])
+            (found,) = self._execute(table.references_sql, idents)
             for column, ident, value in zip(table.references, idents, found):
                 if value is None:
                     raise ReferentialError(f"{owner} references missing {column} {ident}")
@@ -642,9 +640,8 @@ class Store:
             if not self.has_blob(ref):
                 raise ReferentialError(f"{owner} references missing blob {ref}")
         for at, column, message in table.link_checks:
-            expected = str(getattr(record, column))
-            if found[at] != expected:
-                raise IntegrityError(message.format(expected, found[at]))
+            if found[at] != getattr(record, column):
+                raise IntegrityError(message.format(getattr(record, column), found[at]))
         with self.batch():
             if not self._conn.in_transaction:
                 self._opened = time.monotonic()
@@ -656,7 +653,7 @@ class Store:
                 self._commit()
         return "inserted" if cur.rowcount else "ignored"
 
-    def get_record(self, ident: Union[str, Identifier]):
+    def get_record(self, ident: str):
         """Fetch the row addressed by an identifier, or None when absent.
 
         Policy and plan identifiers address blob-backed specs, not rows,
@@ -666,7 +663,7 @@ class Store:
         table = _BY_PREFIX.get(ident.prefix)
         if table is None:
             return None
-        rows = self._execute(table.select_by_key_sql, (str(ident),))
+        rows = self._execute(table.select_by_key_sql, (ident,))
         return table.record(rows[0]) if rows else None
 
     def table_counts(self) -> dict[str, int]:
@@ -675,8 +672,8 @@ class Store:
     def query_fmap(
         self,
         experiment_id: Optional[str] = None,
-        plan_id: Optional[Union[str, Identifier]] = None,
-        decision_id: Optional[Union[str, Identifier]] = None,
+        plan_id: Optional[str] = None,
+        decision_id: Optional[str] = None,
     ) -> list[FMapEntry]:
         """Map rows matching every filter given, in the f_map table's order."""
         filters = {} if experiment_id is None else {"experiment_id": experiment_id}

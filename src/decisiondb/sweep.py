@@ -12,7 +12,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any, Optional, Protocol, Union
+from typing import Any, Optional, Protocol
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -67,10 +67,10 @@ class Axis:
 class SweepPlan:
     """A declared sweep; constructing one normalizes it and derives its id.
 
-    Identifier fields accept their string form. Each axis's values are
-    sorted ascending and deduplicated, a parameter may be declared only
-    once, and ``plan_id`` is derived from ``payload()``. Pure; persists
-    nothing.
+    ``snapshot_id`` and ``policy_id`` are checked with ``parse_identifier``
+    against their kind. Each axis's values are sorted ascending and
+    deduplicated, a parameter may be declared only once, and ``plan_id``
+    is derived from ``payload()``. Pure; persists nothing.
     """
 
     plan_id: Identifier = field(init=False)
@@ -110,10 +110,8 @@ class SweepPlan:
     def payload(self) -> dict:
         # experiment_id scopes map rows but does not identify the plan itself.
         return {name: getattr(self, name) for name in _PLAN_FIELD_TYPES} | {
-            "snapshot_id": str(self.snapshot_id),
             "axes": [{"param": a.param, "values": list(a.values)} for a in self.axes],
             "fixed_params": dict(self.fixed_params),
-            "policy_id": str(self.policy_id),
         }
 
     @classmethod
@@ -236,7 +234,7 @@ def plan_sweep(store: Store, **kwargs) -> SweepPlan:
 
 
 def load_plan(
-    store: Store, plan_id: Union[str, Identifier], experiment_id: str
+    store: Store, plan_id: str, experiment_id: str
 ) -> SweepPlan:
     plan_id = canon.parse_identifier(plan_id, "plan")
     data = store.read_blob_unverified(plan_id.digest16)
@@ -321,7 +319,7 @@ class _PlanRun:
         rows = store._execute(
             "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
             " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?",
-            (str(plan.snapshot_id), plan.factory_name, plan.factory_version),
+            (plan.snapshot_id, plan.factory_name, plan.factory_version),
         )
         self.stored_reprs = {row[0]: row[1:] for row in rows}
         # (repr id, run id) -> decision ids of the plan's stored chains
@@ -329,13 +327,13 @@ class _PlanRun:
         # repr id -> (run id, raw_output_ref) of its one stored ok run
         self.sole_runs = {}
         if engine is not None:
-            rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, str(plan.plan_id)))
+            rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, plan.plan_id))
             for rep_id, run_id, decision_id in rows:
                 self.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
             query = canon.canonical_encode(plan.query).decode("utf-8")
             rows = store._execute(
                 _SOLE_RUNS_SQL,
-                (str(plan.snapshot_id), plan.factory_name, plan.factory_version,
+                (plan.snapshot_id, plan.factory_name, plan.factory_version,
                  plan.engine_name, plan.engine_version, query),
             )
             self.sole_runs = {row[0]: row[1:] for row in rows}
@@ -345,7 +343,7 @@ class _PlanRun:
         blob, and store them again if that blob was deleted; encode any other
         point twice, refuse differing bytes, and store it under ``rep_id``."""
         first = self.factory.encode(self.artifacts, params)
-        stored = self.stored_reprs.get(str(rep_id))
+        stored = self.stored_reprs.get(rep_id)
         if stored is None and first != self.factory.encode(self.artifacts, params):
             raise DeterminismError(
                 f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
@@ -362,7 +360,7 @@ class _PlanRun:
         )
         if stored is None:
             self.store.put_record(record)
-            self.stored_reprs[str(rep_id)] = (record.encoded_artifact_ref, record.created_at)
+            self.stored_reprs[rep_id] = (record.encoded_artifact_ref, record.created_at)
         return record
 
     def run(
@@ -375,16 +373,15 @@ class _PlanRun:
         from that run's raw output, read verified, and the engine is not
         called; a deleted output is evaluated again, which stores it."""
         store, plan = self.store, self.plan
-        key = str(rep_id)
-        if key not in self.stored_reprs:
+        if rep_id not in self.stored_reprs:
             if self.factory is None:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
                 )
             self.declare(params, rep_id)
         # Read verified even when the stored run's output is used instead.
-        encoded = store.get_blob(self.stored_reprs[key][0])
-        sole, raw = self.sole_runs.get(key), None
+        encoded = store.get_blob(self.stored_reprs[rep_id][0])
+        sole, raw = self.sole_runs.get(rep_id), None
         if sole is not None:
             try:
                 raw = canon.canonical_decode(store.get_blob(sole[1]))
@@ -405,7 +402,7 @@ class _PlanRun:
             decision.decision_id,
             plan.plan_id,
         )
-        if str(decision.decision_id) not in self.stored_chains.get((key, str(run_id)), ()):
+        if decision.decision_id not in self.stored_chains.get((rep_id, run_id), ()):
             store.put_record(decision)
             store.put_record(entry)
         return entry, None
@@ -439,7 +436,7 @@ class _PlanRun:
             status="ok" if failure is None else "failed",
         )
         # A chain already stored would only have its inserts ignored.
-        if (str(rep_id), str(run.run_id)) not in self.stored_chains:
+        if (rep_id, run.run_id) not in self.stored_chains:
             store.put_record(run)
         return run.run_id, raw, failure
 
@@ -523,17 +520,17 @@ class DecisionMap:
         return self.points.values()
 
 
-def _map_rows(store: Store, plan: SweepPlan) -> dict[str, FMapEntry]:
+def _map_rows(store: Store, plan: SweepPlan) -> dict[Identifier, FMapEntry]:
     """Each representation's row on the plan's map: its first f_map row in
     query_fmap order, the decision a point with more than one row shows."""
-    rows: dict[str, FMapEntry] = {}
+    rows: dict[Identifier, FMapEntry] = {}
     for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
-        rows.setdefault(str(entry.repr_id), entry)
+        rows.setdefault(entry.repr_id, entry)
     return rows
 
 
 def materialize_map(
-    store: Store, plan_id: Union[str, Identifier], experiment_id: str
+    store: Store, plan_id: str, experiment_id: str
 ) -> DecisionMap:
     """Read-only view of a plan's persisted grid results.
 
@@ -544,7 +541,7 @@ def materialize_map(
     by_repr = _map_rows(store, plan)
     points = {}
     for params in plan.grid_points():
-        entry = by_repr.get(str(plan.repr_id(params)))
+        entry = by_repr.get(plan.repr_id(params))
         if entry is not None:
             points[params_key(params)] = MapPoint(
                 params=dict(params),
@@ -580,7 +577,7 @@ class AxisStructureReport:
             "segments": [
                 {
                     "value_range": [s.lo, s.hi],
-                    "decision_id": str(s.decision_id),
+                    "decision_id": s.decision_id,
                 }
                 for s in self.segments
             ],
@@ -696,7 +693,7 @@ def refine_boundary(
             else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            entry = _map_rows(store, plan).get(str(rep_id))
+            entry = _map_rows(store, plan).get(rep_id)
             if entry is None:
                 entry, failure = plan_run.run(params, rep_id)
                 if entry is None:

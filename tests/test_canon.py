@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import types
@@ -286,11 +285,16 @@ def test_identifier_parse_and_render():
         "snap_aa5bc61f44d5f6333",
         "snap_",
         "",
+        123,
+        None,
+        b"snap_aa5bc61f44d5f633",
     ],
 )
 def test_identifier_malformed_rejected(bad):
     with pytest.raises(IdentifierFormatError):
         canon.parse_identifier(bad)
+    with pytest.raises(IdentifierFormatError):
+        canon.parse_identifier(bad, "snap")
 
 
 @pytest.mark.parametrize("tail", ["\n", "\r\n", " "], ids=["newline", "crlf", "space"])
@@ -332,8 +336,12 @@ def test_unchecked_identifiers_equal_validated_ones(seed, prefix):
         assert (ident.prefix, ident.digest16) == (prefix, validated.digest16)
         assert ident == validated and hash(ident) == hash(validated)
         assert str(ident) == str(validated) and repr(ident) == repr(validated)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ident.prefix = "snap"
+        assert ident == str(ident)
+        assert hash(ident) == hash(str(ident))
+        assert {str(ident): 1}[ident] == 1
+        assert canon.canonical_encode({"id": ident}) == canon.canonical_encode({"id": str(ident)})
 
 
 @settings(max_examples=300)

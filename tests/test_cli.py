@@ -6,6 +6,7 @@ and corruption tests work on throwaway copies.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -580,6 +581,31 @@ class TestOutput:
         for command in (["demo", "sweep"], ["inspect"]):
             assert cli.main([*command, "--db", db]) == 0
             assert capsys.readouterr().out == readme_output(" ".join(command))
+
+    def test_json_output_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of each command's --json output on a fresh demo store,
+        # the second plan's for map and sweep report. The outputs hold no
+        # path or time, so a changed digest is a changed printed byte.
+        db = str(tmp_path / "db")
+        assert cli.main(["demo", "sweep", "--db", db, "--json"]) == 0
+        outputs = {"demo sweep": capsys.readouterr().out}
+        plan = demo_plan_ids(capsys, db)[1]
+        for name, argv in {
+            "map": ["map", "--db", db, "--plan", plan, "--experiment", "demo"],
+            "sweep report": ["sweep", "report", "--db", db, "--plan", plan, "--experiment", "demo"],
+            "replay --deep": ["replay", "--deep", "--db", db, "--experiment", "demo"],
+        }.items():
+            assert cli.main(argv + ["--json"]) == 0
+            outputs[name] = capsys.readouterr().out
+        digests = {
+            name: hashlib.sha256(out.encode("utf-8")).hexdigest() for name, out in outputs.items()
+        }
+        assert digests == {
+            "demo sweep": "99292973767a54557b9103519ecc654ce1f22f22e15657beddbb6c006e16010f",
+            "map": "ca10a36332b1c9449ac1e2d24c4c35282ec301c60907cbd83f607159851be389",
+            "sweep report": "e77381d36f287828554d640c52e47ff8384cf85d93ef9919e741bedaac4f38a6",
+            "replay --deep": "fa895c8caf81152fc38c941c9f0435ec6114ff1252d4ce8081fe6e2ea490a058",
+        }
 
 
 class TestSweepRun:

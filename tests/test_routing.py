@@ -480,8 +480,19 @@ class TestAdapters:
             ({"edges": [{"from": 0, "to": 7, "cost": "1.000000000000"}]}, r"edge \(0, 7\) names node 7"),
             ({"edges": [{"from": 0, "to": 1}]}, "missing key 'cost'"),
             ({"params": None}, "missing key 'params'"),
+            ({"edges": [[0, 1, "1.000000000000"]]}, "edges are malformed: list indices"),
+            ({"nodes": 5}, "nodes are malformed: 'int' object is not iterable"),
+            (lambda payload: [payload], "payload is a list, not a mapping"),
+            ({"nodes": [[0], 1]}, "nodes are malformed: unhashable type: 'list'"),
+            ({"edges": [{"from": [0], "to": 1, "cost": "1.0"}]}, "edges are malformed: unhashable type: 'list'"),
+            ({"params": [1]}, "params are malformed: cannot convert"),
+            (lambda payload: {**payload, "edges": None}, "edges are malformed: 'NoneType' object is not iterable"),
         ],
-        ids=["edge-to-unknown-node", "edge-without-cost", "no-params"],
+        ids=[
+            "edge-to-unknown-node", "edge-without-cost", "no-params", "edge-as-list",
+            "number-nodes", "list-payload", "list-node", "list-edge-end", "list-params",
+            "null-edges",
+        ],
     )
     def test_engine_refuses_a_malformed_representation(self, change, message):
         payload = {
@@ -490,7 +501,10 @@ class TestAdapters:
             "params": {},
             "version": canon.SCHEMA_VERSION,
         }
-        payload = {key: value for key, value in {**payload, **change}.items() if value is not None}
+        if callable(change):
+            payload = change(payload)
+        else:
+            payload = {key: value for key, value in {**payload, **change}.items() if value is not None}
         with pytest.raises(ValidationError, match=message):
             routing.DijkstraEngine().evaluate(canon.canonical_encode(payload), {"start": 0, "end": 1})
 

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import multiprocessing
+import pickle
 import random
 import re
 import shutil
@@ -710,6 +712,29 @@ def schema_of(conn, table):
         "index_list": indexes,
         "index_xinfo": {index[1]: pragma("index_xinfo", index[1]) for index in indexes},
     }
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        *(
+            pytest.param(lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol)),
+                         id=f"pickle-{protocol}")
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ),
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ],
+)
+def test_identifiers_and_map_rows_survive_pickle_and_copy(duplicate):
+    idents = {prefix: canon.content_id(prefix, {"version": "1"}) for prefix in canon.PREFIXES}
+    entry = FMapEntry.create(
+        "exp", *(idents[prefix] for prefix in ("snap", "repr", "run", "dec", "plan"))
+    )
+    for value in (*idents.values(), entry):
+        copied = duplicate(value)
+        assert type(copied) is type(value) and copied == value
+    assert duplicate(entry).created_at == entry.created_at
 
 
 def test_fresh_store_schema_is_pinned(store):

@@ -22,6 +22,7 @@ from decisiondb.errors import (
     BlobCorruptionError,
     CanonicalizationError,
     DeterminismError,
+    IdentifierFormatError,
     InvalidComparisonError,
     PlanNotFoundError,
     ReferentialError,
@@ -182,6 +183,11 @@ class TestPlans:
         payload = {**plan.payload(), name: "run_" + "ab" * 8}
         with pytest.raises(ValidationError, match="not a"):
             sweep.SweepPlan.from_payload(payload, "exp")
+
+    @pytest.mark.parametrize("name, value", [("snapshot_id", None), ("policy_id", 123)])
+    def test_identifier_that_is_not_a_string_rejected(self, world, name, value):
+        with pytest.raises(IdentifierFormatError, match=f"malformed identifier: {value}"):
+            replace(unpersisted_plan(*world), **{name: value})
 
     def test_plan_requires_frozen_snapshot(self, st, world):
         _, pol_id = world
