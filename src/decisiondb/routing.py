@@ -180,12 +180,14 @@ class CostRepresentation:
         if not isinstance(payload, Mapping):
             raise ValidationError(f"representation payload is a {type(payload).__name__}, not a mapping")
         parts = []
-        for key, read in (
-            ("params", dict), ("nodes", tuple),
-            ("edges", lambda edges: {(e["from"], e["to"]): e["cost"] for e in edges}),
+        for key, read, kind in (
+            ("params", dict, Mapping), ("nodes", tuple, list),
+            ("edges", lambda edges: {(e["from"], e["to"]): e["cost"] for e in edges}, list),
         ):
             try:
                 parts.append(read(payload[key]))
+                if not isinstance(payload[key], kind):  # a str reads as nodes, pairs as params
+                    raise TypeError(f"a {type(payload[key]).__name__}, not a {kind.__name__}")
             except KeyError as exc:
                 raise ValidationError(f"representation payload is missing key {exc.args[0]!r}") from exc
             except (TypeError, ValueError) as exc:

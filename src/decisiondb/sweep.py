@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
@@ -248,27 +249,57 @@ def load_plan(
     return plan
 
 
-# A plan's f_map rows under one experiment whose snapshot, representation,
-# run and decision rows all exist: storing such a chain again writes nothing.
-_STORED_CHAINS_SQL = (
-    "SELECT repr_id, run_id, decision_id FROM f_map AS f"
-    " WHERE experiment_id = ? AND plan_id = ?"
-    + "".join(
-        f" AND EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
+# The two reads of _statuses. A representation with no ok run gets NULL
+# run columns; a map row is complete when every row it references exists.
+_REPRESENTATIONS_SQL = (
+    "SELECT r.repr_id, r.encoded_artifact_ref, r.created_at, e.run_id, e.raw_output_ref"
+    " FROM representations AS r LEFT JOIN engine_runs AS e ON e.repr_id = r.repr_id"
+    " AND e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
+    " WHERE r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
+)
+_MAP_ROWS_SQL = (
+    "SELECT repr_id, run_id, decision_id, "
+    + " AND ".join(
+        f"EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
         for column, table in FMapEntry.TABLE.references.items()
     )
+    + " FROM f_map AS f WHERE experiment_id = ? AND plan_id = ?"
+    + FMapEntry.TABLE.order_sql
 )
 
-# Each representation of a (snapshot, factory name, factory version) with
-# exactly one ok run under an (engine name, engine version, query): that
-# run's id and raw output blob. A group of one row gives its own columns.
-_SOLE_RUNS_SQL = (
-    "SELECT r.repr_id, e.run_id, e.raw_output_ref"
-    " FROM engine_runs AS e JOIN representations AS r ON r.repr_id = e.repr_id"
-    " WHERE r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
-    " AND e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
-    " GROUP BY r.repr_id HAVING COUNT(*) = 1"
-)
+
+@dataclass(slots=True)
+class _Status:
+    """What the store holds for one representation of a plan: its row's
+    (encoded_artifact_ref, created_at), None without a row; its ok runs
+    under the plan's engine and query, as (run id, raw_output_ref); and
+    its rows on the plan's map in query_fmap order, as (run id, decision
+    id, complete), where a complete row's whole chain is stored."""
+
+    stored: Optional[tuple[str, str]] = None
+    runs: list[tuple[str, str]] = field(default_factory=list)
+    rows: list[tuple[str, str, bool]] = field(default_factory=list)
+
+
+def _statuses(store: Store, plan: SweepPlan) -> defaultdict[str, _Status]:
+    """Each of a plan's points' status by repr id, read in two statements;
+    a point the store holds nothing for has an empty status."""
+    statuses = defaultdict(_Status)
+    query = canon.canonical_encode(plan.query).decode("utf-8")
+    rows = store._execute(
+        _REPRESENTATIONS_SQL,
+        (plan.engine_name, plan.engine_version, query,
+         plan.snapshot_id, plan.factory_name, plan.factory_version),
+    )
+    for rep_id, ref, created_at, run_id, raw_ref in rows:
+        status = statuses[rep_id]
+        status.stored = (ref, created_at)
+        if run_id is not None:
+            status.runs.append((run_id, raw_ref))
+    rows = store._execute(_MAP_ROWS_SQL, (plan.experiment_id, plan.plan_id))
+    for rep_id, run_id, decision_id, complete in rows:
+        statuses[rep_id].rows.append((run_id, decision_id, bool(complete)))
+    return statuses
 
 
 class _PlanRun:
@@ -278,11 +309,11 @@ class _PlanRun:
     (name, version), and ``axis``, when given, against the plan's axes
     (``base`` holds the other parameters). With an engine it then needs
     the persisted plan and loads the policy; with a factory it loads the
-    snapshot's artifacts. Last it reads, once per call and inside the
-    call's batch, what the store holds for the plan: its representation
-    rows and, with an engine, its chains and the points with exactly one
-    ok run. A point found there is checked, not stored again, and a
-    point with one run takes its decision from that run.
+    snapshot's artifacts. Last it reads each point's status once, inside
+    the call's batch, and keeps it up to date as it declares points. A
+    point whose representation is stored is checked, not stored again; a
+    point with exactly one ok run takes its decision from that run; and a
+    chain whose map row is complete is not written again.
     """
 
     def __init__(
@@ -315,35 +346,14 @@ class _PlanRun:
                 entry.name: store.get_blob(entry.artifact_ref)
                 for entry in snapshot.artifact_manifest
             }
-        # repr id -> (encoded_artifact_ref, created_at) of each stored row
-        rows = store._execute(
-            "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
-            " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?",
-            (plan.snapshot_id, plan.factory_name, plan.factory_version),
-        )
-        self.stored_reprs = {row[0]: row[1:] for row in rows}
-        # (repr id, run id) -> decision ids of the plan's stored chains
-        self.stored_chains = {}
-        # repr id -> (run id, raw_output_ref) of its one stored ok run
-        self.sole_runs = {}
-        if engine is not None:
-            rows = store._execute(_STORED_CHAINS_SQL, (plan.experiment_id, plan.plan_id))
-            for rep_id, run_id, decision_id in rows:
-                self.stored_chains.setdefault((rep_id, run_id), set()).add(decision_id)
-            query = canon.canonical_encode(plan.query).decode("utf-8")
-            rows = store._execute(
-                _SOLE_RUNS_SQL,
-                (plan.snapshot_id, plan.factory_name, plan.factory_version,
-                 plan.engine_name, plan.engine_version, query),
-            )
-            self.sole_runs = {row[0]: row[1:] for row in rows}
+        self.statuses = _statuses(store, plan)
 
     def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
         """Encode a stored point once, refuse bytes not hashing to its row's
         blob, and store them again if that blob was deleted; encode any other
         point twice, refuse differing bytes, and store it under ``rep_id``."""
         first = self.factory.encode(self.artifacts, params)
-        stored = self.stored_reprs.get(rep_id)
+        stored = self.statuses[rep_id].stored
         if stored is None and first != self.factory.encode(self.artifacts, params):
             raise DeterminismError(
                 f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
@@ -360,7 +370,7 @@ class _PlanRun:
         )
         if stored is None:
             self.store.put_record(record)
-            self.stored_reprs[rep_id] = (record.encoded_artifact_ref, record.created_at)
+            self.statuses[rep_id].stored = (record.encoded_artifact_ref, record.created_at)
         return record
 
     def run(
@@ -373,36 +383,33 @@ class _PlanRun:
         from that run's raw output, read verified, and the engine is not
         called; a deleted output is evaluated again, which stores it."""
         store, plan = self.store, self.plan
-        if rep_id not in self.stored_reprs:
+        status = self.statuses[rep_id]
+        if status.stored is None:
             if self.factory is None:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
                 )
             self.declare(params, rep_id)
         # Read verified even when the stored run's output is used instead.
-        encoded = store.get_blob(self.stored_reprs[rep_id][0])
-        sole, raw = self.sole_runs.get(rep_id), None
-        if sole is not None:
+        encoded = store.get_blob(status.stored[0])
+        raw = None
+        if len(status.runs) == 1:
+            ((run_id, raw_ref),) = status.runs
             try:
-                raw = canon.canonical_decode(store.get_blob(sole[1]))
+                raw = canon.canonical_decode(store.get_blob(raw_ref))
             except ReferentialError:
                 pass  # a deleted raw output: evaluating again stores it
         if raw is not None:
-            run_id = canon.parse_identifier(sole[0])
+            run_id = canon.parse_identifier(run_id)
         else:
             run_id, raw, failure = self._evaluate(encoded, rep_id)
             if failure is not None:
                 return None, failure
         decision = extract_decision(raw, self.policy)
         entry = FMapEntry.create(
-            plan.experiment_id,
-            plan.snapshot_id,
-            rep_id,
-            run_id,
-            decision.decision_id,
-            plan.plan_id,
+            plan.experiment_id, plan.snapshot_id, rep_id, run_id, decision.decision_id, plan.plan_id
         )
-        if decision.decision_id not in self.stored_chains.get((rep_id, run_id), ()):
+        if (run_id, decision.decision_id, True) not in status.rows:
             store.put_record(decision)
             store.put_record(entry)
         return entry, None
@@ -436,7 +443,7 @@ class _PlanRun:
             status="ok" if failure is None else "failed",
         )
         # A chain already stored would only have its inserts ignored.
-        if (rep_id, run.run_id) not in self.stored_chains:
+        if not any(r == run.run_id and complete for r, _, complete in self.statuses[rep_id].rows):
             store.put_record(run)
         return run.run_id, raw, failure
 
@@ -459,13 +466,13 @@ def declare_representations(
         return [plan_run.declare(p, plan.repr_id(p)) for p in plan.grid_points()]
 
 
-def execute_sweep(
-    store: Store, plan: SweepPlan, engine: EngineAdapter
-) -> list[FMapEntry]:
+def execute_sweep(store: Store, plan: SweepPlan, engine: EngineAdapter) -> list[FMapEntry]:
     """Run the engine over every declared grid point and persist the chain.
 
-    Every point is evaluated and its raw output blob stored (again, if it
-    was deleted); a point whose whole chain is stored writes no row.
+    A point with exactly one stored ok run takes its decision from that
+    run's raw output and the engine is not called; every other point is
+    evaluated and its raw output blob stored (again, if it was deleted).
+    A point whose whole chain is stored writes no row.
     Engine failures mark their run ``failed`` and the sweep carries on; a
     summary error listing the failed points is raised at the end, with
     the completed entries attached, once the batch holding every row of
@@ -520,35 +527,21 @@ class DecisionMap:
         return self.points.values()
 
 
-def _map_rows(store: Store, plan: SweepPlan) -> dict[Identifier, FMapEntry]:
-    """Each representation's row on the plan's map: its first f_map row in
-    query_fmap order, the decision a point with more than one row shows."""
-    rows: dict[Identifier, FMapEntry] = {}
-    for entry in store.query_fmap(plan.experiment_id, plan_id=plan.plan_id):
-        rows.setdefault(entry.repr_id, entry)
-    return rows
-
-
-def materialize_map(
-    store: Store, plan_id: str, experiment_id: str
-) -> DecisionMap:
+def materialize_map(store: Store, plan_id: str, experiment_id: str) -> DecisionMap:
     """Read-only view of a plan's persisted grid results.
 
     A point with more than one f_map row shows the first in query_fmap
     order, the row refine_boundary reads for the same point.
     """
     plan = load_plan(store, plan_id, experiment_id)
-    by_repr = _map_rows(store, plan)
+    statuses = _statuses(store, plan)
     points = {}
     for params in plan.grid_points():
-        entry = by_repr.get(plan.repr_id(params))
-        if entry is not None:
-            points[params_key(params)] = MapPoint(
-                params=dict(params),
-                repr_id=entry.repr_id,
-                run_id=entry.run_id,
-                decision_id=entry.decision_id,
-            )
+        rep_id = plan.repr_id(params)
+        rows = statuses[rep_id].rows
+        if rows:
+            run_id, decision_id = map(canon.parse_identifier, rows[0][:2])
+            points[params_key(params)] = MapPoint(dict(params), rep_id, run_id, decision_id)
     return DecisionMap(plan=plan, points=points)
 
 
@@ -693,14 +686,15 @@ def refine_boundary(
             else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            entry = _map_rows(store, plan).get(rep_id)
+            rows = _statuses(store, plan)[rep_id].rows
+            if rows:
+                return canon.parse_identifier(rows[0][1])
+            entry, failure = plan_run.run(params, rep_id)
             if entry is None:
-                entry, failure = plan_run.run(params, rep_id)
-                if entry is None:
-                    raise SweepExecutionError(
-                        f"engine failed at {params}: {failure}",
-                        failures=[(params, failure)],
-                    )
+                raise SweepExecutionError(
+                    f"engine failed at {params}: {failure}",
+                    failures=[(params, failure)],
+                )
             return entry.decision_id
 
         lo_dec = decide(lo)

@@ -487,11 +487,13 @@ class TestAdapters:
             ({"edges": [{"from": [0], "to": 1, "cost": "1.0"}]}, "edges are malformed: unhashable type: 'list'"),
             ({"params": [1]}, "params are malformed: cannot convert"),
             (lambda payload: {**payload, "edges": None}, "edges are malformed: 'NoneType' object is not iterable"),
+            ({"params": ["ab"]}, "params are malformed: a list, not a Mapping"),
+            ({"nodes": "01"}, "nodes are malformed: a str, not a list"),
         ],
         ids=[
             "edge-to-unknown-node", "edge-without-cost", "no-params", "edge-as-list",
             "number-nodes", "list-payload", "list-node", "list-edge-end", "list-params",
-            "null-edges",
+            "null-edges", "pair-list-params", "string-nodes",
         ],
     )
     def test_engine_refuses_a_malformed_representation(self, change, message):

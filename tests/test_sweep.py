@@ -403,6 +403,9 @@ class TestMaterialize:
         run_plan(st, plan, engine)
         rows = st.query_fmap("exp", plan_id=plan.plan_id)
         assert len({row.decision_id for row in rows}) == 2
+        # The point's status holds both decisions, in query_fmap order.
+        status = sweep._statuses(st, plan)[plan.repr_id({"x": "1"})]
+        assert status.rows == [(row.run_id, row.decision_id, True) for row in rows]
         point = sweep.materialize_map(st, plan.plan_id, "exp").get({"x": "1"})
         assert (point.run_id, point.decision_id) == (rows[0].run_id, rows[0].decision_id)
         # Refine reads the same row for the point as an endpoint; x=9
@@ -805,13 +808,19 @@ class TestRerun:
 
     def test_rerun_statements_do_not_grow_with_the_grid(self, st, world):
         counts = []
+        reads = []
         for size in (4, 16):
             plan = make_plan(st, *world, xs=[str(x) for x in range(size)])
             run_plan(st, plan)
             statements = traced(st)
             run_plan(st, plan)
             counts.append(len(statements))
+            statements = traced(st)
+            sweep.materialize_map(st, plan.plan_id, "exp")
+            reads.append(len(statements))
         assert counts[0] == counts[1]
+        assert counts == [5, 5]
+        assert reads[0] == reads[1] <= 2
 
     @pytest.mark.parametrize(
         "damage",
@@ -933,6 +942,7 @@ class TestReuse:
             rep_id, "step-compare", "1", {"q": 1}, st.put_blob(canon.canonical_encode(other)), "0"
         )
         st.put_record(run)
+        assert len(sweep._statuses(st, plan)[rep_id].runs) == 2
         counts, blobs = st.table_counts(), st.blob_count()
         engine = CountingEngine()
         run_plan(st, plan, engine)
