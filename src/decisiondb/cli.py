@@ -296,11 +296,11 @@ def render_map(store: Store, payload: Mapping[str, Any]) -> None:
 
 
 def cmd_replay(store: Store, args) -> dict:
+    plugins = replay.Plugins(routing.FACTORIES, routing.ENGINES) if args.reexecute else None
+    checks = {"deep": args.deep, "reexecute": plugins}
     if args.decision:
-        return replay.replay_decision(store, args.decision, deep=args.deep).to_payload()
-    return replay.replay_all(
-        store, args.experiment, plan_id=args.plan, deep=args.deep
-    ).to_payload()
+        return replay.replay_decision(store, args.decision, **checks).to_payload()
+    return replay.replay_all(store, args.experiment, plan_id=args.plan, **checks).to_payload()
 
 
 def arg(*flags: str, **kwargs) -> tuple:
@@ -323,6 +323,9 @@ class Command(NamedTuple):
 
 SEED = arg("--seed", type=int, default=routing.DEMO_SEED)
 DEEP = arg("--deep", action="store_true", help="also verify upstream blobs and rows")
+REEXECUTE = arg("--reexecute", action="store_true",
+                help="also re-run each entry's registered factory and engine (slow: "
+                     "one encode and one evaluate per distinct representation and run)")
 PLAN = arg("--plan", required=True)
 EXPERIMENT = arg("--experiment", required=True)
 
@@ -343,7 +346,7 @@ COMMANDS = (
     Command("demo sweep", "execute both demo sweeps and report the maps", cmd_demo_sweep,
             lambda store, payload: render_axis_reports(payload["plans"]), args=(SEED,)),
     Command("demo replay", "verify every demo decision by recomputation", cmd_replay,
-            render_replay, reads=True, args=(DEEP,),
+            render_replay, reads=True, args=(DEEP, REEXECUTE),
             fixed={"decision": None, "experiment": routing.DEMO_EXPERIMENT, "plan": None}),
     Command("sweep", "run or report a persisted plan"),
     Command("sweep run", "execute a plan's grid", cmd_sweep_run,
@@ -361,7 +364,7 @@ COMMANDS = (
     Command("replay", "recompute and compare decisions", cmd_replay, render_replay, reads=True,
             exclusive=(arg("--experiment", help="replay every map entry of this experiment"),
                        arg("--decision", help="replay the chains behind one decision id")),
-            args=(arg("--plan", help="restrict --experiment to one plan"), DEEP)),
+            args=(arg("--plan", help="restrict --experiment to one plan"), DEEP, REEXECUTE)),
 )
 
 

@@ -11,13 +11,18 @@ When a blob fails its address check, the recomputed value falls back to
 the hash of the bytes actually present, so any single-byte change shows
 up as a persisted/recomputed divergence rather than being silently
 re-derived from corrupt input.
+
+Re-execution goes one step further back: it runs the registered factory
+and engine again and compares what they produce now with what the rows
+recorded, so a plugin that drifted under an unchanged (name, version)
+shows up as a mismatch. A missing or failing plugin is a finding too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -28,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .policy import EquivalencePolicy, extracted_hash
-from .store import DecisionRecord, FMapEntry, Store
+from .store import DecisionRecord, EngineRunRecord, FMapEntry, RepresentationRecord, Store
 
 
 # The map-entry fields a report names: all but the build time.
@@ -127,6 +132,87 @@ def _output(store: Store, memo: "ReplayMemo", raw_ref: str, pol_ref: str) -> tup
         return actual, actual
 
 
+class Plugins(NamedTuple):
+    """The factories and engines re-execution runs, keyed by (name,
+    version) like ``routing.FACTORIES`` and ``routing.ENGINES``."""
+
+    factories: Mapping[tuple[str, str], Any]
+    engines: Mapping[tuple[str, str], Any]
+
+
+def _encode(store: Store, memo: "ReplayMemo", plugins: Plugins, rep: RepresentationRecord) -> str:
+    """The hash of what the registered factory encodes now from the
+    snapshot's artifacts and the row's params, or a finding."""
+    factory = plugins.factories.get((rep.factory_name, rep.factory_version))
+    if factory is None:
+        return f"no registered factory {rep.factory_name}/{rep.factory_version}"
+    snapshot = memo.once(("row", rep.snapshot_id), _row, store, rep.snapshot_id, "snapshot")
+    artifacts = memo.once(("artifacts", rep.snapshot_id), lambda: {
+        entry.name: _read(store, entry.artifact_ref, "snapshot artifact")
+        for entry in snapshot.artifact_manifest
+    })
+    try:
+        return canon.payload_hash(factory.encode(artifacts, rep.params))
+    except Exception as exc:  # any plugin failure is a finding
+        return f"factory raised {type(exc).__name__}: {exc}"
+
+
+def _evaluate(
+    store: Store, plugins: Plugins, run: EngineRunRecord, rep: RepresentationRecord
+) -> tuple[str, Any]:
+    """The hash of what the registered engine answers now for the stored
+    representation bytes and the run's query, and the answer; a finding
+    and None when there is no answer."""
+    engine = plugins.engines.get((run.engine_name, run.engine_version))
+    if engine is None:
+        return f"no registered engine {run.engine_name}/{run.engine_version}", None
+    encoded = _read(store, rep.encoded_artifact_ref, "encoded artifact")
+    try:
+        raw = engine.evaluate(encoded, run.query)
+        return canon.payload_hash(canon.canonical_encode(raw)), raw
+    except Exception as exc:  # any plugin failure is a finding
+        return f"engine raised {type(exc).__name__}: {exc}", None
+
+
+def _redecide(
+    store: Store, memo: "ReplayMemo", evaluated: tuple[str, Any], pol_ref: str, version: str
+) -> str:
+    """The decision the stored policy takes from a recomputed answer, or a
+    finding."""
+    finding, raw = evaluated
+    if raw is None:
+        return finding
+    policy, pol_hash = memo.once(("policy", pol_ref), _policy, store, pol_ref)
+    if policy is None:
+        return f"policy {pol_ref} does not decode"
+    try:
+        return _decision_id(pol_hash, extracted_hash(raw, policy), version)
+    except (ExtractionError, CanonicalizationError) as exc:
+        return f"no decision: {exc}"
+
+
+def _reexecute(
+    store: Store,
+    memo: "ReplayMemo",
+    plugins: Plugins,
+    entry: FMapEntry,
+    run: EngineRunRecord,
+    rep: RepresentationRecord,
+    decision: DecisionRecord,
+) -> list[FieldCheck]:
+    """One entry's chain run again: each distinct representation is
+    encoded, and each distinct run evaluated, once per memo."""
+    encoded = memo.once(("encode", rep.repr_id), _encode, store, memo, plugins, rep)
+    evaluated = memo.once(("evaluate", run.run_id), _evaluate, store, plugins, run, rep)
+    made = (decision.policy_id.digest16, decision.version)
+    decided = memo.once(("redecide", run.run_id, *made), _redecide, store, memo, evaluated, *made)
+    return [
+        FieldCheck("reexec:encoded_artifact_ref", rep.encoded_artifact_ref, encoded),
+        FieldCheck("reexec:raw_output_ref", run.raw_output_ref, evaluated[0]),
+        FieldCheck("reexec:decision_id", entry.decision_id, decided),
+    ]
+
+
 class ReplayMemo:
     """What one replay command has already read and derived.
 
@@ -134,11 +220,13 @@ class ReplayMemo:
     artifacts, the policy, decisions, and raw outputs that two runs
     produced alike. The memo reads, re-hashes and decodes each of them
     once per command. It keeps blob hashes, decoded policies, the
-    snapshot and decision rows and derived identifiers, never blob
-    bytes; run and representation rows are one per entry, so they are
-    not kept. Each key is a tuple whose first item names what was
-    computed. A computation that raises is not kept, so every entry that
-    needs a missing row or blob reports its own broken chain.
+    snapshot and decision rows and derived identifiers, and no blob
+    bytes but, when re-executing, the snapshot's artifacts and each
+    run's recomputed output; run and representation rows are one per
+    entry, so they are not kept. Each key is a tuple whose first item
+    names what was computed. A computation that raises is not kept, so
+    every entry that needs a missing row or blob reports its own broken
+    chain.
     """
 
     def __init__(self):
@@ -158,6 +246,7 @@ def replay_entry(
     entry: FMapEntry,
     deep: bool = False,
     memo: Optional[ReplayMemo] = None,
+    reexecute: Optional[Plugins] = None,
 ) -> ReplayReport:
     """Re-derive the entry's decision from its stored raw output.
 
@@ -165,8 +254,13 @@ def replay_entry(
     extracted payload hash, and the decision identifier. ``deep`` also
     rehashes the upstream representation and snapshot blobs, re-derives
     every row identifier from its own columns, and re-checks the
-    row-to-row links. Entries replayed with one ``memo`` share what it
-    has read; without one, the entry gets a memo of its own.
+    row-to-row links. ``reexecute`` also runs the chain again with its
+    plugins: the factory on the snapshot's artifacts and the row's
+    params (``reexec:encoded_artifact_ref``), the engine on the stored
+    representation bytes and the run's query (``reexec:raw_output_ref``),
+    and the decision's policy on that answer (``reexec:decision_id``).
+    Entries replayed with one ``memo`` share what it has read and run;
+    without one, the entry gets a memo of its own.
     """
     if memo is None:
         memo = ReplayMemo()
@@ -188,6 +282,7 @@ def replay_entry(
         FieldCheck("decision_id", entry.decision_id, recomputed_decision),
     ]
 
+    rep = None
     if deep:
         rep = _row(store, entry.repr_id, "representation")
         snapshot = memo.once(("row", entry.snapshot_id), _row, store, entry.snapshot_id, "snapshot")
@@ -211,6 +306,10 @@ def replay_entry(
             ("representation_links_snapshot", entry.snapshot_id, rep.snapshot_id),
         )
         checks.extend(FieldCheck(*row) for row in rows)
+
+    if reexecute is not None:
+        rep = rep or _row(store, entry.repr_id, "representation")
+        checks.extend(_reexecute(store, memo, reexecute, entry, run, rep, decision))
 
     return ReplayReport(entry=entry, checks=tuple(checks))
 
@@ -258,7 +357,11 @@ class AggregateReport:
 
 
 def _replay(
-    store: Store, subject: Mapping[str, str], entries: list[FMapEntry], deep: bool
+    store: Store,
+    subject: Mapping[str, str],
+    entries: list[FMapEntry],
+    deep: bool,
+    reexecute: Optional[Plugins],
 ) -> AggregateReport:
     """Replay each entry, capturing a broken chain as an error line.
 
@@ -271,7 +374,9 @@ def _replay(
     errors = []
     for entry in entries:
         try:
-            reports.append(replay_entry(store, entry, deep=deep, memo=memo))
+            reports.append(
+                replay_entry(store, entry, deep=deep, memo=memo, reexecute=reexecute)
+            )
         except BrokenChainError as exc:
             errors.append((f"{entry.run_id}/{entry.decision_id}", str(exc)))
     return AggregateReport(
@@ -288,21 +393,23 @@ def replay_all(
     experiment_id: str,
     plan_id: Optional[str] = None,
     deep: bool = False,
+    reexecute: Optional[Plugins] = None,
 ) -> AggregateReport:
     """Replay an experiment's whole map, capturing per-entry failures.
 
     A broken chain on one entry becomes an error line and the rest of
-    the map is still verified.
+    the map is still verified. ``deep`` and ``reexecute`` are
+    ``replay_entry``'s.
     """
     entries = store.query_fmap(experiment_id, plan_id=plan_id)
     if not entries:
         scope = "" if plan_id is None else f" for plan {plan_id}"
         raise ValidationError(f"experiment {experiment_id!r} has no map entries{scope}")
-    return _replay(store, {"experiment_id": experiment_id}, entries, deep)
+    return _replay(store, {"experiment_id": experiment_id}, entries, deep, reexecute)
 
 
 def replay_decision(
-    store: Store, decision_id: str, deep: bool = False
+    store: Store, decision_id: str, deep: bool = False, reexecute: Optional[Plugins] = None
 ) -> AggregateReport:
     """Replay every map entry behind one decision, like ``replay_all``."""
     decision_id = canon.parse_identifier(decision_id, "dec")
@@ -311,4 +418,4 @@ def replay_decision(
         raise BrokenChainError(
             f"decision {decision_id} has no map entry linking it to a run"
         )
-    return _replay(store, {"decision_id": decision_id}, entries, deep)
+    return _replay(store, {"decision_id": decision_id}, entries, deep, reexecute)

@@ -7,6 +7,7 @@ so the resulting decision map can be audited or replayed byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import defaultdict
@@ -249,13 +250,18 @@ def load_plan(
     return plan
 
 
-# The two reads of _statuses. A representation with no ok run gets NULL
-# run columns; a map row is complete when every row it references exists.
-_REPRESENTATIONS_SQL = (
-    "SELECT r.repr_id, r.encoded_artifact_ref, r.created_at, e.run_id, e.raw_output_ref"
-    " FROM representations AS r LEFT JOIN engine_runs AS e ON e.repr_id = r.repr_id"
-    " AND e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
-    " WHERE r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
+# The three reads of _statuses. Runs are read from engine_runs outward
+# (CROSS JOIN fixes the loop order), so SQLite builds no automatic index
+# on engine_runs; a map row is complete when every row it references exists.
+_STORED_SQL = (
+    "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
+    " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?"
+)
+_RUNS_SQL = (
+    "SELECT e.repr_id, e.run_id, e.raw_output_ref"
+    " FROM engine_runs AS e CROSS JOIN representations AS r ON r.repr_id = e.repr_id"
+    " WHERE e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
+    " AND r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
 )
 _MAP_ROWS_SQL = (
     "SELECT repr_id, run_id, decision_id, "
@@ -281,24 +287,27 @@ class _Status:
     rows: list[tuple[str, str, bool]] = field(default_factory=list)
 
 
-def _statuses(store: Store, plan: SweepPlan) -> defaultdict[str, _Status]:
-    """Each of a plan's points' status by repr id, read in two statements;
-    a point the store holds nothing for has an empty status."""
+def _statuses(
+    store: Store, plan: SweepPlan, stored: bool = True, runs: bool = True, rows: bool = True
+) -> defaultdict[str, _Status]:
+    """Each of a plan's points' status by repr id, one statement for each
+    part read (all three by default); a part not read, and every part of a
+    point the store holds nothing for, reads as empty."""
     statuses = defaultdict(_Status)
-    query = canon.canonical_encode(plan.query).decode("utf-8")
-    rows = store._execute(
-        _REPRESENTATIONS_SQL,
-        (plan.engine_name, plan.engine_version, query,
-         plan.snapshot_id, plan.factory_name, plan.factory_version),
-    )
-    for rep_id, ref, created_at, run_id, raw_ref in rows:
-        status = statuses[rep_id]
-        status.stored = (ref, created_at)
-        if run_id is not None:
-            status.runs.append((run_id, raw_ref))
-    rows = store._execute(_MAP_ROWS_SQL, (plan.experiment_id, plan.plan_id))
-    for rep_id, run_id, decision_id, complete in rows:
-        statuses[rep_id].rows.append((run_id, decision_id, bool(complete)))
+    family = (plan.snapshot_id, plan.factory_name, plan.factory_version)
+    if stored:
+        for rep_id, ref, created_at in store._execute(_STORED_SQL, family):
+            statuses[rep_id].stored = (ref, created_at)
+    if runs:
+        query = canon.canonical_encode(plan.query).decode("utf-8")
+        engine = (plan.engine_name, plan.engine_version, query)
+        for rep_id, run_id, raw_ref in store._execute(_RUNS_SQL, engine + family):
+            statuses[rep_id].runs.append((run_id, raw_ref))
+    if rows:
+        for rep_id, run_id, decision_id, complete in store._execute(
+            _MAP_ROWS_SQL, (plan.experiment_id, plan.plan_id)
+        ):
+            statuses[rep_id].rows.append((run_id, decision_id, bool(complete)))
     return statuses
 
 
@@ -308,12 +317,14 @@ class _PlanRun:
     Building one checks the engine, then the factory, against the plan's
     (name, version), and ``axis``, when given, against the plan's axes
     (``base`` holds the other parameters). With an engine it then needs
-    the persisted plan and loads the policy; with a factory it loads the
-    snapshot's artifacts. Last it reads each point's status once, inside
-    the call's batch, and keeps it up to date as it declares points. A
-    point whose representation is stored is checked, not stored again; a
+    the persisted plan and loads the policy. Last it reads the points'
+    statuses once, inside the call's batch: the representation rows
+    alone without an engine, and their ok runs and map rows as well with
+    one. It keeps them up to date as it declares points. A point whose
+    representation row and blob are stored is trusted and not encoded; a
     point with exactly one ok run takes its decision from that run; and a
-    chain whose map row is complete is not written again.
+    chain whose map row is complete is not written again. The snapshot's
+    artifacts are loaded on the first encode.
     """
 
     def __init__(
@@ -338,39 +349,49 @@ class _PlanRun:
             if not store.has_blob(plan.plan_id.digest16):
                 raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
             self.policy = load_policy(store, plan.policy_id)
-        if factory is not None:
-            snapshot = store.get_record(plan.snapshot_id)
-            if snapshot is None:
-                raise ReferentialError(f"plan references missing snapshot {plan.snapshot_id}")
-            self.artifacts = {
-                entry.name: store.get_blob(entry.artifact_ref)
-                for entry in snapshot.artifact_manifest
-            }
-        self.statuses = _statuses(store, plan)
+        executes = engine is not None
+        self.statuses = _statuses(store, plan, runs=executes, rows=executes)
+
+    @functools.cached_property
+    def artifacts(self) -> dict[str, bytes]:
+        """The snapshot's artifacts, read verified."""
+        snapshot = self.store.get_record(self.plan.snapshot_id)
+        if snapshot is None:
+            raise ReferentialError(f"plan references missing snapshot {self.plan.snapshot_id}")
+        return {
+            entry.name: self.store.get_blob(entry.artifact_ref)
+            for entry in snapshot.artifact_manifest
+        }
 
     def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
-        """Encode a stored point once, refuse bytes not hashing to its row's
-        blob, and store them again if that blob was deleted; encode any other
-        point twice, refuse differing bytes, and store it under ``rep_id``."""
-        first = self.factory.encode(self.artifacts, params)
+        """The stored record of a point whose row and blob are stored, with
+        no encode. A stored point whose blob was deleted is encoded once,
+        refused if its bytes do not hash to the row's blob, and stored
+        again; any other point is encoded twice, refused if the bytes
+        differ, and stored under ``rep_id``."""
+        store, plan = self.store, self.plan
         stored = self.statuses[rep_id].stored
-        if stored is None and first != self.factory.encode(self.artifacts, params):
-            raise DeterminismError(
-                f"factory {self.factory.name} produced differing artifacts for params {dict(params)}"
-            )
-        if stored is not None and canon.payload_hash(first) != stored[0]:
-            raise DeterminismError(
-                f"factory {self.factory.name} encodes params {dict(params)} to bytes "
-                f"other than those stored for {rep_id}"
-            )
-        plan = self.plan
+        ref, created_at = stored or (None, _now())
+        if ref is None or not store.has_blob(ref):
+            first = self.factory.encode(self.artifacts, params)
+            if ref is None and first != self.factory.encode(self.artifacts, params):
+                raise DeterminismError(
+                    f"factory {self.factory.name} produced differing artifacts "
+                    f"for params {dict(params)}"
+                )
+            if ref is not None and canon.payload_hash(first) != ref:
+                raise DeterminismError(
+                    f"factory {self.factory.name} encodes params {dict(params)} to bytes "
+                    f"other than those stored for {rep_id}"
+                )
+            ref = store.put_blob(first)
         record = RepresentationRecord(
-            rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params,
-            self.store.put_blob(first), created_at=_now() if stored is None else stored[1],
+            rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref,
+            created_at=created_at,
         )
         if stored is None:
-            self.store.put_record(record)
-            self.statuses[rep_id].stored = (record.encoded_artifact_ref, record.created_at)
+            store.put_record(record)
+            self.statuses[rep_id].stored = (ref, created_at)
         return record
 
     def run(
@@ -453,13 +474,16 @@ def declare_representations(
 ) -> list[RepresentationRecord]:
     """Encode and persist one representation per grid point, in grid order.
 
-    A point whose row is stored is encoded once; bytes that do not hash
-    to its ``encoded_artifact_ref`` mean the factory drifted under its
-    (name, version), and bytes that do are stored again if their blob
-    was deleted. Every other point is encoded twice, and differing bytes
-    mean the factory is not deterministic. Either refusal comes before
-    anything is written for its point. Rows are written in one batch, so
-    the points declared before a refusal stay stored.
+    A point whose row and blob are stored is trusted: its stored record
+    is returned and the factory is not called, so a factory that drifted
+    under its (name, version) is left to ``replay`` with ``reexecute``.
+    A stored point whose blob was deleted is encoded once; bytes that do
+    not hash to its ``encoded_artifact_ref`` mean the factory drifted,
+    and bytes that do are stored again. Every other point is encoded
+    twice, and differing bytes mean the factory is not deterministic.
+    Either refusal comes before anything is written for its point. Rows
+    are written in one batch, so the points declared before a refusal
+    stay stored.
     """
     with store.batch():
         plan_run = _PlanRun(store, plan, factory=factory)
@@ -534,7 +558,7 @@ def materialize_map(store: Store, plan_id: str, experiment_id: str) -> DecisionM
     order, the row refine_boundary reads for the same point.
     """
     plan = load_plan(store, plan_id, experiment_id)
-    statuses = _statuses(store, plan)
+    statuses = _statuses(store, plan, stored=False, runs=False)
     points = {}
     for params in plan.grid_points():
         rep_id = plan.repr_id(params)
@@ -686,7 +710,7 @@ def refine_boundary(
             else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            rows = _statuses(store, plan)[rep_id].rows
+            rows = _statuses(store, plan, stored=False, runs=False)[rep_id].rows
             if rows:
                 return canon.parse_identifier(rows[0][1])
             entry, failure = plan_run.run(params, rep_id)

@@ -525,6 +525,73 @@ class TestReplayCommand:
         assert all(line.endswith(f": decision row {decision} is missing") for line in broken)
 
 
+def store_files(db):
+    """The store file's hash and each blob file's path and size."""
+    blobs = sorted((str(p.relative_to(db)), p.stat().st_size) for p in (db / "blobs").rglob("*"))
+    return hashlib.sha256((db / "store.sqlite").read_bytes()).hexdigest(), blobs
+
+
+class DriftedSurface(routing.CostSurfaceFactory):
+    """The demo factory's (name, version), with every neighbor weight moved."""
+
+    def encode(self, artifacts, params):
+        return super().encode(artifacts, {**params, "neighbor_weight": "0.75"})
+
+
+class DriftedRoute(routing.DijkstraEngine):
+    """The demo engine's (name, version), answering each route backwards."""
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        return {**raw, "route_nodes": raw["route_nodes"][::-1]}
+
+
+class TestReexecute:
+    def test_fresh_demo_store_verifies_and_stays_byte_identical(self, demo_db, capsys):
+        before = store_files(demo_db)
+        code, payload = run_json(
+            capsys, ["replay", "--reexecute", "--experiment", "demo", "--db", str(demo_db)]
+        )
+        assert code == 0
+        assert payload["ok"] is True and payload["verified"] == payload["matched"] == 4
+        for report in payload["reports"]:
+            reexecuted = [c["field"] for c in report["checks"] if c["field"].startswith("reexec:")]
+            assert len(reexecuted) == 3
+        assert store_files(demo_db) == before
+
+    @pytest.mark.parametrize(
+        "registry, drifted, flagged",
+        [
+            ("FACTORIES", DriftedSurface(), ["reexec:encoded_artifact_ref"]),
+            ("ENGINES", DriftedRoute(), ["reexec:raw_output_ref", "reexec:decision_id"]),
+        ],
+        ids=["factory", "engine"],
+    )
+    def test_drift_exits_two_and_only_reexecute_sees_it(
+        self, demo_db, capsys, monkeypatch, registry, drifted, flagged
+    ):
+        key = (drifted.name, drifted.version)
+        monkeypatch.setitem(getattr(routing, registry), key, drifted)
+        for extra in ([], ["--deep"]):
+            assert cli.main(["demo", "replay", "--db", str(demo_db), *extra]) == 0
+        capsys.readouterr()
+        code, payload = run_json(capsys, ["demo", "replay", "--reexecute", "--db", str(demo_db)])
+        assert code == 2
+        for report in payload["reports"]:
+            assert [c["field"] for c in report["checks"] if not c["match"]] == flagged
+
+    def test_unregistered_plugins_exit_two_without_a_traceback(self, demo_db, capsys, monkeypatch):
+        monkeypatch.setattr(routing, "FACTORIES", {})
+        monkeypatch.setattr(routing, "ENGINES", {})
+        argv = ["replay", "--reexecute", "--experiment", "demo", "--db", str(demo_db)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "no registered factory stress-cost-surface/1" in captured.out
+        assert "no registered engine dijkstra-shortest-path/1" in captured.out
+        assert "4 verified, 0 matched, 4 mismatched, 0 broken" in captured.out
+
+
 class TestOutput:
     @pytest.mark.parametrize(
         "argv",
@@ -539,6 +606,7 @@ class TestOutput:
             ["map", "--db", "{db}", "--plan", "{plan}", "--experiment", "demo"],
             ["replay", "--db", "{db}", "--experiment", "demo"],
             ["replay", "--db", "{db}", "--decision", "{decision}"],
+            ["replay", "--db", "{db}", "--decision", "{decision}", "--reexecute"],
         ],
         ids=[
             "init",
@@ -551,6 +619,7 @@ class TestOutput:
             "map",
             "replay-experiment",
             "replay-decision",
+            "replay-reexecute",
         ],
     )
     def test_json_is_canonical_and_versioned(self, demo_db, tmp_path, capsys, argv):

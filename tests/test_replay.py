@@ -14,7 +14,19 @@ from decisiondb import canon, replay, sweep
 from decisiondb.errors import BrokenChainError, ValidationError
 from decisiondb.policy import EquivalencePolicy, persist_policy
 from decisiondb.store import DecisionRecord, Store, open_store
-from toy_arena import StepEngine, StepFactory, make_plan, run_plan, setup_world
+from test_store import store_digest
+from toy_arena import (
+    CountingEngine,
+    CountingFactory,
+    DriftedEngine,
+    DriftedFactory,
+    StepEngine,
+    StepFactory,
+    make_plan,
+    run_plan,
+    setup_world,
+    toy_plugins,
+)
 
 
 @pytest.fixture()
@@ -142,6 +154,90 @@ class TestReads:
             monkeypatch.setattr(Store, name, counted)
         assert replay.replay_all(st, "exp", deep=deep).ok
         assert calls == {"get_record": rows, "read_blob_unverified": blobs}
+
+
+REEXEC_FIELDS = ["reexec:encoded_artifact_ref", "reexec:raw_output_ref", "reexec:decision_id"]
+
+
+def mismatched(report):
+    return [[check.field for check in r.mismatches()] for r in report.reports]
+
+
+class TestReexecute:
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_clean_store_matches_every_reexecuted_field(self, st, executed, deep):
+        report = replay.replay_all(st, "exp", deep=deep, reexecute=toy_plugins())
+        assert report.ok and report.matched == 4
+        for r in report.reports:
+            fields = [check.field for check in r.checks]
+            assert fields[:4] == BASIC_FIELDS and fields[-3:] == REEXEC_FIELDS
+            assert len(fields) == (15 if deep else 7)
+
+    @pytest.mark.parametrize(
+        "plugins, flagged",
+        [
+            (toy_plugins(factory=DriftedFactory()), ["reexec:encoded_artifact_ref"]),
+            (toy_plugins(engine=DriftedEngine()), ["reexec:raw_output_ref", "reexec:decision_id"]),
+        ],
+        ids=["factory", "engine"],
+    )
+    def test_drift_is_caught_by_reexecute_alone(self, st, executed, plugins, flagged):
+        for deep in (False, True):
+            assert replay.replay_all(st, "exp", deep=deep).ok
+        report = replay.replay_all(st, "exp", reexecute=plugins)
+        assert mismatched(report) == [flagged] * 4
+        assert report.store_unchanged
+
+    def test_unregistered_plugins_are_findings(self, st, executed):
+        report = replay.replay_all(st, "exp", reexecute=replay.Plugins({}, {}))
+        assert mismatched(report) == [REEXEC_FIELDS] * 4
+        recomputed = [check.recomputed for check in report.reports[0].checks[-3:]]
+        assert recomputed == [
+            "no registered factory step-table/1",
+            "no registered engine step-compare/1",
+            "no registered engine step-compare/1",
+        ]
+
+    def test_plugins_that_raise_are_findings(self, st, executed):
+        class Broken(StepFactory):
+            def encode(self, artifacts, params):
+                raise KeyError("threshold")
+
+        engine = StepEngine(refuse={"3"})
+        report = replay.replay_all(st, "exp", reexecute=toy_plugins(Broken(), engine))
+        assert not report.errors
+        by_x = {r.entry.repr_id: r for r in report.reports}
+        x3 = by_x[executed[0].repr_id({"x": "3"})].checks[-3:]
+        assert [check.recomputed for check in x3] == [
+            "factory raised KeyError: 'threshold'",
+            "engine raised EngineFailure: engine refuses x=3",
+            "engine raised EngineFailure: engine refuses x=3",
+        ]
+        assert mismatched(report).count(REEXEC_FIELDS) == 1
+
+    def test_each_representation_encoded_and_each_run_evaluated_once(self, st, executed):
+        # A second plan under another policy shares all four runs: 8
+        # entries, 4 representations, 4 runs.
+        plan, _ = executed
+        by_x = persist_policy(st, EquivalencePolicy(hash_source=("x",)))
+        run_plan(st, make_plan(st, st.get_record(plan.snapshot_id), by_x))
+        factory, engine = CountingFactory(), CountingEngine()
+        report = replay.replay_all(st, "exp", deep=True, reexecute=toy_plugins(factory, engine))
+        assert report.ok and report.verified == 8
+        assert (factory.calls, sorted(engine.evaluated)) == (4, ["1", "3", "7", "9"])
+
+    def test_reexecute_writes_nothing(self, st, executed):
+        before = store_digest(st)
+        plugins = toy_plugins(DriftedFactory(), DriftedEngine())
+        assert not replay.replay_all(st, "exp", deep=True, reexecute=plugins).ok
+        assert store_digest(st) == before
+
+    def test_shared_memo_gives_the_reports_of_separate_replays(self, st, executed):
+        _, entries = executed
+        memo, plugins = replay.ReplayMemo(), toy_plugins(engine=DriftedEngine())
+        for entry in entries:
+            alone = replay.replay_entry(st, entry, reexecute=plugins)
+            assert replay.replay_entry(st, entry, memo=memo, reexecute=plugins) == alone
 
 
 class TestCorruption:

@@ -35,12 +35,16 @@ from test_replay import flip_byte
 from test_store import raw_rows, store_digest
 from toy_arena import (
     WINDOW,
+    CountingEngine,
+    CountingFactory,
+    DriftedFactory,
     FlakyFactory,
     StepEngine,
     StepFactory,
     make_plan,
     run_plan,
     setup_world,
+    toy_plugins,
 )
 
 
@@ -702,35 +706,6 @@ class TestBatchedWrites:
         ) == counts
 
 
-class CountingFactory(StepFactory):
-    def __init__(self):
-        self.calls = 0
-
-    def encode(self, artifacts, params):
-        self.calls += 1
-        return super().encode(artifacts, params)
-
-
-class DriftedFactory(StepFactory):
-    """Same (name, version) as StepFactory, other bytes for every point."""
-
-    def encode(self, artifacts, params):
-        return super().encode(artifacts, {**params, "gain": "2"})
-
-
-class CountingEngine(StepEngine):
-    """A StepEngine that lists the x of every point it evaluates."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.evaluated = []
-
-    def evaluate(self, representation, query):
-        raw = super().evaluate(representation, query)
-        self.evaluated.append(raw["x"])
-        return raw
-
-
 class CoinFlipEngine(CountingEngine):
     """Answers a label of the point's own on a seeded coin flip, so some
     points' outputs differ from a StepEngine run and the rest do not."""
@@ -767,13 +742,13 @@ def delete_blob(st, table, column, index=0):
 
 
 class TestRerun:
-    def test_rerun_runs_no_insert_and_encodes_each_point_once(self, st, world):
+    def test_rerun_runs_no_insert_and_encodes_nothing(self, st, world):
         plan = make_plan(st, *world)
         run_plan(st, plan)
         factory = CountingFactory()
         statements = traced(st)
         sweep.declare_representations(st, plan, factory)
-        assert factory.calls == 4
+        assert factory.calls == 0
         sweep.execute_sweep(st, plan, StepEngine())
         assert not [s for s in statements if s.startswith("INSERT")]
         assert "COMMIT" not in statements
@@ -785,16 +760,18 @@ class TestRerun:
         assert declared == [st.get_record(entry.repr_id) for entry in first]
         assert sweep.execute_sweep(st, plan, StepEngine()) == first
 
-    def test_drifted_factory_refused_before_any_write(self, st, world):
+    def test_drifted_factory_writes_nothing_and_reexecute_reports_it(self, st, world):
+        # A rerun trusts the stored rows, so the drift is left to replay.
         plan = make_plan(st, *world)
-        run_plan(st, plan)
-        counts, blobs = st.table_counts(), st.blob_count()
-        rep_id = plan.repr_id({"x": "1"})
-        with pytest.raises(DeterminismError, match=re.escape(str(rep_id))) as excinfo:
-            sweep.declare_representations(st, plan, DriftedFactory())
-        assert "factory step-table" in str(excinfo.value)
-        assert "{'x': '1'}" in str(excinfo.value)
-        assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+        first = run_plan(st, plan)
+        digest = store_digest(st)
+        sweep.declare_representations(st, plan, DriftedFactory())
+        assert sweep.execute_sweep(st, plan, StepEngine()) == first
+        assert store_digest(st) == digest
+        report = replay.replay_all(st, "exp", reexecute=toy_plugins(factory=DriftedFactory()))
+        assert [[c.field for c in r.mismatches()] for r in report.reports] == (
+            [["reexec:encoded_artifact_ref"]] * 4
+        )
 
     def test_drifted_factory_refused_when_the_blob_was_deleted(self, st, world):
         plan = make_plan(st, *world, xs=("1",))
@@ -818,9 +795,18 @@ class TestRerun:
             statements = traced(st)
             sweep.materialize_map(st, plan.plan_id, "exp")
             reads.append(len(statements))
-        assert counts[0] == counts[1]
-        assert counts == [5, 5]
-        assert reads[0] == reads[1] <= 2
+        assert counts == [4, 4]
+        assert reads == [1, 1]
+
+    def test_status_reads_build_no_automatic_index(self, st, world):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        statements = traced(st)
+        sweep._statuses(st, plan)
+        assert len(statements) == 3
+        for sql in statements:
+            steps = st._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
+            assert not [step for step in steps if "AUTOMATIC" in step[-1]], sql
 
     @pytest.mark.parametrize(
         "damage",

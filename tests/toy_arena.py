@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from decisiondb import canon, sweep
+from decisiondb import canon, replay, sweep
 from decisiondb.errors import EngineFailure
 from decisiondb.policy import EquivalencePolicy, persist_policy
 
@@ -34,6 +34,15 @@ class StepFactory:
         )
 
 
+class CountingFactory(StepFactory):
+    def __init__(self):
+        self.calls = 0
+
+    def encode(self, artifacts, params):
+        self.calls += 1
+        return super().encode(artifacts, params)
+
+
 class FlakyFactory(StepFactory):
     """Encodes honestly for its first ``steady`` calls, then something
     different every call; must be refused."""
@@ -49,6 +58,13 @@ class FlakyFactory(StepFactory):
         return canon.canonical_encode(
             {"nonce": self.calls, "version": canon.SCHEMA_VERSION}
         )
+
+
+class DriftedFactory(StepFactory):
+    """Same (name, version) as StepFactory, other bytes for every point."""
+
+    def encode(self, artifacts, params):
+        return super().encode(artifacts, {**params, "gain": "2"})
 
 
 class StepEngine:
@@ -88,6 +104,35 @@ class StepEngine:
             "echo": query,
             "version": canon.SCHEMA_VERSION,
         }
+
+
+class CountingEngine(StepEngine):
+    """A StepEngine that lists the x of every point it evaluates."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.evaluated = []
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        self.evaluated.append(raw["x"])
+        return raw
+
+
+class DriftedEngine(StepEngine):
+    """Same (name, version) as StepEngine, each label swapped for the other."""
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        return {**raw, "label": {"lo": "hi", "hi": "lo"}[raw["label"]]}
+
+
+def toy_plugins(factory=None, engine=None):
+    """The toy pair as a registry for replay's re-execution."""
+    return replay.Plugins(
+        {("step-table", "1"): factory or StepFactory()},
+        {("step-compare", "1"): engine or StepEngine()},
+    )
 
 
 def setup_world(st, threshold="5"):
