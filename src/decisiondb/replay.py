@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, NamedTuple, Optional
 
 from . import canon
@@ -66,7 +67,7 @@ class ReplayReport:
     entry: FMapEntry
     checks: tuple[FieldCheck, ...]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(check.match for check in self.checks)
 
@@ -326,13 +327,13 @@ class AggregateReport:
 
     @property
     def ok(self) -> bool:
-        return not self.errors and all(report.ok for report in self.reports)
+        return not self.errors and self.matched == self.verified
 
     @property
     def verified(self) -> int:
         return len(self.reports)
 
-    @property
+    @cached_property
     def matched(self) -> int:
         return sum(1 for report in self.reports if report.ok)
 

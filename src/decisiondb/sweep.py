@@ -7,6 +7,7 @@ so the resulting decision map can be audited or replayed byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import time
@@ -320,11 +321,13 @@ class _PlanRun:
     the persisted plan and loads the policy. Last it reads the points'
     statuses once, inside the call's batch: the representation rows
     alone without an engine, and their ok runs and map rows as well with
-    one. It keeps them up to date as it declares points. A point whose
-    representation row and blob are stored is trusted and not encoded; a
-    point with exactly one ok run takes its decision from that run; and a
-    chain whose map row is complete is not written again. The snapshot's
-    artifacts are loaded on the first encode.
+    one. It keeps them equal to a fresh read as it writes: the
+    representation row it declares, the ok run it stores, and the map
+    row it adds or completes. A point whose representation row and blob
+    are stored is trusted and not encoded; a point with exactly one ok
+    run takes its decision from that run; and a chain whose map row is
+    complete is not written again. The snapshot's artifacts are loaded
+    on the first encode.
     """
 
     def __init__(
@@ -427,12 +430,18 @@ class _PlanRun:
             if failure is not None:
                 return None, failure
         decision = extract_decision(raw, self.policy)
+        decision_id = decision.decision_id
         entry = FMapEntry.create(
-            plan.experiment_id, plan.snapshot_id, rep_id, run_id, decision.decision_id, plan.plan_id
+            plan.experiment_id, plan.snapshot_id, rep_id, run_id, decision_id, plan.plan_id
         )
-        if (run_id, decision.decision_id, True) not in status.rows:
+        if (run_id, decision_id, True) not in status.rows:
             store.put_record(decision)
             store.put_record(entry)
+            # put_record found every row the entry references, so its map
+            # row is complete now, whether new or stored incomplete.
+            if (run_id, decision_id, False) in status.rows:
+                status.rows.remove((run_id, decision_id, False))
+            bisect.insort(status.rows, (run_id, decision_id, True))
         return entry, None
 
     def _evaluate(
@@ -463,9 +472,12 @@ class _PlanRun:
             elapsed,
             status="ok" if failure is None else "failed",
         )
-        # A chain already stored would only have its inserts ignored.
-        if not any(r == run.run_id and complete for r, _, complete in self.statuses[rep_id].rows):
-            store.put_record(run)
+        # A chain already stored would only have its inserts ignored, and
+        # an ok run already stored is in the status already.
+        status = self.statuses[rep_id]
+        if not any(r == run.run_id and complete for r, _, complete in status.rows):
+            if store.put_record(run) == "inserted" and failure is None:
+                status.runs.append((run.run_id, raw_ref))
         return run.run_id, raw, failure
 
 
@@ -681,10 +693,13 @@ def refine_boundary(
     and leaves an f_map row under the plan, the same provenance trail as
     the original sweep, but it does not join the plan's declared grid.
     Endpoint evaluations do not count against max_evals; midpoints do.
-    Stops early when the interval width reaches the resolution (default:
-    1e-6 of the starting span) or when a midpoint's decision matches
-    neither endpoint, which reports the interval as multi-region. All
-    rows are written in one store batch.
+    A point's decision is its first map row in the statuses the call
+    reads once and keeps current, so a point already on the map is not
+    run again and no point costs a read of the map. Stops early when the
+    interval width reaches the resolution (default: 1e-6 of the starting
+    span) or when a midpoint's decision matches neither endpoint, which
+    reports the interval as multi-region. All rows are written in one
+    store batch.
     """
     with store.batch(), localcontext() as ctx:
         plan_run = _PlanRun(store, plan, factory, engine, axis)
@@ -706,11 +721,11 @@ def refine_boundary(
             res = (hi - lo) * Decimal("0.000001")
 
         def decide(value: Decimal) -> Identifier:
-            """Decision at one point: its row on the map when it has one,
-            else a run through the full chain."""
+            """Decision at one point: its first row on the map when it has
+            one, else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            rows = _statuses(store, plan, stored=False, runs=False)[rep_id].rows
+            rows = plan_run.statuses[rep_id].rows
             if rows:
                 return canon.parse_identifier(rows[0][1])
             entry, failure = plan_run.run(params, rep_id)

@@ -114,6 +114,19 @@ class TestCleanReplay:
         assert canon.canonical_decode(canon.canonical_encode(payload)) == payload
         assert payload["matched"] == 4
 
+    def test_payload_reads_each_check_twice(self, st, executed, monkeypatch):
+        # Once for its report's ok, which the aggregate's ok, matched and
+        # mismatched share, and once for the check's own payload.
+        report = replay.replay_all(st, "exp", deep=True)
+        visits = []
+        match = replay.FieldCheck.match.fget
+        monkeypatch.setattr(
+            replay.FieldCheck, "match", property(lambda c: visits.append(c) or match(c))
+        )
+        payload = report.to_payload()
+        assert (payload["ok"], payload["matched"], payload["mismatched"]) == (True, 4, 0)
+        assert len(visits) == 2 * sum(len(r.checks) for r in report.reports)
+
     def test_scoped_to_plan(self, st, executed):
         plan, _ = executed
         report = replay.replay_all(st, "exp", plan_id=plan.plan_id)

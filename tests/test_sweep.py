@@ -741,6 +741,16 @@ def delete_blob(st, table, column, index=0):
     Path(st._blob_path(ref)).unlink()
 
 
+# Hand damage to a store that a rerun of the toy plan repairs.
+DAMAGES = {
+    "decision-row": lambda st: delete_row(st, "decisions", "decision_id"),
+    "run-row": lambda st: delete_row(st, "engine_runs", "run_id", index=2),
+    "fmap-row": lambda st: delete_row(st, "f_map", "run_id", index=1),
+    "raw-output-blob": lambda st: delete_blob(st, "engine_runs", "raw_output_ref", index=3),
+    "representation-blob": lambda st: delete_blob(st, "representations", "encoded_artifact_ref"),
+}
+
+
 class TestRerun:
     def test_rerun_runs_no_insert_and_encodes_nothing(self, st, world):
         plan = make_plan(st, *world)
@@ -798,6 +808,30 @@ class TestRerun:
         assert counts == [4, 4]
         assert reads == [1, 1]
 
+    def test_refine_reads_each_status_part_once(self, st, world):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        # The trace shows a statement with its parameters bound.
+        reads = [
+            sql.split("?")[0] for sql in (sweep._STORED_SQL, sweep._RUNS_SQL, sweep._MAP_ROWS_SQL)
+        ]
+
+        def refine(max_evals, factory, engine):
+            statements = traced(st)
+            result = sweep.refine_boundary(st, plan, "x", ("1", "9"), engine, factory, max_evals)
+            assert [sum(s.startswith(read) for s in statements) for read in reads] == [1, 1, 1]
+            return result, statements
+
+        for max_evals in (2, 6):
+            result, _ = refine(max_evals, StepFactory(), StepEngine())
+            assert result.evaluations == max_evals
+        # The same refine again finds every point it needs on the map.
+        factory, engine = CountingFactory(), CountingEngine()
+        again, statements = refine(6, factory, engine)
+        assert again == result
+        assert (factory.calls, engine.evaluated) == (0, [])
+        assert not [s for s in statements if s.startswith("INSERT")]
+
     def test_status_reads_build_no_automatic_index(self, st, world):
         plan = make_plan(st, *world)
         run_plan(st, plan)
@@ -808,17 +842,7 @@ class TestRerun:
             steps = st._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
             assert not [step for step in steps if "AUTOMATIC" in step[-1]], sql
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda st: delete_row(st, "decisions", "decision_id"),
-            lambda st: delete_row(st, "engine_runs", "run_id", index=2),
-            lambda st: delete_row(st, "f_map", "run_id", index=1),
-            lambda st: delete_blob(st, "engine_runs", "raw_output_ref", index=3),
-            lambda st: delete_blob(st, "representations", "encoded_artifact_ref"),
-        ],
-        ids=["decision-row", "run-row", "fmap-row", "raw-output-blob", "representation-blob"],
-    )
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
     def test_rerun_restores_a_damaged_store(self, st, world, damage):
         plan = make_plan(st, *world)
         run_plan(st, plan)
@@ -955,3 +979,60 @@ class TestReuse:
         with pytest.raises(BlobCorruptionError, match=f"blob {ref} re-hashes"):
             sweep.execute_sweep(st, plan, StepEngine())
         assert (st.table_counts(), st.blob_count()) == (counts, blobs)
+
+
+@pytest.fixture()
+def plan_runs(monkeypatch):
+    """Every _PlanRun built from here on, in order."""
+    built = []
+
+    class Recorded(sweep._PlanRun):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sweep, "_PlanRun", Recorded)
+    return built
+
+
+class TestStatusesKeptCurrent:
+    """A call's statuses, kept as it writes, equal a fresh read after it."""
+
+    @staticmethod
+    def assert_current(st, plan, plan_run):
+        def view(status):
+            # Runs are read in no set order; rows are in query_fmap order.
+            return status.stored, sorted(status.runs), status.rows
+
+        kept, fresh = plan_run.statuses, sweep._statuses(st, plan)
+        assert kept
+        for rep_id in set(kept) | set(fresh):
+            assert view(kept[rep_id]) == view(fresh[rep_id]), rep_id
+
+    def test_after_execute(self, st, world, plan_runs):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        self.assert_current(st, plan, plan_runs[-1])
+
+    def test_after_refine(self, st, world, plan_runs):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        sweep.refine_boundary(st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3)
+        self.assert_current(st, plan, plan_runs[-1])
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
+    def test_after_a_rerun_over_a_damaged_store(self, st, world, plan_runs, damage):
+        plan = make_plan(st, *world)
+        run_plan(st, plan)
+        damage(st)
+        run_plan(st, plan)
+        self.assert_current(st, plan, plan_runs[-1])
+
+    def test_after_a_rerun_that_adds_a_second_decision(self, st, world, plan_runs):
+        plan = make_plan(st, *world, xs=[str(x) for x in range(8)])
+        run_plan(st, plan)
+        delete_blob(st, "engine_runs", "raw_output_ref", index=3)
+        engine = CoinFlipEngine(3)
+        run_plan(st, plan, engine)
+        assert engine.flipped
+        self.assert_current(st, plan, plan_runs[-1])
