@@ -64,12 +64,18 @@ class DecisionLetters:
         return [f"{letter} = {key}" for key, letter in self.assigned.items()]
 
 
-def route_length(store: Store, run_id) -> Optional[int]:
-    """Node count of a route output, read verified; None if it holds no route."""
-    run = store.get_record(run_id)
-    if run is None:
+# Each run on a plan's map rows with its raw output's hash, in one statement.
+_RAW_OUTPUT_REFS_SQL = (
+    "SELECT run_id, raw_output_ref FROM engine_runs WHERE run_id IN"
+    " (SELECT run_id FROM f_map WHERE experiment_id = ? AND plan_id = ?)"
+)
+
+
+def route_length(store: Store, raw_ref: Optional[str]) -> Optional[int]:
+    """Node count of a route output, read verified; None without a run or a route."""
+    if raw_ref is None:
         return None
-    payload = canon.canonical_decode(store.get_blob(run.raw_output_ref))
+    payload = canon.canonical_decode(store.get_blob(raw_ref))
     if isinstance(payload, Mapping) and isinstance(payload.get("route_nodes"), list):
         return len(payload["route_nodes"])
     return None
@@ -92,12 +98,14 @@ def axis_report_payload(
     store: Store, dmap: sweep.DecisionMap, axis: str
 ) -> dict:
     payload = sweep.classify_axis(dmap, axis).to_payload()
-    payload["plan_id"] = dmap.plan.plan_id
+    plan = dmap.plan
+    payload["plan_id"] = plan.plan_id
+    raw_refs = dict(store._execute(_RAW_OUTPUT_REFS_SQL, (plan.experiment_id, plan.plan_id)))
     payload["points"] = [
         {
             "params": dict(point.params),
             "decision_id": point.decision_id,
-            "route_nodes": route_length(store, point.run_id),
+            "route_nodes": route_length(store, raw_refs.get(point.run_id)),
         }
         for point in dmap.values()
     ]

@@ -251,7 +251,8 @@ def load_plan(
     return plan
 
 
-# The three reads of _statuses. Runs are read from engine_runs outward
+# The three reads of _statuses, each over the plan's family or map, or
+# with a repr id over one point. Runs are read from engine_runs outward
 # (CROSS JOIN fixes the loop order), so SQLite builds no automatic index
 # on engine_runs; a map row is complete when every row it references exists.
 _STORED_SQL = (
@@ -271,45 +272,82 @@ _MAP_ROWS_SQL = (
         for column, table in FMapEntry.TABLE.references.items()
     )
     + " FROM f_map AS f WHERE experiment_id = ? AND plan_id = ?"
-    + FMapEntry.TABLE.order_sql
 )
 
 
 @dataclass(slots=True)
 class _Status:
     """What the store holds for one representation of a plan: its row's
-    (encoded_artifact_ref, created_at), None without a row; its ok runs
+    (encoded_artifact_ref, created_at), () without a row; its ok runs
     under the plan's engine and query, as (run id, raw_output_ref); and
     its rows on the plan's map in query_fmap order, as (run id, decision
-    id, complete), where a complete row's whole chain is stored."""
+    id, complete), where a complete row's whole chain is stored. A part
+    not read is None."""
 
-    stored: Optional[tuple[str, str]] = None
-    runs: list[tuple[str, str]] = field(default_factory=list)
-    rows: list[tuple[str, str, bool]] = field(default_factory=list)
+    stored: Optional[tuple[str, ...]] = None
+    runs: Optional[list[tuple[str, str]]] = None
+    rows: Optional[list[tuple[str, str, bool]]] = None
 
 
 def _statuses(
-    store: Store, plan: SweepPlan, stored: bool = True, runs: bool = True, rows: bool = True
+    store: Store,
+    plan: SweepPlan,
+    stored: bool = True,
+    runs: bool = True,
+    rows: bool = True,
+    repr_id: Optional[str] = None,
 ) -> defaultdict[str, _Status]:
     """Each of a plan's points' status by repr id, one statement for each
-    part read (all three by default); a part not read, and every part of a
-    point the store holds nothing for, reads as empty."""
-    statuses = defaultdict(_Status)
+    part read (all three by default); with ``repr_id``, that one point's,
+    each statement a keyed read. Every point the store holds nothing for
+    reads as empty in each part read."""
+    statuses = defaultdict(
+        lambda: _Status(() if stored else None, [] if runs else None, [] if rows else None)
+    )
+
+    def read(sql, params, column="repr_id", order=""):
+        if repr_id is not None:
+            sql, params = f"{sql} AND {column} = ?", (*params, repr_id)
+        return store._execute(sql + order, params)
+
     family = (plan.snapshot_id, plan.factory_name, plan.factory_version)
     if stored:
-        for rep_id, ref, created_at in store._execute(_STORED_SQL, family):
+        for rep_id, ref, created_at in read(_STORED_SQL, family):
             statuses[rep_id].stored = (ref, created_at)
     if runs:
         query = canon.canonical_encode(plan.query).decode("utf-8")
         engine = (plan.engine_name, plan.engine_version, query)
-        for rep_id, run_id, raw_ref in store._execute(_RUNS_SQL, engine + family):
+        for rep_id, run_id, raw_ref in read(_RUNS_SQL, engine + family, "e.repr_id"):
             statuses[rep_id].runs.append((run_id, raw_ref))
     if rows:
-        for rep_id, run_id, decision_id, complete in store._execute(
-            _MAP_ROWS_SQL, (plan.experiment_id, plan.plan_id)
-        ):
+        plan_key = (plan.experiment_id, plan.plan_id)
+        order = FMapEntry.TABLE.order_sql
+        for rep_id, run_id, decision_id, complete in read(_MAP_ROWS_SQL, plan_key, order=order):
             statuses[rep_id].rows.append((run_id, decision_id, bool(complete)))
     return statuses
+
+
+class _KeyedStatuses(dict):
+    """A plan's statuses read one point at a time, for a call that
+    decides a few points of a large plan. A point's first lookup reads
+    its representation row and its map rows by key; its ok runs are read
+    only when it is stored with no map row, the one case a call runs it
+    from them. Runs are read through the representation row, so a point
+    without one has none."""
+
+    def __init__(self, store: Store, plan: SweepPlan):
+        super().__init__()
+        self.store, self.plan = store, plan
+
+    def __missing__(self, rep_id: str) -> _Status:
+        status = _statuses(self.store, self.plan, runs=False, repr_id=rep_id)[rep_id]
+        if not status.stored:
+            status.runs = []
+        elif not status.rows:
+            keyed = _statuses(self.store, self.plan, stored=False, rows=False, repr_id=rep_id)
+            status.runs = keyed[rep_id].runs
+        self[rep_id] = status
+        return status
 
 
 class _PlanRun:
@@ -318,16 +356,17 @@ class _PlanRun:
     Building one checks the engine, then the factory, against the plan's
     (name, version), and ``axis``, when given, against the plan's axes
     (``base`` holds the other parameters). With an engine it then needs
-    the persisted plan and loads the policy. Last it reads the points'
-    statuses once, inside the call's batch: the representation rows
-    alone without an engine, and their ok runs and map rows as well with
-    one. It keeps them equal to a fresh read as it writes: the
-    representation row it declares, the ok run it stores, and the map
-    row it adds or completes. A point whose representation row and blob
-    are stored is trusted and not encoded; a point with exactly one ok
-    run takes its decision from that run; and a chain whose map row is
-    complete is not written again. The snapshot's artifacts are loaded
-    on the first encode.
+    the persisted plan and loads the policy. Last, without ``axis``, it
+    reads every point's status once, inside the call's batch: the
+    representation rows alone without an engine, and their ok runs and
+    map rows as well with one; with ``axis`` it reads each point's
+    status by key when first needed. It keeps them equal to a fresh
+    read as it writes: the representation row it declares, the ok run
+    it stores, and the map row it adds or completes. A point whose
+    representation row and blob are stored is trusted and not encoded;
+    a point with exactly one ok run takes its decision from that run;
+    and a chain whose map row is complete is not written again. The
+    snapshot's artifacts are loaded on the first encode.
     """
 
     def __init__(
@@ -352,8 +391,11 @@ class _PlanRun:
             if not store.has_blob(plan.plan_id.digest16):
                 raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
             self.policy = load_policy(store, plan.policy_id)
-        executes = engine is not None
-        self.statuses = _statuses(store, plan, runs=executes, rows=executes)
+        if axis is None:
+            executes = engine is not None
+            self.statuses = _statuses(store, plan, runs=executes, rows=executes)
+        else:
+            self.statuses = _KeyedStatuses(store, plan)
 
     @functools.cached_property
     def artifacts(self) -> dict[str, bytes]:
@@ -392,7 +434,7 @@ class _PlanRun:
             rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref,
             created_at=created_at,
         )
-        if stored is None:
+        if not stored:
             store.put_record(record)
             self.statuses[rep_id].stored = (ref, created_at)
         return record
@@ -408,7 +450,7 @@ class _PlanRun:
         called; a deleted output is evaluated again, which stores it."""
         store, plan = self.store, self.plan
         status = self.statuses[rep_id]
-        if status.stored is None:
+        if not status.stored:
             if self.factory is None:
                 raise ReferentialError(
                     f"representation not declared for params {dict(params)} ({rep_id})"
@@ -693,9 +735,10 @@ def refine_boundary(
     and leaves an f_map row under the plan, the same provenance trail as
     the original sweep, but it does not join the plan's declared grid.
     Endpoint evaluations do not count against max_evals; midpoints do.
-    A point's decision is its first map row in the statuses the call
-    reads once and keeps current, so a point already on the map is not
-    run again and no point costs a read of the map. Stops early when the
+    A point's decision is the first map row of its status, which the
+    call reads by key when it first decides the point and then keeps
+    current, so a point already on the map is not run again and no point
+    the call does not decide is read. Stops early when the
     interval width reaches the resolution (default: 1e-6 of the starting
     span) or when a midpoint's decision matches neither endpoint, which
     reports the interval as multi-region. All rows are written in one

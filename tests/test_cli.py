@@ -19,7 +19,7 @@ from decisiondb import canon, cli, routing, sweep
 from decisiondb.policy import EquivalencePolicy
 from decisiondb.store import TABLES, Store, open_store
 from test_store import raw_rows
-from toy_arena import make_plan, setup_world
+from toy_arena import make_plan, run_plan, setup_world
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,51 @@ class TestDemo:
         assert len(payload["points"]) == 2
         for point in payload["points"]:
             assert point["route_nodes"] > 1
+
+    def test_report_reads_route_sizes_in_statements_that_do_not_grow_with_the_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        statements = []
+        execute = Store._execute
+        monkeypatch.setattr(
+            Store,
+            "_execute",
+            lambda self, sql, params=(): statements.append(sql) or execute(self, sql, params),
+        )
+        counts = []
+        for size in (4, 16):
+            db = tmp_path / str(size)
+            with open_store(db) as st:
+                plan = make_plan(st, *setup_world(st), xs=[str(x) for x in range(size)])
+                run_plan(st, plan)
+            statements.clear()
+            code, payload = run_json(
+                capsys,
+                ["sweep", "report", "--db", str(db), "--plan", plan.plan_id, "--experiment", "exp"],
+            )
+            assert code == 0
+            # The toy engine's outputs hold no route.
+            assert [point["route_nodes"] for point in payload["points"]] == [None] * size
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
+
+    def test_report_shows_no_route_size_for_a_deleted_run(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        plan = demo_plan_ids(capsys, db)[1]
+        with open_store(db) as st:
+            run_id = next(row["run_id"] for row in raw_rows(st, "f_map") if row["plan_id"] == plan)
+        conn = sqlite3.connect(db / "store.sqlite")
+        conn.execute("PRAGMA foreign_keys = OFF")
+        conn.execute("DELETE FROM engine_runs WHERE run_id = ?", (run_id,))
+        conn.commit()
+        conn.close()
+        code, payload = run_json(
+            capsys, ["sweep", "report", "--db", str(db), "--plan", plan, "--experiment", "demo"]
+        )
+        assert code == 0
+        nodes = {point["route_nodes"] is None for point in payload["points"]}
+        assert nodes == {True, False}
 
     def test_map_lists_grid_points(self, demo_db, capsys):
         plan_ids = demo_plan_ids(capsys, demo_db)

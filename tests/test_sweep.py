@@ -808,29 +808,97 @@ class TestRerun:
         assert counts == [4, 4]
         assert reads == [1, 1]
 
-    def test_refine_reads_each_status_part_once(self, st, world):
+    def test_refine_reads_do_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        # The grid's first two points are the interval's endpoints, and
+        # no midpoint is on the grid, so both refines take the same path.
+        reads = []
+        for size in (4, 400):
+            with open_store(tmp_path / str(size)) as st:
+                xs = ["1", "9", *map(str, range(10, 8 + size))]
+                plan = make_plan(st, *setup_world(st), xs=xs)
+                run_plan(st, plan)
+                statements = traced(st)
+                rows = []
+                execute = st._execute
+
+                def counting(sql, params=()):
+                    found = execute(sql, params)
+                    rows.append(len(found))
+                    return found
+
+                monkeypatch.setattr(st, "_execute", counting)
+                refined = sweep.refine_boundary(
+                    st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 4
+                )
+            assert refined.evaluations == 4
+            # The trace binds each parameter as a quoted literal.
+            shapes = [re.sub(r"'[^']*'", "?", sql) for sql in statements]
+            reads.append((shapes, rows))
+        assert reads[0] == reads[1]
+
+    def test_refine_reads_by_key_and_again_runs_nothing(self, st, world):
         plan = make_plan(st, *world, xs=("1", "9"))
         run_plan(st, plan)
-        # The trace shows a statement with its parameters bound.
-        reads = [
-            sql.split("?")[0] for sql in (sweep._STORED_SQL, sweep._RUNS_SQL, sweep._MAP_ROWS_SQL)
-        ]
 
         def refine(max_evals, factory, engine):
             statements = traced(st)
             result = sweep.refine_boundary(st, plan, "x", ("1", "9"), engine, factory, max_evals)
-            assert [sum(s.startswith(read) for s in statements) for read in reads] == [1, 1, 1]
             return result, statements
 
         for max_evals in (2, 6):
-            result, _ = refine(max_evals, StepFactory(), StepEngine())
+            result, statements = refine(max_evals, StepFactory(), StepEngine())
             assert result.evaluations == max_evals
+            for sql in statements:
+                if sql.startswith("SELECT"):
+                    steps = st._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
+                    scans = [step[-1] for step in steps if step[-1].startswith("SCAN")]
+                    assert set(scans) <= {"SCAN CONSTANT ROW"}, sql
         # The same refine again finds every point it needs on the map.
         factory, engine = CountingFactory(), CountingEngine()
         again, statements = refine(6, factory, engine)
         assert again == result
         assert (factory.calls, engine.evaluated) == (0, [])
         assert not [s for s in statements if s.startswith("INSERT")]
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
+    def test_refine_over_a_damaged_store_matches_a_whole_plan_read(
+        self, tmp_path, monkeypatch, damage
+    ):
+        # The reference refine holds every point's status from one
+        # whole-plan read.
+        outcomes = []
+        for name in ("keyed", "whole"):
+            if name == "whole":
+                monkeypatch.setattr(sweep, "_KeyedStatuses", sweep._statuses)
+            with open_store(tmp_path / name) as st:
+                plan = make_plan(st, *setup_world(st))
+                first = run_plan(st, plan)
+                damage(st)
+                refined = sweep.refine_boundary(
+                    st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3
+                )
+                outcomes.append((refined, store_digest(st)))
+            # The decision-row damage leaves the x=1 endpoint only an
+            # incomplete map row, whose decision it still takes.
+            assert refined.lo_decision == first[0].decision_id
+        assert outcomes[0] == outcomes[1]
+
+    def test_refine_reuses_the_run_of_a_point_off_its_map(self, st, world):
+        # Another plan over the same family stored the points' runs; none
+        # of them has a row on this plan's map.
+        other = make_plan(st, *world)
+        run_plan(st, other)
+        sweep.refine_boundary(st, other, "x", ("1", "9"), StepEngine(), StepFactory(), 3)
+        plan = make_plan(st, *world, xs=("1", "9"))
+        factory, engine = CountingFactory(), CountingEngine()
+        statements = traced(st)
+        refined = sweep.refine_boundary(st, plan, "x", ("1", "9"), engine, factory, 3)
+        assert (refined.lo, refined.hi, refined.evaluations) == ("4", "5", 3)
+        assert (factory.calls, engine.evaluated) == (0, [])
+        # Each of the five points read its runs, and wrote one map row.
+        runs_read = sweep._RUNS_SQL.split("?")[0]
+        assert sum(s.startswith(runs_read) for s in statements) == 5
+        assert len(st.query_fmap("exp", plan_id=plan.plan_id)) == 5
 
     def test_status_reads_build_no_automatic_index(self, st, world):
         plan = make_plan(st, *world)
@@ -1018,7 +1086,19 @@ class TestStatusesKeptCurrent:
         plan = make_plan(st, *world, xs=("1", "9"))
         run_plan(st, plan)
         sweep.refine_boundary(st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3)
-        self.assert_current(st, plan, plan_runs[-1])
+        kept, fresh = plan_runs[-1].statuses, sweep._statuses(st, plan)
+        # The endpoints, then the midpoints 5, 3 and 4, and no other point.
+        decided = {plan.repr_id({"x": x}): x for x in ("1", "9", "5", "3", "4")}
+        assert set(kept) == set(decided)
+        for rep_id, status in kept.items():
+            assert status.stored == fresh[rep_id].stored
+            assert status.rows == fresh[rep_id].rows
+            # An endpoint is decided from its map row, so its runs stay
+            # unread; a midpoint's are kept from the run it stored.
+            if decided[rep_id] in ("1", "9"):
+                assert status.runs is None
+            else:
+                assert status.runs == fresh[rep_id].runs
 
     @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
     def test_after_a_rerun_over_a_damaged_store(self, st, world, plan_runs, damage):
