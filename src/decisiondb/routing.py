@@ -12,15 +12,19 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import random
-from collections.abc import Mapping
+import re
+from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Any
+from itertools import repeat
+from typing import Any, Optional
 
 from . import canon, sweep
 from .canon import SCHEMA_VERSION, decimal_string
-from .errors import DecisionDBError, EngineFailure, UnreachableError, ValidationError
+from .errors import CanonicalizationError, DecisionDBError, EngineFailure, UnreachableError, ValidationError
 from .policy import EquivalencePolicy, persist_policy, policy_identifier
 from .store import FMapEntry, ManifestEntry, SnapshotRecord
 
@@ -45,6 +49,9 @@ DEMO_SEED = 22
 
 def _q12(value: Decimal) -> Decimal:
     return value.quantize(TWELVE_PLACES)
+
+
+_ZERO = _q12(Decimal(0))
 
 
 @dataclass(frozen=True)
@@ -214,12 +221,14 @@ class _Prepared:
 
     ``edges`` holds each distinct (tail, head) once, in sorted order; a
     repeated pair keeps its last baseline, as ``edge_costs`` keeps its
-    last cost. ``edge_texts`` holds, per edge, the canonical text that
-    follow its cost string; ``nodes_text`` is the encoded node list.
+    last cost. ``heads`` holds each edge's head in the same order.
+    ``edge_texts`` holds, per edge, the canonical text that follow its
+    cost string; ``nodes_text`` is the encoded node list.
     """
 
     node_ids: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    heads: tuple[int, ...]
     baselines: tuple[Decimal, ...]
     means: Mapping[int, tuple[Decimal, Decimal]]  # (N1, N2) per head node
     edge_texts: tuple[str, ...]
@@ -272,6 +281,7 @@ def _prepare(graph: GraphSnapshot) -> _Prepared:
     return _Prepared(
         node_ids=node_ids,
         edges=edges,
+        heads=tuple(head for _, head in edges),
         baselines=tuple(baseline[edge] for edge in edges),
         means=means,
         edge_texts=tuple(f'","from":{text[tail]},"to":{text[head]}}}' for tail, head in edges),
@@ -282,10 +292,14 @@ def _prepare(graph: GraphSnapshot) -> _Prepared:
 def _cost_strings(
     prepared: _Prepared, neighbor_weight: str, second_order_weight: str
 ) -> list[str]:
-    """The per-point half: q12(baseline * (1 + nw * N1 + sw * N2)) per edge.
+    """The per-point half: q12(baseline * (1 + nw * N1 + sw * N2)) per edge,
+    spelled as decimal_string spells it.
 
     The factor in parentheses depends on the edge's head alone, so it is
-    computed once per head node.
+    computed once per head node. Each cost is spelled with ``str``, which
+    matches ``decimal_string`` for every 12-place value except zero and
+    values below 1e-6, where it writes an exponent; a list holding one
+    is spelled again with ``decimal_string``.
     """
     nw = _parse_weight("neighbor_weight", neighbor_weight)
     sw = _parse_weight("second_order_weight", second_order_weight)
@@ -293,10 +307,15 @@ def _cost_strings(
         ctx.prec = 50
         one = Decimal(1)
         factor = {head: one + nw * n1 + sw * n2 for head, (n1, n2) in prepared.means.items()}
-        return [
-            decimal_string(_q12(baseline * factor[head]))
-            for (_, head), baseline in zip(prepared.edges, prepared.baselines)
-        ]
+        costs = list(map(
+            Decimal.quantize,
+            map(operator.mul, prepared.baselines, map(factor.__getitem__, prepared.heads)),
+            repeat(TWELVE_PLACES),
+        ))
+    texts = list(map(str, costs))
+    if "E" in "".join(texts):
+        return list(map(decimal_string, costs))
+    return texts
 
 
 def build_cost_representation(
@@ -335,88 +354,175 @@ class RouteOutput:
     total_cost: str
 
 
+def _check_ends(known: set, start: int, end: int) -> None:
+    if start not in known:
+        raise EngineFailure(f"start node {start} is not in the graph")
+    if end not in known:
+        raise EngineFailure(f"end node {end} is not in the graph")
+
+
+def _search(
+    known: set, tails: Sequence, heads: Sequence, costs: Sequence, start: int, end: int
+) -> RouteOutput:
+    """The route search both representation readers share.
+
+    ``tails[i] -> heads[i]`` is an edge whose cost ``Decimal(costs[i])``
+    is positive and finite; every tail and head, and start and end, are
+    in ``known``. One Dijkstra pass runs backward from the end and stops
+    once it settles the start. A heap entry ``(cost-to-end, node,
+    successor)`` carries the edge it came through, so the entry that
+    settles a node names its smallest successor on a cheapest route:
+    every successor's cost-to-end is strictly below the node's, so all
+    of them are settled, with their entries pushed, before the node's
+    first entry pops. Following those successors from the start gives
+    the cheapest route with the lexicographically smallest node
+    sequence. Costs stay exact Decimals throughout, so tie detection is
+    exact rather than approximate.
+    """
+    incoming: dict[int, list] = {node: [] for node in known}
+    # Group each edge's (tail, cost) under its head; map runs the appends
+    # in C, and the edges keep their order within each group.
+    deque(map(list.append, map(incoming.__getitem__, heads), zip(tails, costs)), maxlen=0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        cost_to_end: dict[int, Decimal] = {}
+        successor: dict[int, int] = {}
+        heap: list[tuple[Decimal, int, int]] = [(_ZERO, end, end)]
+        while heap:
+            dist, node, after = heapq.heappop(heap)
+            if node in cost_to_end:
+                continue
+            cost_to_end[node] = dist
+            successor[node] = after
+            if node == start:
+                break
+            for tail, cost in incoming[node]:
+                if tail not in cost_to_end:
+                    heapq.heappush(heap, (dist + Decimal(cost), tail, node))
+    if start not in cost_to_end:
+        raise UnreachableError(f"no route from {start} to {end}")
+    route = [start]
+    while route[-1] != end:
+        route.append(successor[route[-1]])
+    return RouteOutput(route_nodes=tuple(route), total_cost=decimal_string(_q12(cost_to_end[start])))
+
+
 def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput:
     """Minimum-cost route; ties broken toward the smaller node sequence.
 
-    Runs one Dijkstra pass backward from the end to get exact
-    cost-to-go, then walks forward always picking the smallest next node
-    that still lies on a cheapest route. Costs stay exact Decimals
-    throughout, so tie detection is exact rather than approximate.
-
-    The backward pass stops once it settles the start. Every cost is
-    positive, so each step of the walk lands on a node whose cost-to-go
-    is strictly below the start's, and Dijkstra settles all of those
-    before the start. Every edge is still checked for a finite, positive cost.
+    Checks the endpoints, then every edge for a finite, positive cost
+    between known nodes, each with a ValidationError naming the edge,
+    and runs the search ``DijkstraEngine.evaluate``'s layout reader also
+    runs (``_search``). A route from a node to itself is that node alone,
+    whatever the edges hold.
     """
     try:
         known = set(rep.node_ids)
     except TypeError as exc:
         raise ValidationError(f"representation nodes are malformed: {exc}") from exc
-    if start not in known:
-        raise EngineFailure(f"start node {start} is not in the graph")
-    if end not in known:
-        raise EngineFailure(f"end node {end} is not in the graph")
-    zero = _q12(Decimal(0))
+    _check_ends(known, start, end)
     if start == end:
-        return RouteOutput(route_nodes=(start,), total_cost=decimal_string(zero))
+        return RouteOutput(route_nodes=(start,), total_cost=decimal_string(_ZERO))
 
-    with localcontext() as ctx:
-        ctx.prec = 50
-        forward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
-        backward: dict[int, list[tuple[int, Decimal]]] = {n: [] for n in rep.node_ids}
+    tails, heads, costs = [], [], []
+    for (tail, head), cost_text in rep.edge_costs.items():
         try:
-            for (tail, head), cost_text in rep.edge_costs.items():
-                try:
-                    cost = Decimal(cost_text)
-                except (InvalidOperation, TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"edge ({tail}, {head}) cost {cost_text!r} is not a decimal string"
-                    ) from exc
-                if not cost.is_finite():
-                    raise ValidationError(
-                        f"edge ({tail}, {head}) has non-finite cost {cost_text}"
-                    )
-                if cost <= 0:
-                    raise ValidationError(
-                        f"edge ({tail}, {head}) has non-positive cost {cost_text}"
-                    )
-                forward[tail].append((head, cost))
-                backward[head].append((tail, cost))
-        except KeyError as exc:
+            cost = Decimal(cost_text)
+        except (InvalidOperation, TypeError, ValueError) as exc:
             raise ValidationError(
-                f"edge ({tail}, {head}) names node {exc.args[0]!r}, which is not in nodes"
+                f"edge ({tail}, {head}) cost {cost_text!r} is not a decimal string"
             ) from exc
+        if not cost.is_finite():
+            raise ValidationError(f"edge ({tail}, {head}) has non-finite cost {cost_text}")
+        if cost <= 0:
+            raise ValidationError(f"edge ({tail}, {head}) has non-positive cost {cost_text}")
+        for node in (tail, head):
+            if node not in known:
+                raise ValidationError(
+                    f"edge ({tail}, {head}) names node {node!r}, which is not in nodes"
+                )
+        tails.append(tail)
+        heads.append(head)
+        costs.append(cost)
+    return _search(known, tails, heads, costs, start, end)
 
-        cost_to_end: dict[int, Decimal] = {}
-        heap: list[tuple[Decimal, int]] = [(zero, end)]
-        while heap:
-            dist, node = heapq.heappop(heap)
-            if node in cost_to_end:
-                continue
-            cost_to_end[node] = dist
-            if node == start:
-                break
-            for tail, cost in backward[node]:
-                if tail not in cost_to_end:
-                    heapq.heappush(heap, (dist + cost, tail))
 
-        if start not in cost_to_end:
-            raise UnreachableError(f"no route from {start} to {end}")
+# The factory's byte layout, which DijkstraEngine.evaluate reads without
+# building the object tree:
+#   {"edges":[{"cost":"C","from":I,"to":I},...],"nodes":[I,...],"params":{...},"version":"1"}
+# An edge's integers are canonical JSON integers and its cost a plain,
+# non-zero decimal with no sign, exponent or leading zero, so a positive
+# one; the trailing comma or end of the edges section is part of each
+# match.
+_INT = r"0|-?[1-9][0-9]*"
+_COST = r"[1-9][0-9]*(?:\.[0-9]+)?|0\.0*[1-9][0-9]*"
+_LAYOUT_EDGE = re.compile(
+    rf'\{{"cost":"({_COST})","from":({_INT}),"to":({_INT})\}}(?:,|\Z)'
+)
+_EDGE_FIXED = len('{"cost":"","from":,"to":}')
+_EDGES_HEAD = '{"edges":['
+_NODES_HEAD = '],"nodes":['
+_PARAMS_HEAD = '],"params":'
+_VERSION_TAIL = f',"version":"{SCHEMA_VERSION}"}}'
 
-        route = [start]
-        current = start
-        while current != end:
-            best = None
-            for head, cost in forward[current]:
-                if head in cost_to_end and cost + cost_to_end[head] == cost_to_end[current]:
-                    if best is None or head < best:
-                        best = head
-            assert best is not None, "cost-to-go table lost the optimal successor"
-            route.append(best)
-            current = best
-            assert len(route) <= len(rep.node_ids), "route revisited a node"
-        total = _q12(cost_to_end[start])
-    return RouteOutput(route_nodes=tuple(route), total_cost=decimal_string(total))
+
+def _read_layout(
+    representation: bytes,
+) -> Optional[tuple[set[int], list[int], list[int], tuple[str, ...]]]:
+    """The node set and edge columns of a representation in the factory's
+    exact layout, with at least one edge, every edge between known
+    nodes, each (tail, head) pair once and every cost positive; None for
+    any other bytes, which the generic decode reads. Costs stay text:
+    the search reads only those of the edges it relaxes.
+
+    The edge matches must tile the edges section: their field lengths,
+    the fixed characters of each edge and the commas between them sum to
+    the section's length. The node list must be its integers' canonical
+    spelling, and ``params`` must decode to a mapping.
+    """
+    try:
+        text = representation.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    edges_end = text.find("]")
+    if not text.startswith(_EDGES_HEAD) or not text.startswith(_NODES_HEAD, edges_end):
+        return None
+    edges = _LAYOUT_EDGE.findall(text, len(_EDGES_HEAD), edges_end)
+    if not edges:
+        return None
+    cost_texts, tail_texts, head_texts = zip(*edges)
+    field_chars = sum(map(len, cost_texts)) + sum(map(len, tail_texts)) + sum(map(len, head_texts))
+    if field_chars + (_EDGE_FIXED + 1) * len(edges) - 1 != edges_end - len(_EDGES_HEAD):
+        return None
+    nodes_start = edges_end + len(_NODES_HEAD)
+    nodes_end = text.find("]", nodes_start)
+    if nodes_end < 0 or not text.startswith(_PARAMS_HEAD, nodes_end) or not text.endswith(_VERSION_TAIL):
+        return None
+    nodes_text = text[nodes_start:nodes_end]
+    try:
+        node_ids = list(map(int, nodes_text.split(",")))
+        if ",".join(map(str, node_ids)) != nodes_text:
+            return None
+        tails = list(map(int, tail_texts))
+        heads = list(map(int, head_texts))
+    except ValueError:  # not an integer, or one past int's digit limit
+        return None
+    try:
+        params = canon.canonical_decode(
+            text[nodes_end + len(_PARAMS_HEAD):-len(_VERSION_TAIL)].encode("utf-8")
+        )
+    except CanonicalizationError:
+        return None
+    if not isinstance(params, Mapping):
+        return None
+    known = set(node_ids)
+    if (
+        not known.issuperset(tails)
+        or not known.issuperset(heads)
+        or len(set(zip(tails, heads))) != len(edges)
+    ):
+        return None
+    return known, tails, heads, cost_texts
 
 
 class CostSurfaceFactory:
@@ -453,14 +559,29 @@ class DijkstraEngine:
     version = ENGINE_VERSION
 
     def evaluate(self, representation: bytes, query: Any) -> dict:
+        """Route the query over a representation and return the raw output.
+
+        A representation in the factory's exact layout with at least one
+        edge, all of them valid, is read in place (``_read_layout``); any
+        other bytes take the generic path, ``canonical_decode`` then
+        ``CostRepresentation.from_payload`` then ``dijkstra_route``. Both
+        run the same search, so every input gets the route, output or
+        exception message the generic path gives.
+        """
         if (
             not isinstance(query, Mapping)
             or not isinstance(query.get("start"), int)
             or not isinstance(query.get("end"), int)
         ):
             raise ValidationError(f"query must be {{start: int, end: int}}, got {query!r}")
-        rep = CostRepresentation.from_payload(canon.canonical_decode(representation))
-        route = dijkstra_route(rep, query["start"], query["end"])
+        start, end = query["start"], query["end"]
+        layout = _read_layout(representation)
+        if layout is None:
+            rep = CostRepresentation.from_payload(canon.canonical_decode(representation))
+            route = dijkstra_route(rep, start, end)
+        else:
+            _check_ends(layout[0], start, end)
+            route = _search(*layout, start, end)
         return {
             "route_nodes": list(route.route_nodes),
             "total_cost": route.total_cost,

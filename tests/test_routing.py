@@ -7,12 +7,15 @@ so the fast implementations never define their own expected values.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decisiondb import canon, routing, sweep
 from decisiondb.errors import EngineFailure, UnreachableError, ValidationError
@@ -518,6 +521,183 @@ class TestAdapters:
         )
         with pytest.raises(EngineFailure):
             engine.evaluate(encoded, {"start": 0, "end": 4000})
+
+
+def outcome(call):
+    """A call's result, or its exception's type and message."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # compared by type and message, whatever it is
+        return type(exc), str(exc)
+
+
+def engine_outcome(representation, query):
+    def route():
+        out = routing.DijkstraEngine().evaluate(representation, query)
+        return tuple(out["route_nodes"]), out["total_cost"]
+
+    return outcome(route)
+
+
+def reference_outcome(representation, query):
+    """The generic path: decode the whole representation, read it, route."""
+
+    def route():
+        rep = CostRepresentation.from_payload(canon.canonical_decode(representation))
+        found = dijkstra_route(rep, query["start"], query["end"])
+        return found.route_nodes, found.total_cost
+
+    return outcome(route)
+
+
+# A sink node (3 has no out-edge), and costs that fall below 1e-6 or to
+# zero, which str() would spell with an exponent.
+SINK_GRAPH = make_graph(
+    [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)],
+    [(0, 1, "2.000", "0.500"), (1, 2, "1.000", "0.250"), (2, 3, "3.000", "0.750"),
+     (0, 2, "4.000", "0.100"), (2, 0, "1.500", "0.900")],
+)
+TINY_COST_GRAPH = make_graph(
+    [(0, 0, 0), (1, 1, 0), (2, 2, 0)],
+    [(0, 1, "0.0000001", "0.000"), (1, 2, "0.000000000004", "0.500"), (0, 2, "1.000", "0.300")],
+)
+ZERO_COST_GRAPH = make_graph(
+    [(0, 0, 0), (1, 1, 0), (2, 2, 0)],
+    [(0, 1, "0.000", "0.200"), (1, 2, "1.000", "0.500"), (0, 2, "2.000", "0.000")],
+)
+_graphs = st.one_of(
+    st.builds(generate_demo_graph, st.integers(0, 10_000), st.integers(2, 60)),
+    st.sampled_from([SINK_GRAPH, TINY_COST_GRAPH, ZERO_COST_GRAPH]),
+)
+_weights = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, 3).map(str),
+    st.decimals(0, 3, places=40).map(canon.decimal_string),
+)
+
+
+def _first_cost(cost):
+    return lambda data: re.sub(rb'"cost":"[^"]*"', b'"cost":"%s"' % cost.encode(), data, count=1)
+
+
+def _reordered(data):
+    payload = json.loads(data)
+    edges = [{"to": e["to"], "cost": e["cost"], "from": e["from"]} for e in payload["edges"]]
+    reorder = {"nodes": payload["nodes"], "version": payload["version"],
+               "params": payload["params"], "edges": edges}
+    return json.dumps(reorder, separators=(",", ":")).encode()
+
+
+def _repeated_pair(data):
+    first = re.search(rb'\{"cost":"[^"]*"(,"from":[0-9]+,"to":[0-9]+\})', data)
+    return data.replace(first.group(0), first.group(0) + b',{"cost":"7.5"' + first.group(1), 1)
+
+
+# One change each to factory output, all of which the generic path reads.
+LAYOUT_CHANGES = {
+    "whitespace": lambda data: data.replace(b',"nodes":', b', "nodes":', 1),
+    "leading-whitespace": lambda data: b" " + data,
+    "byte-order-mark": lambda data: b"\xef\xbb\xbf" + data,
+    "reordered-keys": _reordered,
+    "duplicate-nodes-key": lambda data: data.replace(b',"params":', b',"nodes":[0,1],"params":', 1),
+    "version-2": lambda data: data.replace(b'"version":"1"}', b'"version":"2"}'),
+    "no-edges": lambda data: re.sub(rb'"edges":\[[^\]]*\]', b'"edges":[]', data),
+    "cost-zero": _first_cost("0.000"),
+    "cost-negative": _first_cost("-1.5"),
+    "cost-exponent": _first_cost("1e3"),
+    "cost-leading-zero": _first_cost("01.5"),
+    "cost-two-points": _first_cost("1.2.3"),
+    "cost-comma": _first_cost("1,5"),
+    "cost-trailing-point": _first_cost("1."),
+    "node-007": lambda data: data.replace(b",7,", b",007,", 1),
+    "node-minus-zero": lambda data: data.replace(b'"nodes":[0,', b'"nodes":[-0,', 1),
+    "node-1.0": lambda data: data.replace(b",1,", b",1.0,", 1),
+    "edge-from-minus-zero": lambda data: data.replace(b'"from":0,', b'"from":-0,', 1),
+    "edge-from-007": lambda data: data.replace(b'"from":7,', b'"from":007,', 1),
+    "edge-to-1.0": lambda data: data.replace(b'"to":1}', b'"to":1.0}', 1),
+    "repeated-pair": _repeated_pair,
+    "unknown-node": lambda data: data.replace(b'"to":1}', b'"to":99}', 1),
+    "params-list": lambda data: re.sub(rb'"params":\{[^}]*\}', b'"params":["ab"]', data),
+    "params-number": lambda data: re.sub(rb'"params":\{[^}]*\}', b'"params":5', data),
+    "params-extra-key": lambda data: data.replace(b'"version":"1"}', b'"edges":[],"version":"1"}'),
+    "trailing-space": lambda data: data + b" ",
+    "trailing-bytes": lambda data: data + b"x",
+    "invalid-utf-8": lambda data: data.replace(b'"params":{', b'"params":{"\xff":"1",', 1),
+    "edge-keys-out-of-order": lambda data: re.sub(
+        rb'"from":([0-9]+),"to":([0-9]+)\}', rb'"to":\2,"from":\1}', data, count=1),
+    "separators-out-of-order": lambda data: re.sub(
+        rb'","from":([0-9]+),"to":([0-9]+)\}', rb',"to":\1","from":\2}', data, count=1),
+    "missing-comma": lambda data: data.replace(b"},{", b"}{", 1),
+    "doubled-comma": lambda data: data.replace(b"},{", b"},,{", 1),
+    "comma-moved-to-the-end": lambda data: data.replace(b"},{", b"}{", 1).replace(b"}],", b"},],", 1),
+}
+
+
+class TestLayoutReader:
+    """DijkstraEngine.evaluate reads factory output in place and anything
+    else through the generic path, with the same result either way."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(graph=_graphs, nw=_weights, sw=_weights, data=st.data())
+    def test_engine_agrees_with_the_generic_path(self, graph, nw, sw, data):
+        artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
+        encoded = routing.CostSurfaceFactory().encode(
+            artifacts, {"neighbor_weight": nw, "second_order_weight": sw}
+        )
+        assert encoded == canon.canonical_encode(build_cost_representation(graph, nw, sw).to_payload())
+        costs = [edge["cost"] for edge in canon.canonical_decode(encoded)["edges"]]
+        assert all(re.fullmatch(r"[0-9]+\.[0-9]{12}", cost) for cost in costs)
+        ids = st.integers(-1, len(graph.nodes))
+        query = {"start": data.draw(ids), "end": data.draw(ids)}
+        assert engine_outcome(encoded, query) == reference_outcome(encoded, query)
+        in_place = bool(costs) and all(Decimal(cost) > 0 for cost in costs)
+        assert (routing._read_layout(encoded) is not None) == in_place
+
+    @pytest.fixture(scope="class")
+    def factory_output(self):
+        artifacts = {"graph": canon.canonical_encode(generate_demo_graph(6, 12).to_payload())}
+        return routing.CostSurfaceFactory().encode(
+            artifacts, {"neighbor_weight": "0.5", "second_order_weight": "0.25"}
+        )
+
+    QUERY = {"start": 0, "end": 11}
+
+    @pytest.mark.parametrize("change", sorted(LAYOUT_CHANGES))
+    def test_changed_factory_output_gets_the_generic_result(self, factory_output, change):
+        changed = LAYOUT_CHANGES[change](factory_output)
+        assert changed != factory_output
+        assert engine_outcome(changed, self.QUERY) == reference_outcome(changed, self.QUERY)
+
+    def spy(self, monkeypatch, representation):
+        """Count the whole-representation decodes and from_payload calls."""
+        calls = {"decode": 0, "from_payload": 0}
+        decode, from_payload = canon.canonical_decode, CostRepresentation.from_payload
+
+        def counting_decode(data):
+            calls["decode"] += data == representation
+            return decode(data)
+
+        def counting_from_payload(cls, payload):
+            calls["from_payload"] += 1
+            return from_payload(payload)
+
+        monkeypatch.setattr(canon, "canonical_decode", counting_decode)
+        monkeypatch.setattr(CostRepresentation, "from_payload", classmethod(counting_from_payload))
+        return calls
+
+    def test_factory_output_is_read_in_place(self, factory_output, monkeypatch):
+        calls = self.spy(monkeypatch, factory_output)
+        out = routing.DijkstraEngine().evaluate(factory_output, self.QUERY)
+        assert calls == {"decode": 0, "from_payload": 0}
+        assert out["route_nodes"][0] == 0 and out["route_nodes"][-1] == 11
+
+    @pytest.mark.parametrize("change", sorted(LAYOUT_CHANGES))
+    def test_changed_factory_output_takes_the_generic_path(self, factory_output, change, monkeypatch):
+        changed = LAYOUT_CHANGES[change](factory_output)
+        decodes = outcome(lambda: canon.canonical_decode(changed))[0] == "ok"
+        calls = self.spy(monkeypatch, changed)
+        outcome(lambda: routing.DijkstraEngine().evaluate(changed, self.QUERY))
+        assert calls == {"decode": 1, "from_payload": int(decodes)}
 
 
 class TestDemoArena:

@@ -50,7 +50,8 @@ from toy_arena import (
 
 @pytest.fixture()
 def st(tmp_path):
-    return open_store(tmp_path / "db")
+    with open_store(tmp_path / "db") as s:
+        yield s
 
 
 @pytest.fixture()
