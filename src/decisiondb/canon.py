@@ -146,12 +146,15 @@ def _validate(value: Any, path: str) -> None:
     )
 
 
-# One encoder for every call; ``json.dumps`` would build one per call.
-_ENCODER = json.JSONEncoder(
-    ensure_ascii=False,
-    sort_keys=True,
-    separators=(",", ":"),
-    allow_nan=False,
+# CPython's C encoder, built once with the settings of
+# ``JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+# allow_nan=False)``, whose ``encode`` builds a new one on every call.
+# Validation refuses every value the encoder would pass to ``default``,
+# and recursion stops a value that contains itself, before either gets
+# here, so ``default`` is never called and no circular check is needed.
+_iterencode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring,
+    None, ":", ",", True, False, False,
 )
 
 
@@ -163,7 +166,7 @@ def canonical_encode(value: CanonicalValue) -> bytes:
     """
     if not _is_plain(value):
         _validate(value, "$")
-    text = _ENCODER.encode(value)
+    text = "".join(_iterencode(value, 0))
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:

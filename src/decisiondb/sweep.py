@@ -20,6 +20,7 @@ from typing import Any, Optional, Protocol
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
 from .errors import (
+    CanonicalizationError,
     DeterminismError,
     EngineFailure,
     InvalidComparisonError,
@@ -28,7 +29,7 @@ from .errors import (
     SweepExecutionError,
     ValidationError,
 )
-from .policy import extract_decision, load_policy
+from .policy import extract_decision, extracted_hash, load_policy
 from .store import (
     EngineRunRecord,
     FMapEntry,
@@ -145,14 +146,32 @@ class SweepPlan:
         kwargs = {name: fields[name] for name in _PLAN_FIELD_TYPES}
         return cls(**kwargs | {"axes": axes}, experiment_id=experiment_id)
 
-    def repr_id(self, params: Mapping[str, str]) -> Identifier:
-        """Identifier of the representation this plan declares for one grid point.
-
-        The encoded artifact is not identifying, so no bytes are needed.
-        """
+    def _representation(self, params: Mapping[str, str]) -> RepresentationRecord:
+        # The encoded artifact is not identifying, so no bytes are needed.
         return RepresentationRecord(
             None, self.snapshot_id, self.factory_name, self.factory_version, params, ""
-        ).derived_id()
+        )
+
+    @functools.cached_property
+    def _repr_frame(self) -> tuple[bytes, bytes]:
+        """The canonical bytes of this plan's representation payload before
+        and after its params, cut from the payload with empty params; no
+        other ``"params":`` can occur, since a quote in a string is escaped."""
+        data = canon.canonical_encode(self._representation({}).identifying_payload())
+        head, _, tail = data.partition(b'"params":{}')
+        return head + b'"params":', tail
+
+    def repr_id(self, params: Mapping[str, str]) -> Identifier:
+        """Identifier of the representation this plan declares for one grid
+        point: the hash of the point's params encoded between the plan's
+        frame, the same bytes as the record's whole payload."""
+        try:
+            encoded = canon.canonical_encode(dict(params))
+        except CanonicalizationError:
+            # Refused params: the record's own derivation raises its error.
+            return self._representation(params).derived_id()
+        head, tail = self._repr_frame
+        return Identifier("repr", canon.payload_hash(head + encoded + tail))
 
     def grid_points(self) -> list[dict[str, str]]:
         """Parameter assignments in grid order: declared axes, values ascending."""
@@ -333,7 +352,9 @@ class _KeyedStatuses(dict):
     its representation row and its map rows by key; its ok runs are read
     only when it is stored with no map row, the one case a call runs it
     from them. Runs are read through the representation row, so a point
-    without one has none."""
+    without one has none. That keyed read of ok runs scans engine_runs
+    (``EXPLAIN QUERY PLAN`` shows ``SCAN e``), which has no index on
+    repr_id, so it grows with the store until the store format adds one."""
 
     def __init__(self, store: Store, plan: SweepPlan):
         super().__init__()
@@ -366,6 +387,8 @@ class _PlanRun:
     representation row and blob are stored is trusted and not encoded;
     a point with exactly one ok run takes its decision from that run;
     and a chain whose map row is complete is not written again. The
+    decision record of each distinct extracted payload is derived once
+    per call, and keeps the time of that first derivation. The
     snapshot's artifacts are loaded on the first encode.
     """
 
@@ -391,6 +414,7 @@ class _PlanRun:
             if not store.has_blob(plan.plan_id.digest16):
                 raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
             self.policy = load_policy(store, plan.policy_id)
+            self.decisions = {}
         if axis is None:
             executes = engine is not None
             self.statuses = _statuses(store, plan, runs=executes, rows=executes)
@@ -471,7 +495,12 @@ class _PlanRun:
             run_id, raw, failure = self._evaluate(encoded, rep_id)
             if failure is not None:
                 return None, failure
-        decision = extract_decision(raw, self.policy)
+        # A decision id is a pure function of the policy and the payload
+        # hash, so each distinct payload's record is derived once a call.
+        payload_hash = extracted_hash(raw, self.policy)
+        decision = self.decisions.get(payload_hash)
+        if decision is None:
+            decision = self.decisions[payload_hash] = extract_decision(raw, self.policy)
         decision_id = decision.decision_id
         entry = FMapEntry.create(
             plan.experiment_id, plan.snapshot_id, rep_id, run_id, decision_id, plan.plan_id

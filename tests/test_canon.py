@@ -153,6 +153,36 @@ def test_encode_matches_reference(payload):
     assert canon.canonical_encode(payload) == _ref_encode(payload)
 
 
+@settings(max_examples=300)
+@given(_values | _values.map(lambda v: [v, (v,)]))
+def test_encode_matches_json_dumps_on_plain_trees(value):
+    # The encoder built once at import writes what json.dumps writes.
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert canon.canonical_encode(value) == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"w": 0.25}, "binary float at $.w; fractional numbers must be decimal strings"),
+        (1.5, "binary float at $; fractional numbers must be decimal strings"),
+        ({"a": [float("nan")]}, "binary float at $.a[0]; fractional numbers must be decimal strings"),
+        (float("inf"), "binary float at $; fractional numbers must be decimal strings"),
+        ({"a": {1: "x"}}, "non-string mapping key 1 at $.a"),
+        ({(1, 2): "x"}, "non-string mapping key (1, 2) at $"),
+        (
+            {"s": "\ud800"},
+            "text is not encodable as UTF-8: 'utf-8' codec can't encode character "
+            "'\\ud800' in position 6: surrogates not allowed",
+        ),
+    ],
+)
+def test_refusal_messages_are_unchanged(value, message):
+    with pytest.raises(CanonicalizationError) as raised:
+        canon.canonical_encode(value)
+    assert str(raised.value) == message
+
+
 _OPAQUE = object()
 _mixed = st.recursive(
     _scalars | st.floats() | st.just(_OPAQUE),

@@ -731,8 +731,12 @@ class CountingDijkstra(routing.DijkstraEngine):
 
 
 class TestDemoReuse:
-    def test_rerun_of_a_one_point_plan_calls_no_engine(self, tmp_path):
-        st = open_store(tmp_path / "db")
+    @pytest.fixture()
+    def st(self, tmp_path):
+        with open_store(tmp_path / "db") as s:
+            yield s
+
+    def test_rerun_of_a_one_point_plan_calls_no_engine(self, st):
         _, second_order = routing.persist_demo(st)
         plan = sweep.persist_plan(
             st, replace(second_order, axes=[sweep.Axis("second_order_weight", ("0.5",))])
@@ -746,8 +750,7 @@ class TestDemoReuse:
         assert engine.calls == 0
         assert not [s for s in statements if s.startswith("INSERT")]
 
-    def test_second_demo_plan_reuses_the_shared_point(self, tmp_path):
-        st = open_store(tmp_path / "db")
+    def test_second_demo_plan_reuses_the_shared_point(self, st):
         first, second = routing.persist_demo(st)
         routing.run_plan(st, first)
         engine = CountingDijkstra()

@@ -7,6 +7,8 @@ decision, boundary, and refinement outcome here is predictable by eye.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sqlite3
@@ -16,6 +18,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from decisiondb import canon, replay, store, sweep
 from decisiondb.errors import (
@@ -30,7 +33,7 @@ from decisiondb.errors import (
     ValidationError,
 )
 from decisiondb.policy import EquivalencePolicy, extract_decision, load_policy, persist_policy
-from decisiondb.store import open_store
+from decisiondb.store import RepresentationRecord, open_store
 from test_replay import flip_byte
 from test_store import raw_rows, store_digest
 from toy_arena import (
@@ -222,6 +225,73 @@ class TestPlans:
     def test_load_plan_rejects_other_prefixes(self, st, world):
         with pytest.raises(ValidationError):
             sweep.load_plan(st, "snap_" + "ab" * 8, "exp")
+
+
+_POLICY_ID = canon.Identifier("pol", "ab" * 8)
+# Text a repr id's bytes must carry through unchanged: quotes, backslashes,
+# the frame's own cut point, non-ASCII and control characters.
+_TRICKY = strategies.just('"params":{}') | strategies.text(
+    alphabet='"\\{}:,params x\u00e9\u4e16\U0001f600\n\x00', max_size=12
+)
+_NAMES = _TRICKY | strategies.text(
+    alphabet=strategies.characters(blacklist_categories=("Cs",)), max_size=12
+)
+_PARAM_VALUES = (
+    _NAMES
+    | strategies.integers()
+    | strategies.floats()
+    | strategies.none()
+    | strategies.just(object())
+    | strategies.just("lone \ud800 surrogate")
+)
+_PARAM_KEYS = _NAMES | strategies.just("\udfff") | strategies.integers()
+
+
+def _outcome(derive):
+    try:
+        return "id", derive()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(
+    strategies.from_regex(r"[0-9a-f]{16}", fullmatch=True),
+    _NAMES,
+    _NAMES,
+    strategies.dictionaries(_PARAM_KEYS, _PARAM_VALUES, max_size=4).flatmap(
+        lambda params: strategies.sampled_from(
+            [params, types.MappingProxyType(params), list(params.items())]
+        )
+    ),
+)
+def test_repr_id_is_the_records_derived_id(digest, name, version, params):
+    snap = canon.Identifier("snap", digest)
+    plan = sweep.SweepPlan(
+        snapshot_id=snap,
+        factory_name=name,
+        factory_version=version,
+        axes=[sweep.Axis("x", ("1",))],
+        fixed_params={},
+        engine_name="step-compare",
+        engine_version="1",
+        query={"q": 1},
+        policy_id=_POLICY_ID,
+        experiment_id="exp",
+    )
+    reference = RepresentationRecord(None, snap, name, version, params, "")
+    expected = _outcome(reference.derived_id)
+    assert _outcome(lambda: plan.repr_id(params)) == expected
+    # Twice, now with the plan's frame already cut.
+    assert _outcome(lambda: plan.repr_id(params)) == expected
+
+
+def test_plan_pickles_and_copies_after_deriving_repr_ids(world, st):
+    plan = make_plan(st, *world)
+    rep_id = plan.repr_id({"x": "1"})
+    for twin in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan), copy.copy(plan)):
+        assert twin == plan
+        assert twin.repr_id({"x": "1"}) == rep_id
 
 
 class TestDeclare:
@@ -962,6 +1032,21 @@ class TestReuse:
         assert engine.evaluated == []
         assert not [s for s in statements if s.startswith("INSERT")]
 
+    def test_rerun_derives_each_decision_id_once(self, st, world, monkeypatch):
+        plan = make_plan(st, *world, xs=[str(x) for x in range(10)])
+        entries = run_plan(st, plan)
+        assert len({entry.decision_id for entry in entries}) == 2
+        derived = []
+        content_id = canon.content_id
+
+        def counting(prefix, payload):
+            derived.append(prefix)
+            return content_id(prefix, payload)
+
+        monkeypatch.setattr(canon, "content_id", counting)
+        assert run_plan(st, plan) == entries
+        assert derived.count("dec") == 2
+
     def test_plan_differing_only_in_policy_reuses_each_run(self, st, world, tmp_path):
         snap, _ = world
         plan = make_plan(st, *world)
@@ -978,20 +1063,19 @@ class TestReuse:
         }
         assert replay.replay_all(st, "exp", deep=True).ok
         # A fresh store running only that plan writes the same rows.
-        fresh = open_store(tmp_path / "fresh")
-        fresh_snap, _ = setup_world(fresh)
-        persist_policy(fresh, EquivalencePolicy(hash_source=("x",)))
-        assert run_plan(fresh, make_plan(fresh, fresh_snap, pol_id)) == entries
-
         def written(store, table, column, value):
             rows = [row for row in raw_rows(store, table) if row[column] == str(value)]
             return [{k: v for k, v in row.items() if k != "created_at"} for row in rows]
 
-        for table, column, value in (
-            ("decisions", "policy_id", pol_id),
-            ("f_map", "plan_id", other.plan_id),
-        ):
-            assert written(st, table, column, value) == written(fresh, table, column, value)
+        with open_store(tmp_path / "fresh") as fresh:
+            fresh_snap, _ = setup_world(fresh)
+            persist_policy(fresh, EquivalencePolicy(hash_source=("x",)))
+            assert run_plan(fresh, make_plan(fresh, fresh_snap, pol_id)) == entries
+            for table, column, value in (
+                ("decisions", "policy_id", pol_id),
+                ("f_map", "plan_id", other.plan_id),
+            ):
+                assert written(st, table, column, value) == written(fresh, table, column, value)
 
     def test_plan_with_another_query_calls_the_engine(self, st, world):
         plan = make_plan(st, *world)
