@@ -64,13 +64,6 @@ class DecisionLetters:
         return [f"{letter} = {key}" for key, letter in self.assigned.items()]
 
 
-# Each run on a plan's map rows with its raw output's hash, in one statement.
-_RAW_OUTPUT_REFS_SQL = (
-    "SELECT run_id, raw_output_ref FROM engine_runs WHERE run_id IN"
-    " (SELECT run_id FROM f_map WHERE experiment_id = ? AND plan_id = ?)"
-)
-
-
 def route_length(store: Store, raw_ref: Optional[str]) -> Optional[int]:
     """Node count of a route output, read verified; None without a run or a route."""
     if raw_ref is None:
@@ -100,7 +93,7 @@ def axis_report_payload(
     payload = sweep.classify_axis(dmap, axis).to_payload()
     plan = dmap.plan
     payload["plan_id"] = plan.plan_id
-    raw_refs = dict(store._execute(_RAW_OUTPUT_REFS_SQL, (plan.experiment_id, plan.plan_id)))
+    raw_refs = dict(store.read("raw_output_refs", (plan.experiment_id, plan.plan_id)))
     payload["points"] = [
         {
             "params": dict(point.params),

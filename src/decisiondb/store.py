@@ -15,7 +15,7 @@ import sqlite3
 import threading
 import time
 import urllib.parse
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -82,7 +82,7 @@ class Table:
     The table's DDL follows from the same description: every column is
     ``TEXT NOT NULL`` apart from the key, ``primary_key`` names the
     columns of a composite key, and ``allowed`` limits a column to the
-    listed values. ``order`` is the row order of ``select``.
+    listed values. ``order`` is the row order of every read of its rows.
     """
 
     def __init__(
@@ -194,13 +194,6 @@ class Table:
             value = canon.canonical_decode(values[at].encode("utf-8"))
             values[at] = value if self.json[name] is None else self.json[name](value)
         return self.cls(*values)
-
-    def select(self, execute: Callable, filters: Mapping[str, Any]) -> list:
-        """Records whose columns equal every filter, in the declared order."""
-        where = " AND ".join(f"{column} = ?" for column in filters)
-        sql = f"{self.select_sql} WHERE {where}" if filters else self.select_sql
-        rows = execute(sql + self.order_sql, list(filters.values()))
-        return [self.record(row) for row in rows]
 
 
 class _Record:
@@ -373,6 +366,34 @@ TABLES = tuple(table.name for table in _TABLES.values())
 _BY_PREFIX = {t.prefix: t for t in _TABLES.values() if t.prefix}
 # Every table's row count from one read, so all of them see one state.
 _COUNTS_SQL = "SELECT " + ", ".join(f"(SELECT COUNT(*) FROM {t})" for t in TABLES)
+# The reads of sweep's point statuses and decision map and of sweep report, by
+# name: (statement, the column a repr id narrows it on, row order). Runs are read
+# from engine_runs outward (CROSS JOIN fixes the loop order), so no automatic index
+# is built on engine_runs; a map row is complete when every row it references exists.
+_READS = {
+    "stored": (
+        "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
+        " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?",
+        "repr_id", ""),
+    "runs": (
+        "SELECT e.repr_id, e.run_id, e.raw_output_ref"
+        " FROM engine_runs AS e CROSS JOIN representations AS r ON r.repr_id = e.repr_id"
+        " WHERE e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
+        " AND r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?",
+        "e.repr_id", ""),
+    "map_rows": (
+        "SELECT repr_id, run_id, decision_id, "
+        + " AND ".join(
+            f"EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
+            for column, table in FMapEntry.TABLE.references.items()
+        )
+        + " FROM f_map AS f WHERE experiment_id = ? AND plan_id = ?",
+        "repr_id", FMapEntry.TABLE.order_sql),
+    "raw_output_refs": (
+        "SELECT run_id, raw_output_ref FROM engine_runs WHERE run_id IN"
+        " (SELECT run_id FROM f_map WHERE experiment_id = ? AND plan_id = ?)",
+        None, ""),
+}
 
 
 def _locked(exc: sqlite3.Error) -> bool:
@@ -429,12 +450,16 @@ class Store:
                 uri=True,
                 check_same_thread=False,
             )
-            conn.execute("PRAGMA foreign_keys = ON")
-            # A store that has tables is only read here, so opening one
-            # never waits on another connection's write transaction.
-            if create and not _table_names(conn):
-                self._create_layout(conn)
-            self._check_integrity(conn)
+            try:
+                conn.execute("PRAGMA foreign_keys = ON")
+                # A store that has tables is only read here, so opening one
+                # never waits on another connection's write transaction.
+                if create and not _table_names(conn):
+                    self._create_layout(conn)
+                self._check_integrity(conn)
+            except BaseException:
+                conn.close()
+                raise
         except (sqlite3.Error, OSError) as exc:
             raise self.error(exc, "open") from exc
         return conn
@@ -669,6 +694,13 @@ class Store:
     def table_counts(self) -> dict[str, int]:
         return dict(zip(TABLES, self._execute(_COUNTS_SQL)[0]))
 
+    def read(self, name: str, key: Sequence, repr_id: Optional[str] = None) -> list:
+        """The rows of ``_READS[name]`` bound to ``key``; with ``repr_id``, only that point's."""
+        sql, column, order = _READS[name]
+        if repr_id is not None:
+            sql, key = f"{sql} AND {column} = ?", (*key, repr_id)
+        return self._execute(sql + order, key)
+
     def query_fmap(
         self,
         experiment_id: Optional[str] = None,
@@ -683,7 +715,11 @@ class Store:
         ):
             if value is not None:
                 filters[column] = canon.parse_identifier(value, prefix)
-        return FMapEntry.TABLE.select(self._execute, filters)
+        table = FMapEntry.TABLE
+        where = " AND ".join(f"{column} = ?" for column in filters)
+        sql = f"{table.select_sql} WHERE {where}" if filters else table.select_sql
+        rows = self._execute(sql + table.order_sql, list(filters.values()))
+        return [table.record(row) for row in rows]
 
 
 def open_store(location: Union[str, Path], create: bool = True) -> Store:

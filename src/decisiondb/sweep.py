@@ -270,30 +270,6 @@ def load_plan(
     return plan
 
 
-# The three reads of _statuses, each over the plan's family or map, or
-# with a repr id over one point. Runs are read from engine_runs outward
-# (CROSS JOIN fixes the loop order), so SQLite builds no automatic index
-# on engine_runs; a map row is complete when every row it references exists.
-_STORED_SQL = (
-    "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
-    " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?"
-)
-_RUNS_SQL = (
-    "SELECT e.repr_id, e.run_id, e.raw_output_ref"
-    " FROM engine_runs AS e CROSS JOIN representations AS r ON r.repr_id = e.repr_id"
-    " WHERE e.engine_name = ? AND e.engine_version = ? AND e.query = ? AND e.status = 'ok'"
-    " AND r.snapshot_id = ? AND r.factory_name = ? AND r.factory_version = ?"
-)
-_MAP_ROWS_SQL = (
-    "SELECT repr_id, run_id, decision_id, "
-    + " AND ".join(
-        f"EXISTS (SELECT 1 FROM {table.name} WHERE {column} = f.{column})"
-        for column, table in FMapEntry.TABLE.references.items()
-    )
-    + " FROM f_map AS f WHERE experiment_id = ? AND plan_id = ?"
-)
-
-
 @dataclass(slots=True)
 class _Status:
     """What the store holds for one representation of a plan: its row's
@@ -323,25 +299,18 @@ def _statuses(
     statuses = defaultdict(
         lambda: _Status(() if stored else None, [] if runs else None, [] if rows else None)
     )
-
-    def read(sql, params, column="repr_id", order=""):
-        if repr_id is not None:
-            sql, params = f"{sql} AND {column} = ?", (*params, repr_id)
-        return store._execute(sql + order, params)
-
     family = (plan.snapshot_id, plan.factory_name, plan.factory_version)
     if stored:
-        for rep_id, ref, created_at in read(_STORED_SQL, family):
+        for rep_id, ref, created_at in store.read("stored", family, repr_id):
             statuses[rep_id].stored = (ref, created_at)
     if runs:
         query = canon.canonical_encode(plan.query).decode("utf-8")
         engine = (plan.engine_name, plan.engine_version, query)
-        for rep_id, run_id, raw_ref in read(_RUNS_SQL, engine + family, "e.repr_id"):
+        for rep_id, run_id, raw_ref in store.read("runs", engine + family, repr_id):
             statuses[rep_id].runs.append((run_id, raw_ref))
     if rows:
         plan_key = (plan.experiment_id, plan.plan_id)
-        order = FMapEntry.TABLE.order_sql
-        for rep_id, run_id, decision_id, complete in read(_MAP_ROWS_SQL, plan_key, order=order):
+        for rep_id, run_id, decision_id, complete in store.read("map_rows", plan_key, repr_id):
             statuses[rep_id].rows.append((run_id, decision_id, bool(complete)))
     return statuses
 
@@ -387,9 +356,9 @@ class _PlanRun:
     representation row and blob are stored is trusted and not encoded;
     a point with exactly one ok run takes its decision from that run;
     and a chain whose map row is complete is not written again. The
-    decision record of each distinct extracted payload is derived once
-    per call, and keeps the time of that first derivation. The
-    snapshot's artifacts are loaded on the first encode.
+    decision record of each distinct extracted payload is derived once a
+    call, keeping that time, and put with the first chain written that
+    names it. The snapshot's artifacts are loaded on the first encode.
     """
 
     def __init__(
@@ -414,7 +383,7 @@ class _PlanRun:
             if not store.has_blob(plan.plan_id.digest16):
                 raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
             self.policy = load_policy(store, plan.policy_id)
-            self.decisions = {}
+            self.decisions, self.written = {}, set()
         if axis is None:
             executes = engine is not None
             self.statuses = _statuses(store, plan, runs=executes, rows=executes)
@@ -506,7 +475,9 @@ class _PlanRun:
             plan.experiment_id, plan.snapshot_id, rep_id, run_id, decision_id, plan.plan_id
         )
         if (run_id, decision_id, True) not in status.rows:
-            store.put_record(decision)
+            if decision_id not in self.written:
+                store.put_record(decision)
+                self.written.add(decision_id)
             store.put_record(entry)
             # put_record found every row the entry references, so its map
             # row is complete now, whether new or stored incomplete.
@@ -641,13 +612,13 @@ def materialize_map(store: Store, plan_id: str, experiment_id: str) -> DecisionM
     order, the row refine_boundary reads for the same point.
     """
     plan = load_plan(store, plan_id, experiment_id)
-    statuses = _statuses(store, plan, stored=False, runs=False)
+    rows = store.read("map_rows", (plan.experiment_id, plan.plan_id))
+    first = {rep_id: (run_id, dec) for rep_id, run_id, dec, _ in reversed(rows)}
     points = {}
     for params in plan.grid_points():
         rep_id = plan.repr_id(params)
-        rows = statuses[rep_id].rows
-        if rows:
-            run_id, decision_id = map(canon.parse_identifier, rows[0][:2])
+        if rep_id in first:
+            run_id, decision_id = map(canon.parse_identifier, first[rep_id])
             points[params_key(params)] = MapPoint(dict(params), rep_id, run_id, decision_id)
     return DecisionMap(plan=plan, points=points)
 

@@ -287,6 +287,13 @@ def test_decode_float_literal_rejected():
         canon.canonical_decode(b'{"v":1.5}')
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_decode_non_finite_literal_rejected(literal):
+    message = f"^non-finite number literal '{literal}' in canonical input$"
+    with pytest.raises(CanonicalizationError, match=message):
+        canon.canonical_decode(f'{{"v":{literal}}}'.encode())
+
+
 def test_decode_invalid_json_rejected():
     with pytest.raises(CanonicalizationError):
         canon.canonical_decode(b'{"v":')

@@ -266,6 +266,25 @@ class TestDemo:
         assert "A = dec_" in second_order
         assert "B = dec_" in second_order
 
+    def test_report_takes_an_axis_and_refuses_to_pick_one_of_two(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        with open_store(db) as st:
+            snap, pol_id = setup_world(st)
+            x = sweep.Axis(param="x", values=("1", "9"))
+            plans = [
+                make_plan(st, snap, pol_id, axes=[x, sweep.Axis(param="gain", values=gains)])
+                for gains in (("1",), ("1", "2"))
+            ]
+            for plan in plans:
+                run_plan(st, plan)
+        argv = ["sweep", "report", "--db", str(db), "--experiment", "exp", "--plan"]
+        code, payload = run_json(capsys, [*argv, plans[0].plan_id, "--axis", "x"])
+        assert code == 0
+        assert payload["axis"] == "x"
+        assert payload["boundaries"] == [{"between": ["1", "9"]}]
+        assert cli.main([*argv, plans[1].plan_id]) == 1
+        assert capsys.readouterr().err == "error: plan sweeps more than one axis; pick one with --axis\n"
+
     def test_report_rows_carry_route_sizes(self, demo_db, capsys):
         plan_ids = demo_plan_ids(capsys, demo_db)
         code, payload = run_json(
@@ -591,6 +610,14 @@ class DriftedRoute(routing.DijkstraEngine):
         return {**raw, "route_nodes": raw["route_nodes"][::-1]}
 
 
+class NodelessRoute(routing.DijkstraEngine):
+    """The demo engine's (name, version), answering without a route."""
+
+    def evaluate(self, representation, query):
+        raw = super().evaluate(representation, query)
+        return {key: value for key, value in raw.items() if key != "route_nodes"}
+
+
 class TestReexecute:
     def test_fresh_demo_store_verifies_and_stays_byte_identical(self, demo_db, capsys):
         before = store_files(demo_db)
@@ -635,6 +662,29 @@ class TestReexecute:
         assert "no registered factory stress-cost-surface/1" in captured.out
         assert "no registered engine dijkstra-shortest-path/1" in captured.out
         assert "4 verified, 0 matched, 4 mismatched, 0 broken" in captured.out
+
+    def test_a_policy_that_does_not_decode_is_a_finding(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        with open_store(db) as st:
+            pol_ref = raw_rows(st, "decisions")[0]["policy_id"].removeprefix("pol_")
+            Path(st._blob_path(pol_ref)).write_bytes(b"[]")
+        code, payload = run_json(capsys, ["replay", "--reexecute", "--experiment", "demo", "--db", str(db)])
+        assert code == 2
+        for report in payload["reports"]:
+            (check,) = [c for c in report["checks"] if c["field"] == "reexec:decision_id"]
+            assert check["recomputed"] == f"policy {pol_ref} does not decode"
+
+    def test_an_answer_the_policy_cannot_decide_is_a_finding(self, demo_db, capsys, monkeypatch):
+        engine = NodelessRoute()
+        monkeypatch.setitem(routing.ENGINES, (engine.name, engine.version), engine)
+        code, payload = run_json(capsys, ["demo", "replay", "--reexecute", "--db", str(demo_db)])
+        assert code == 2
+        for report in payload["reports"]:
+            (check,) = [c for c in report["checks"] if c["field"] == "reexec:decision_id"]
+            assert check["recomputed"] == (
+                "no decision: hash_source path 'route_nodes' does not resolve: missing 'route_nodes'"
+            )
 
 
 class TestOutput:
@@ -845,6 +895,19 @@ class TestFileWorkflow:
         assert code == 1
         assert "NAME=FILE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unreadable", [True, False], ids=["unreadable", "invalid-json"])
+    def test_artifact_file_that_does_not_load_exits_one(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "graph.json"
+        if unreadable:
+            path.mkdir()
+            message = f"error: cannot read {path}: [Errno 21] Is a directory: '{path}'\n"
+        else:
+            path.write_bytes(b"{")
+            message = f"error: {path}: input is not valid JSON: "
+        argv = ["freeze", "--db", str(tmp_path / "db"), "--window", "a", "b", f"graph={path}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_plan_and_policy_files_execute(self, tmp_path, capsys, world_files):
         root, graph_file, policy_file, pol_id = world_files
         db = str(root / "db")
@@ -887,12 +950,14 @@ class TestFileWorkflow:
             (lambda payload: [payload], "not a mapping"),
             (lambda payload: {**payload, "axes": [1]}, "plan axis 1"),
             (lambda payload: {k: v for k, v in payload.items() if k != "engine_name"}, "'engine_name'"),
+            (lambda payload: {**payload, "engine_name": 1}, "plan field 'engine_name' is not a str"),
             (
                 lambda payload: {**payload, "axes": [{"param": "neighbor_weight", "values": ["NaN"]}]},
                 "'NaN' is not a number",
             ),
         ],
-        ids=["not-a-mapping", "axis-not-a-mapping", "missing-field", "nan-axis-value"],
+        ids=["not-a-mapping", "axis-not-a-mapping", "missing-field", "field-of-wrong-type",
+             "nan-axis-value"],
     )
     def test_malformed_plan_file_exits_one(self, tmp_path, capsys, world_files, mangle, named):
         root, graph_file, _, pol_id = world_files

@@ -149,3 +149,8 @@ def test_load_rejects_non_policy_identifier(tmp_path):
 def test_from_payload_rejects_malformed():
     with pytest.raises(ValidationError):
         EquivalencePolicy.from_payload({"hash_source": ["x"]})
+
+
+def test_from_payload_rejects_a_non_mapping():
+    with pytest.raises(ValidationError, match="^policy payload is a list, not a mapping$"):
+        EquivalencePolicy.from_payload(["route_nodes"])

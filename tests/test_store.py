@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import copy
 import hashlib
 import multiprocessing
@@ -224,6 +226,64 @@ class TestOpen:
         conn.close()
         with pytest.raises(StoreOpenError):
             open_store(loc)
+
+    @pytest.mark.parametrize(
+        "damage, creates",
+        [
+            ("CREATE TABLE unrelated (x INTEGER)", (True, False)),
+            ("UPDATE meta SET value = '2' WHERE key = 'store_format'", (True, False)),
+            ("DROP TABLE f_map", (True, False)),
+            ("garbage", (True, False)),
+            ("hot journal", (False,)),
+        ],
+        ids=["no-meta-table", "format-mismatch", "missing-table", "garbage", "sqlite-error"],
+    )
+    def test_a_refused_open_closes_its_connection(self, tmp_path, monkeypatch, damage, creates):
+        # No Store is built, so only the connections themselves can show
+        # a leak: a closed one refuses every statement.
+        loc = tmp_path / "db"
+        if damage == "hot journal":
+            loc, _, journal, target = executed_store_and_journal(tmp_path)
+            target.write_bytes(journal)
+        elif damage == "garbage":
+            loc.mkdir()
+            (loc / "store.sqlite").write_bytes(b"not a database at all" * 10)
+        else:
+            if damage.startswith("CREATE"):
+                loc.mkdir()
+            else:
+                open_store(loc).close()
+            with contextlib.closing(sqlite3.connect(loc / "store.sqlite")) as conn, conn:
+                conn.execute(damage)
+        opened = []
+        connect = sqlite3.connect
+
+        def recording(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", recording)
+        for create in creates:
+            opened.clear()
+            with pytest.raises(StoreOpenError):
+                open_store(loc, create)
+            assert len(opened) == 1
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                opened[0].execute("SELECT 1")
+
+
+    def test_a_failed_layout_is_rolled_back(self, tmp_path, monkeypatch):
+        # The last table's DDL fails once meta and the other tables exist
+        # in the open transaction; none of them may stay.
+        with monkeypatch.context() as patched:
+            patched.setattr(FMapEntry.TABLE, "create_sql", "CREATE TABLE f_map (")
+            with pytest.raises(StoreOpenError, match=r"^cannot open store at .*: incomplete input$"):
+                open_store(tmp_path / "db")
+        with contextlib.closing(sqlite3.connect(tmp_path / "db" / "store.sqlite")) as conn:
+            assert conn.execute("SELECT name FROM sqlite_master").fetchall() == []
+        with open_store(tmp_path / "db") as s:
+            assert s.table_counts() == dict.fromkeys(TABLES, 0)
+
 
 
 class TestBlobs:
@@ -984,3 +1044,23 @@ class TestCrash:
         with open_store(killed, create=False) as st:
             counts = st.table_counts()
         assert (counts["representations"], counts["engine_runs"]) == (20, 0)
+
+
+# An SQL keyword as a statement spells it; prose in docstrings does not.
+SQL_WORDS = re.compile(r"\b(SELECT|INSERT|UPDATE|DELETE|CREATE|DROP|PRAGMA|BEGIN|FROM|WHERE)\b")
+
+
+def test_only_store_py_speaks_sql():
+    # The schema and every statement over it are written in store.py
+    # alone, so a change of store format edits one module.
+    found = []
+    for path in sorted(Path(store_module.__file__).parent.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if SQL_WORDS.search(node.value):
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("_execute", "_conn", "TABLE"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []

@@ -177,8 +177,9 @@ class TestPlans:
         [
             (sweep.Axis(param=1, values=("1",)), "axis parameter name 1 is not a string"),
             (sweep.Axis(param="x", values="13"), "axis 'x' values '13' are a string"),
+            (sweep.Axis(param="", values=("1",)), "axis parameter name must not be empty"),
         ],
-        ids=["number-param", "string-values"],
+        ids=["number-param", "string-values", "empty-param"],
     )
     def test_bad_axis_shape_rejected_at_construction(self, st, world, axis, message):
         # A string of values would sweep its characters, x = 1 and 3.
@@ -196,6 +197,10 @@ class TestPlans:
     def test_identifier_that_is_not_a_string_rejected(self, world, name, value):
         with pytest.raises(IdentifierFormatError, match=f"malformed identifier: {value}"):
             replace(unpersisted_plan(*world), **{name: value})
+
+    def test_empty_experiment_id_rejected(self, world):
+        with pytest.raises(ValidationError, match="^experiment_id must be a non-empty string$"):
+            replace(unpersisted_plan(*world), experiment_id="")
 
     def test_plan_requires_frozen_snapshot(self, st, world):
         _, pol_id = world
@@ -225,6 +230,13 @@ class TestPlans:
     def test_load_plan_rejects_other_prefixes(self, st, world):
         with pytest.raises(ValidationError):
             sweep.load_plan(st, "snap_" + "ab" * 8, "exp")
+
+    def test_load_plan_refuses_a_spec_that_re_derives_to_another_id(self, st, world):
+        plan, other = make_plan(st, *world), make_plan(st, *world, xs=("2",))
+        Path(st._blob_path(plan.plan_id.digest16)).write_bytes(st.get_blob(other.plan_id.digest16))
+        message = f"^stored plan spec re-derives to {other.plan_id}, not {plan.plan_id}$"
+        with pytest.raises(PlanNotFoundError, match=message):
+            sweep.load_plan(st, plan.plan_id, "exp")
 
 
 _POLICY_ID = canon.Identifier("pol", "ab" * 8)
@@ -309,6 +321,13 @@ class TestDeclare:
         second = sweep.declare_representations(st, plan, StepFactory())
         assert [r.repr_id for r in first] == [r.repr_id for r in second]
         assert st.table_counts()["representations"] == 4
+
+    def test_missing_snapshot_row_refused_at_the_first_encode(self, st, world):
+        plan = make_plan(st, *world)
+        delete_row(st, "snapshots", "snapshot_id")
+        message = f"^plan references missing snapshot {plan.snapshot_id}$"
+        with pytest.raises(ReferentialError, match=message):
+            sweep.declare_representations(st, plan, StepFactory())
 
     def test_factory_identity_must_match_plan(self, st, world):
         plan = make_plan(st, *world)
@@ -545,6 +564,18 @@ class TestClassify:
         with pytest.raises(InvalidComparisonError, match="also varies"):
             sweep.classify_axis(dmap, "x")
 
+    def test_axis_beside_a_single_valued_axis(self, st, world):
+        # The other axis's one value joins every point compared, the
+        # refine midpoints' too.
+        axes = [sweep.Axis(param="x", values=("1", "9")), sweep.Axis(param="gain", values=("1",))]
+        plan = make_plan(st, *world, axes=axes)
+        run_plan(st, plan)
+        report = sweep.classify_axis(sweep.materialize_map(st, plan.plan_id, "exp"), "x")
+        assert [(b.lo, b.hi) for b in report.boundaries] == [("1", "9")]
+        refined = sweep.refine_boundary(st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3)
+        assert (refined.lo, refined.hi, refined.evaluations) == ("4", "5", 3)
+        assert st.get_record(plan.repr_id({"x": "5", "gain": "1"})) is not None
+
     def test_empty_map(self, st, world):
         plan = make_plan(st, *world)
         sweep.declare_representations(st, plan, StepFactory())
@@ -654,6 +685,12 @@ class TestRefine:
             )
         assert (st.table_counts(), st.blob_count()) == before
 
+    def test_negative_budget_rejected(self, st, world):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        with pytest.raises(ValidationError, match="^max_evals must be non-negative$"):
+            sweep.refine_boundary(st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), -1)
+
     def test_third_decision_marks_multi_region(self, st, world):
         engine = StepEngine(peak_at="9")
         _, result = self.refined(st, world, max_evals=8, engine=engine)
@@ -748,8 +785,17 @@ class TestBatchedWrites:
         plan = make_plan(st, *world, xs=[str(x) for x in range(100)])
         statements = traced(st)
         run_plan(st, plan)
-        assert sum(s.startswith("INSERT") for s in statements) == 400
+        # A row for each point's representation, run and map entry, and
+        # one for each of the sweep's 2 decisions.
+        assert sum(s.startswith("INSERT") for s in statements) == 302
         assert statements.count("COMMIT") == 2
+
+    def test_sweep_puts_each_decision_row_once(self, st, world):
+        plan = make_plan(st, *world, xs=[str(x) for x in range(10)])
+        statements = traced(st)
+        entries = run_plan(st, plan)
+        assert len({entry.decision_id for entry in entries}) == 2
+        assert sum(s.startswith("INSERT INTO decisions") for s in statements) == 2
 
     # Each sweep fails at its third point (x=7); the rows written before
     # the failure must be committed, as when every row committed alone.
@@ -967,7 +1013,7 @@ class TestRerun:
         assert (refined.lo, refined.hi, refined.evaluations) == ("4", "5", 3)
         assert (factory.calls, engine.evaluated) == (0, [])
         # Each of the five points read its runs, and wrote one map row.
-        runs_read = sweep._RUNS_SQL.split("?")[0]
+        runs_read = store._READS["runs"][0].split("?")[0]
         assert sum(s.startswith(runs_read) for s in statements) == 5
         assert len(st.query_fmap("exp", plan_id=plan.plan_id)) == 5
 
