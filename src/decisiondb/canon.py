@@ -164,13 +164,14 @@ def canonical_encode(value: CanonicalValue) -> bytes:
     Mapping key insertion order never affects the output; keys are sorted
     by code point, which is identical to byte-wise UTF-8 order.
     """
-    if not _is_plain(value):
-        _validate(value, "$")
-    text = "".join(_iterencode(value, 0))
     try:
-        return text.encode("utf-8")
+        if not _is_plain(value):
+            _validate(value, "$")
+        return "".join(_iterencode(value, 0)).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise CanonicalizationError(f"text is not encodable as UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise CanonicalizationError(f"value nests too deeply or contains itself: {exc}") from exc
 
 
 def _reject_float(text: str):
@@ -206,7 +207,8 @@ def canonical_decode(data: bytes) -> CanonicalValue:
     """Decode canonical bytes back into a value tree.
 
     Rejects duplicate keys and any number with a fractional or non-finite
-    literal, since those have no canonical representation.
+    literal, since those have no canonical representation, and input
+    nested deeper than the interpreter can decode.
     """
     try:
         text = data.decode("utf-8")
@@ -223,6 +225,8 @@ def canonical_decode(data: bytes) -> CanonicalValue:
         raise
     except ValueError as exc:
         raise CanonicalizationError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CanonicalizationError(f"input nests too deeply: {exc}") from exc
 
 
 def payload_hash(data: bytes) -> str:

@@ -21,7 +21,7 @@ class IdentifierFormatError(DecisionDBError):
 
 class StoreOpenError(DecisionDBError):
     """A store cannot be opened or read: it fails an integrity check on
-    open, is locked, or holds an interrupted write."""
+    open, is locked, holds an interrupted write, or a blob read fails."""
 
 
 class IntegrityError(DecisionDBError):

@@ -9,7 +9,6 @@ decision identity.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -19,15 +18,14 @@ from .canon import Identifier, SCHEMA_VERSION
 from .errors import CanonicalizationError, ExtractionError, ValidationError
 from .store import DecisionRecord, Store
 
-CANONICALIZATION_RULES = ("canonical_json_utf8",)
-MATCH_RULES = ("sha256_equality",)
+# The one rule of each kind that a policy payload may name.
+CANONICALIZATION_RULE = "canonical_json_utf8"
+MATCH_RULE = "sha256_equality"
 
 
 @dataclass(frozen=True)
 class EquivalencePolicy:
     hash_source: tuple[str, ...]
-    canonicalization_rule: str = "canonical_json_utf8"
-    match_rule: str = "sha256_equality"
     version: str = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -37,23 +35,12 @@ class EquivalencePolicy:
         for part in self.hash_source:
             if not isinstance(part, str) or not part:
                 raise ValidationError(f"bad hash_source path element: {part!r}")
-        if self.canonicalization_rule not in CANONICALIZATION_RULES:
-            raise ValidationError(
-                f"unknown canonicalization rule {self.canonicalization_rule!r}"
-            )
-        if self.match_rule not in MATCH_RULES:
-            raise ValidationError(f"unknown match rule {self.match_rule!r}")
-
-    @functools.cached_property
-    def _identifier(self) -> Identifier:
-        # A policy is frozen, so its identifier is derived once per object.
-        return canon.content_id("pol", self.payload())
 
     def payload(self) -> dict:
         return {
             "hash_source": list(self.hash_source),
-            "canonicalization_rule": self.canonicalization_rule,
-            "match_rule": self.match_rule,
+            "canonicalization_rule": CANONICALIZATION_RULE,
+            "match_rule": MATCH_RULE,
             "version": self.version,
         }
 
@@ -62,18 +49,20 @@ class EquivalencePolicy:
         if not isinstance(payload, Mapping):
             raise ValidationError(f"policy payload is a {type(payload).__name__}, not a mapping")
         try:
-            return cls(
-                hash_source=tuple(payload["hash_source"]),
-                canonicalization_rule=payload["canonicalization_rule"],
-                match_rule=payload["match_rule"],
-                version=payload["version"],
-            )
+            hash_source = tuple(payload["hash_source"])
+            canonicalization, match = payload["canonicalization_rule"], payload["match_rule"]
+            policy = cls(hash_source=hash_source, version=payload["version"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed policy payload: {exc}") from exc
+        if canonicalization != CANONICALIZATION_RULE:
+            raise ValidationError(f"unknown canonicalization rule {canonicalization!r}")
+        if match != MATCH_RULE:
+            raise ValidationError(f"unknown match rule {match!r}")
+        return policy
 
 
 def policy_identifier(policy: EquivalencePolicy) -> Identifier:
-    return policy._identifier
+    return canon.content_id("pol", policy.payload())
 
 
 def dotted(path: Sequence[str]) -> str:

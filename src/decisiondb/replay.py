@@ -4,8 +4,8 @@ Replay walks one map entry's chain backward, rehashes what the blobs
 actually contain, and compares against what the rows claim. Mismatches
 are findings in the report, never exceptions, so one corrupt byte still
 yields a complete account of which fields diverged. Only a structurally
-broken chain (a missing row or blob) raises, since then there is
-nothing left to compare against.
+broken chain (a missing row, or a missing or unreadable blob) raises,
+since then there is nothing left to compare against.
 
 When a blob fails its address check, the recomputed value falls back to
 the hash of the bytes actually present, so any single-byte change shows
@@ -31,6 +31,7 @@ from .errors import (
     BrokenChainError,
     CanonicalizationError,
     ExtractionError,
+    StoreOpenError,
     ValidationError,
 )
 from .policy import EquivalencePolicy, extracted_hash
@@ -91,7 +92,10 @@ def _row(store: Store, ident: Identifier, what: str):
 
 
 def _read(store: Store, ref: str, what: str) -> bytes:
-    data = store.read_blob_unverified(ref)
+    try:
+        data = store.read_blob_unverified(ref)
+    except StoreOpenError as exc:
+        raise BrokenChainError(f"{what} {exc}") from exc
     if data is None:
         raise BrokenChainError(f"{what} blob {ref} is missing")
     return data

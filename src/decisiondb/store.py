@@ -579,7 +579,8 @@ class Store:
         return data
 
     def read_blob_unverified(self, ref: str) -> Optional[bytes]:
-        """Raw blob read without the re-hash check; None when absent.
+        """Raw blob read without the re-hash check; None when absent, and
+        StoreOpenError naming the blob when the OS refuses the read.
 
         Verification audits use this so that corruption can be reported
         as a finding instead of an exception.
@@ -589,6 +590,8 @@ class Store:
                 return fh.read()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise StoreOpenError(f"blob {ref} cannot be read: {exc}") from exc
 
     def has_blob(self, ref: str) -> bool:
         return os.path.exists(self._blob_path(ref))

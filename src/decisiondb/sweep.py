@@ -7,7 +7,6 @@ so the resulting decision map can be audited or replayed byte for byte.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import time
@@ -350,12 +349,11 @@ class _PlanRun:
     reads every point's status once, inside the call's batch: the
     representation rows alone without an engine, and their ok runs and
     map rows as well with one; with ``axis`` it reads each point's
-    status by key when first needed. It keeps them equal to a fresh
-    read as it writes: the representation row it declares, the ok run
-    it stores, and the map row it adds or completes. A point whose
-    representation row and blob are stored is trusted and not encoded;
-    a point with exactly one ok run takes its decision from that run;
-    and a chain whose map row is complete is not written again. The
+    status by key when first needed. A call decides each point at most
+    once, so nothing updates a status after a write. A point whose
+    representation row and blob are stored is trusted and not encoded; a
+    point with exactly one ok run takes its decision from that run; and
+    a chain whose map row is complete is not written again. The
     decision record of each distinct extracted payload is derived once a
     call, keeping that time, and put with the first chain written that
     names it. The snapshot's artifacts are loaded on the first encode.
@@ -429,7 +427,6 @@ class _PlanRun:
         )
         if not stored:
             store.put_record(record)
-            self.statuses[rep_id].stored = (ref, created_at)
         return record
 
     def run(
@@ -443,14 +440,13 @@ class _PlanRun:
         called; a deleted output is evaluated again, which stores it."""
         store, plan = self.store, self.plan
         status = self.statuses[rep_id]
-        if not status.stored:
-            if self.factory is None:
-                raise ReferentialError(
-                    f"representation not declared for params {dict(params)} ({rep_id})"
-                )
-            self.declare(params, rep_id)
+        if not status.stored and self.factory is None:
+            raise ReferentialError(
+                f"representation not declared for params {dict(params)} ({rep_id})"
+            )
+        ref = status.stored[0] if status.stored else self.declare(params, rep_id).encoded_artifact_ref
         # Read verified even when the stored run's output is used instead.
-        encoded = store.get_blob(status.stored[0])
+        encoded = store.get_blob(ref)
         raw = None
         if len(status.runs) == 1:
             ((run_id, raw_ref),) = status.runs
@@ -479,11 +475,6 @@ class _PlanRun:
                 store.put_record(decision)
                 self.written.add(decision_id)
             store.put_record(entry)
-            # put_record found every row the entry references, so its map
-            # row is complete now, whether new or stored incomplete.
-            if (run_id, decision_id, False) in status.rows:
-                status.rows.remove((run_id, decision_id, False))
-            bisect.insort(status.rows, (run_id, decision_id, True))
         return entry, None
 
     def _evaluate(
@@ -514,12 +505,9 @@ class _PlanRun:
             elapsed,
             status="ok" if failure is None else "failed",
         )
-        # A chain already stored would only have its inserts ignored, and
-        # an ok run already stored is in the status already.
-        status = self.statuses[rep_id]
-        if not any(r == run.run_id and complete for r, _, complete in status.rows):
-            if store.put_record(run) == "inserted" and failure is None:
-                status.runs.append((run.run_id, raw_ref))
+        # A chain already stored would only have its inserts ignored.
+        if not any(r == run.run_id and complete for r, _, complete in self.statuses[rep_id].rows):
+            store.put_record(run)
         return run.run_id, raw, failure
 
 
@@ -735,14 +723,14 @@ def refine_boundary(
     and leaves an f_map row under the plan, the same provenance trail as
     the original sweep, but it does not join the plan's declared grid.
     Endpoint evaluations do not count against max_evals; midpoints do.
-    A point's decision is the first map row of its status, which the
-    call reads by key when it first decides the point and then keeps
-    current, so a point already on the map is not run again and no point
-    the call does not decide is read. Stops early when the
-    interval width reaches the resolution (default: 1e-6 of the starting
-    span) or when a midpoint's decision matches neither endpoint, which
-    reports the interval as multi-region. All rows are written in one
-    store batch.
+    A point's decision is the first map row of its status, read by key,
+    so a point already on the map is not run again and no other point is
+    read. Stops early when the interval width reaches the resolution
+    (default: 1e-6 of the starting span, negative refused), when the
+    midpoint at 60 digits is not strictly inside the bracket, so no point
+    is decided twice, or when a midpoint's decision matches neither
+    endpoint, which reports the interval as multi-region. All rows are
+    written in one store batch.
     """
     with store.batch(), localcontext() as ctx:
         plan_run = _PlanRun(store, plan, factory, engine, axis)
@@ -759,6 +747,8 @@ def refine_boundary(
             raise ValidationError(f"interval is empty: [{interval[0]}, {interval[1]}]")
         if max_evals < 0:
             raise ValidationError("max_evals must be non-negative")
+        if res is not None and res < 0:
+            raise ValidationError("resolution must be non-negative")
         ctx.prec = 60
         if res is None:
             res = (hi - lo) * Decimal("0.000001")
@@ -789,6 +779,8 @@ def refine_boundary(
         multi_region = False
         while evaluations < max_evals and (hi - lo) > res:
             mid = (lo + hi) / 2
+            if not lo < mid < hi:
+                break  # the precision no longer splits the bracket
             mid_dec = decide(mid)
             evaluations += 1
             if mid_dec == lo_dec:

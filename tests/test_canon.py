@@ -301,6 +301,34 @@ def test_decode_invalid_json_rejected():
         canon.canonical_decode(b"\xff\xfe")
 
 
+def nested(depth, leaf=1):
+    """A list holding a list ... ``depth`` deep, built without recursion."""
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")], ids=["array", "object"])
+def test_decode_of_deep_nesting_refused(opener, closer):
+    # Deeper than any supported interpreter decodes: from 3.12 on, the C
+    # scanner counts depth against its own limit (10,000 in 3.13), not
+    # sys.getrecursionlimit().
+    data = (opener * 100_000 + "1" + closer * 100_000).encode()
+    with pytest.raises(CanonicalizationError, match="^input nests too deeply: "):
+        canon.canonical_decode(data)
+
+
+def test_encode_of_deep_nesting_refused():
+    itself = []
+    itself.append(itself)
+    mapping = {}
+    mapping["self"] = mapping
+    for value in (nested(5000), itself, mapping, {"a": [nested(5000)]}):
+        with pytest.raises(CanonicalizationError, match="^value nests too deeply or contains itself: "):
+            canon.canonical_encode(value)
+
+
 def test_tuple_encodes_as_sequence():
     assert canon.canonical_encode((1, 2)) == b"[1,2]"
 

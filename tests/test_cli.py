@@ -54,6 +54,14 @@ def delete_raw_output(db):
     return decision
 
 
+def blob_into_directory(db, ref):
+    """Put a directory where a blob's file was, so reading it fails."""
+    with open_store(db) as st:
+        path = Path(st._blob_path(ref))
+    path.unlink()
+    path.mkdir()
+
+
 def readme_output(command):
     """The output README's quickstart shows under ``$ decisiondb COMMAND``."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -423,6 +431,33 @@ class TestDemo:
         assert out == ""
         assert err.startswith("error: blob ") and message in err
 
+    @pytest.mark.parametrize(
+        "command, blob",
+        [
+            ("sweep report", "raw-output"),
+            ("sweep run", "raw-output"),
+            ("sweep report", "plan"),
+            ("map", "plan"),
+            ("sweep run", "plan"),
+        ],
+    )
+    def test_unreadable_blob_exits_one(self, demo_db, tmp_path, capsys, command, blob):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        with open_store(db) as st:
+            run = raw_rows(st, "engine_runs")[0]
+            plan_id = next(
+                row["plan_id"] for row in raw_rows(st, "f_map") if row["run_id"] == run["run_id"]
+            )
+        ref = run["raw_output_ref"] if blob == "raw-output" else plan_id.removeprefix("plan_")
+        blob_into_directory(db, ref)
+        argv = command.split() + ["--db", str(db), "--plan", plan_id, "--experiment", "demo"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: blob {ref} cannot be read: [Errno 21] Is a directory: ")
+        assert err.count("\n") == 1
+
     def test_sweep_writes_deleted_blobs_again(self, demo_db, tmp_path):
         db = tmp_path / "db"
         shutil.copytree(demo_db, db)
@@ -515,6 +550,34 @@ class TestReplayCommand:
         code = cli.main(["demo", "replay", "--db", str(db)])
         assert code == 2
         assert "broken chain" in capsys.readouterr().out
+
+    def test_unreadable_blob_is_a_broken_chain(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        with open_store(db) as st:
+            run = raw_rows(st, "engine_runs")[0]
+            backed = [row for row in raw_rows(st, "f_map") if row["run_id"] == run["run_id"]]
+        ref = run["raw_output_ref"]
+        blob_into_directory(db, ref)
+        assert cli.main(["replay", "--experiment", "demo", "--db", str(db)]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        broken = [line for line in out.splitlines() if line.startswith("broken chain")]
+        assert len(broken) == len(backed) > 0
+        for line in broken:
+            assert f": raw output blob {ref} cannot be read: [Errno 21] Is a directory: " in line
+        assert f"{4 - len(backed)} verified" in out
+
+    def test_deeply_nested_policy_is_a_finding(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        with open_store(db) as st:
+            pol_ref = raw_rows(st, "decisions")[0]["policy_id"].removeprefix("pol_")
+            Path(st._blob_path(pol_ref)).write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["replay", "--experiment", "demo", "--db", str(db)]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "4 verified, 0 matched, 4 mismatched, 0 broken" in out
 
     def test_decision_with_broken_chain_exits_two(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"
@@ -907,6 +970,21 @@ class TestFileWorkflow:
         argv = ["freeze", "--db", str(tmp_path / "db"), "--window", "a", "b", f"graph={path}"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("command", ["freeze", "sweep run"])
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        db = str(tmp_path / "db")
+        if command == "freeze":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+            argv = ["freeze", "--db", db, "--window", "a", "b", f"graph={path}"]
+        else:
+            path.write_text('{"a":' * 50_000 + "1" + "}" * 50_000)
+            argv = ["sweep", "run", "--db", db, "--plan", str(path), "--experiment", "x"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: input nests too deeply: ")
+        assert err.count("\n") == 1
 
     def test_plan_and_policy_files_execute(self, tmp_path, capsys, world_files):
         root, graph_file, policy_file, pol_id = world_files

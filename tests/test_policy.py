@@ -32,10 +32,11 @@ def test_policy_identifier_ignores_construction_details():
 
 
 def test_unknown_rules_rejected():
-    with pytest.raises(ValidationError):
-        EquivalencePolicy(hash_source=("x",), canonicalization_rule="yaml_sorted")
-    with pytest.raises(ValidationError):
-        EquivalencePolicy(hash_source=("x",), match_rule="md5_equality")
+    payload = EquivalencePolicy(hash_source=("x",)).payload()
+    with pytest.raises(ValidationError, match="^unknown canonicalization rule 'yaml_sorted'$"):
+        EquivalencePolicy.from_payload({**payload, "canonicalization_rule": "yaml_sorted"})
+    with pytest.raises(ValidationError, match="^unknown match rule 'md5_equality'$"):
+        EquivalencePolicy.from_payload({**payload, "match_rule": "md5_equality"})
     with pytest.raises(ValidationError):
         EquivalencePolicy(hash_source=())
     with pytest.raises(ValidationError):

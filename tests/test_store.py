@@ -313,6 +313,16 @@ class TestBlobs:
         assert store.read_blob_unverified("0" * 16) is None
         assert not store.has_blob("0" * 16)
 
+    def test_unreadable_blob_named_with_the_os_error(self, store):
+        ref = store.put_blob(b"payload")
+        path = Path(store._blob_path(ref))
+        path.unlink()
+        path.mkdir()
+        message = f"^blob {ref} cannot be read: \\[Errno 21\\] Is a directory: "
+        for read in (store.read_blob_unverified, store.get_blob):
+            with pytest.raises(StoreOpenError, match=message):
+                read(ref)
+
     def test_malformed_ref(self, store):
         with pytest.raises(IdentifierFormatError):
             store.get_blob("not-a-hash")

@@ -14,7 +14,7 @@ import re
 import sqlite3
 import types
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -685,6 +685,30 @@ class TestRefine:
             )
         assert (st.table_counts(), st.blob_count()) == before
 
+    def test_bisection_stops_at_the_precision_limit(self, st, world):
+        # The endpoints are on the map, so only midpoints call the engine.
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        engine = CountingEngine()
+        result = sweep.refine_boundary(
+            st, plan, "x", ("1", "9"), engine, StepFactory(), 1000, resolution="0"
+        )
+        assert result.evaluations == len(engine.evaluated) < 1000
+        lo, hi = Decimal(result.lo), Decimal(result.hi)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert lo < hi == 5 and not lo < (lo + hi) / 2 < hi
+
+    def test_negative_resolution_rejected_before_any_write(self, st, world):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        before = (st.table_counts(), st.blob_count())
+        with pytest.raises(ValidationError, match="^resolution must be non-negative$"):
+            sweep.refine_boundary(
+                st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3, resolution="-1"
+            )
+        assert (st.table_counts(), st.blob_count()) == before
+
     def test_negative_budget_rejected(self, st, world):
         plan = make_plan(st, *world, xs=("1", "9"))
         run_plan(st, plan)
@@ -1182,68 +1206,88 @@ class TestReuse:
 
 @pytest.fixture()
 def plan_runs(monkeypatch):
-    """Every _PlanRun built from here on, in order."""
+    """Every _PlanRun built from here on, in order, each with the repr ids
+    that reached its ``declare`` and its ``run``, in call order."""
     built = []
 
     class Recorded(sweep._PlanRun):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.reached = {"declare": [], "run": []}
             built.append(self)
+
+        def declare(self, params, rep_id):
+            self.reached["declare"].append(rep_id)
+            return super().declare(params, rep_id)
+
+        def run(self, params, rep_id):
+            self.reached["run"].append(rep_id)
+            return super().run(params, rep_id)
 
     monkeypatch.setattr(sweep, "_PlanRun", Recorded)
     return built
 
 
-class TestStatusesKeptCurrent:
-    """A call's statuses, kept as it writes, equal a fresh read after it."""
+class TestDecidesEachPointOnce:
+    """A call declares and runs each point at most once, so no status it
+    read is needed again after the call writes to that point."""
 
     @staticmethod
-    def assert_current(st, plan, plan_run):
-        def view(status):
-            # Runs are read in no set order; rows are in query_fmap order.
-            return status.stored, sorted(status.runs), status.rows
+    def assert_once(plan_runs, calls):
+        assert len(plan_runs) == calls
+        for plan_run in plan_runs:
+            for method, rep_ids in plan_run.reached.items():
+                assert len(rep_ids) == len(set(rep_ids)), method
 
-        kept, fresh = plan_run.statuses, sweep._statuses(st, plan)
-        assert kept
-        for rep_id in set(kept) | set(fresh):
-            assert view(kept[rep_id]) == view(fresh[rep_id]), rep_id
+    def test_declare(self, st, world, plan_runs):
+        plan = make_plan(st, *world)
+        sweep.declare_representations(st, plan, StepFactory())
+        self.assert_once(plan_runs, 1)
+        grid = [plan.repr_id(params) for params in plan.grid_points()]
+        assert plan_runs[0].reached == {"declare": grid, "run": []}
 
-    def test_after_execute(self, st, world, plan_runs):
+    def test_execute(self, st, world, plan_runs):
         plan = make_plan(st, *world)
         run_plan(st, plan)
-        self.assert_current(st, plan, plan_runs[-1])
+        self.assert_once(plan_runs, 2)
+        assert len(plan_runs[1].reached["run"]) == 4
 
-    def test_after_refine(self, st, world, plan_runs):
-        plan = make_plan(st, *world, xs=("1", "9"))
+    def test_rerun(self, st, world, plan_runs):
+        plan = make_plan(st, *world)
         run_plan(st, plan)
-        sweep.refine_boundary(st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 3)
-        kept, fresh = plan_runs[-1].statuses, sweep._statuses(st, plan)
-        # The endpoints, then the midpoints 5, 3 and 4, and no other point.
-        decided = {plan.repr_id({"x": x}): x for x in ("1", "9", "5", "3", "4")}
-        assert set(kept) == set(decided)
-        for rep_id, status in kept.items():
-            assert status.stored == fresh[rep_id].stored
-            assert status.rows == fresh[rep_id].rows
-            # An endpoint is decided from its map row, so its runs stay
-            # unread; a midpoint's are kept from the run it stored.
-            if decided[rep_id] in ("1", "9"):
-                assert status.runs is None
-            else:
-                assert status.runs == fresh[rep_id].runs
+        run_plan(st, plan)
+        self.assert_once(plan_runs, 4)
 
     @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
-    def test_after_a_rerun_over_a_damaged_store(self, st, world, plan_runs, damage):
+    def test_rerun_over_a_damaged_store(self, st, world, plan_runs, damage):
         plan = make_plan(st, *world)
         run_plan(st, plan)
         damage(st)
         run_plan(st, plan)
-        self.assert_current(st, plan, plan_runs[-1])
+        self.assert_once(plan_runs, 4)
 
-    def test_after_a_rerun_that_adds_a_second_decision(self, st, world, plan_runs):
+    def test_rerun_that_adds_a_second_decision(self, st, world, plan_runs):
         plan = make_plan(st, *world, xs=[str(x) for x in range(8)])
         run_plan(st, plan)
         delete_blob(st, "engine_runs", "raw_output_ref", index=3)
         engine = CoinFlipEngine(3)
         run_plan(st, plan, engine)
         assert engine.flipped
-        self.assert_current(st, plan, plan_runs[-1])
+        self.assert_once(plan_runs, 4)
+
+    @pytest.mark.parametrize("resolution", [None, "0"], ids=["default", "zero"])
+    def test_refine(self, st, world, plan_runs, resolution):
+        plan = make_plan(st, *world, xs=("1", "9"))
+        run_plan(st, plan)
+        refined = sweep.refine_boundary(
+            st, plan, "x", ("1", "9"), StepEngine(), StepFactory(), 1000, resolution
+        )
+        self.assert_once(plan_runs, 3)
+        # The endpoints are on the map; every midpoint is new, so each is
+        # declared and then run.
+        refine = plan_runs[2].reached
+        assert refine["declare"] == refine["run"]
+        assert len(refine["run"]) == refined.evaluations
+        # No status but the decided points' is read.
+        endpoints = {plan.repr_id({"x": x}) for x in ("1", "9")}
+        assert set(plan_runs[2].statuses) == endpoints | set(refine["run"])
