@@ -77,11 +77,9 @@ def route_length(store: Store, raw_ref: Optional[str]) -> Optional[int]:
 def sweep_axis_name(plan: sweep.SweepPlan, requested: Optional[str]) -> str:
     if requested:
         return requested
-    multi = [a.param for a in plan.axes if len(a.values) > 1]
-    if len(multi) == 1:
-        return multi[0]
-    if len(plan.axes) == 1:
-        return plan.axes[0].param
+    axes = [a.param for a in plan.axes if len(a.values) > 1] or [a.param for a in plan.axes]
+    if len(axes) == 1:
+        return axes[0]
     raise DecisionDBError(
         "plan sweeps more than one axis; pick one with --axis"
     )

@@ -53,7 +53,7 @@ class PlanNotFoundError(DecisionDBError):
 
 
 class BrokenChainError(DecisionDBError):
-    """A link in a decision's provenance chain is missing from the store."""
+    """A link in a decision's provenance chain is missing from the store or does not decode."""
 
 
 class InvalidComparisonError(DecisionDBError):

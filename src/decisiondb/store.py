@@ -25,11 +25,13 @@ from . import canon
 from .canon import Identifier, SCHEMA_VERSION
 from .errors import (
     BlobCorruptionError,
+    BrokenChainError,
     DecisionDBError,
     IdentifierFormatError,
     IntegrityError,
     ReferentialError,
     StoreOpenError,
+    ValidationError,
 )
 
 DB_FILENAME = "store.sqlite"
@@ -60,6 +62,22 @@ class ManifestEntry:
     artifact_ref: str
 
 
+def _manifest(value: Any) -> tuple[ManifestEntry, ...]:
+    """A decoded artifact manifest: a list of {name, artifact_ref} objects of strings."""
+    shape = {"name": str, "artifact_ref": str}
+    if isinstance(value, list) and all(
+        isinstance(e, dict) and {k: type(v) for k, v in e.items()} == shape for e in value
+    ):
+        return tuple(ManifestEntry(**e) for e in value)
+    raise ValidationError("not a list of {name, artifact_ref} objects of strings")
+
+
+def _object(value: Any) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise ValidationError("not an object")
+
+
 # Record class -> Table, in the order tables are listed and counted.
 _TABLES: dict[type, "Table"] = {}
 
@@ -71,7 +89,7 @@ class Table:
     record's first field is its key. A ``split`` field spreads its tuple
     over the named columns. A ``json`` field is stored as the canonical
     encoding of its entry in the identifying payload and read back
-    through the given converter (None keeps the decoded value).
+    through the given converter, which refuses a wrong shape (None keeps any value).
     ``references`` lists identifier fields that must name an existing
     row; each is the key column of the table it points into. ``links``
     maps a reference to a column that the referenced row must share
@@ -129,7 +147,8 @@ class Table:
             if f.name in self.json:
                 self.jsons.append((at, f.name))
             elif hints[f.name] is Identifier:
-                self.ids.append(at)
+                self.ids.append((at, f.name))
+        self.key_at = [columns.index(c) for c in self.primary_key or (self.key,)]
         # A referenced table is keyed by the referencing column and is
         # declared before the tables that point into it.
         keyed = {table.key: table for table in _TABLES.values() if table.key}
@@ -185,14 +204,20 @@ class Table:
         return values
 
     def record(self, row: Sequence[Any]):
+        """The record a stored row holds; a column that does not decode into
+        its field raises BrokenChainError naming the table, key and column."""
         values = list(row)
         for _, at, width in reversed(self.splits):
             values[at : at + width] = [tuple(values[at : at + width])]
-        for at in self.ids:
-            values[at] = canon.parse_identifier(values[at])
-        for at, name in self.jsons:
-            value = canon.canonical_decode(values[at].encode("utf-8"))
-            values[at] = value if self.json[name] is None else self.json[name](value)
+        try:
+            for at, column in self.ids:
+                values[at] = canon.parse_identifier(values[at])
+            for at, column in self.jsons:
+                value = canon.canonical_decode(values[at].encode("utf-8"))
+                values[at] = value if self.json[column] is None else self.json[column](value)
+        except DecisionDBError as exc:
+            key = "/".join(str(row[i]) for i in self.key_at)
+            raise BrokenChainError(f"{self.name} row {key} column {column}: {exc}") from exc
         return self.cls(*values)
 
 
@@ -225,7 +250,7 @@ class _Record:
     "snapshots",
     blobs=lambda r: [e.artifact_ref for e in r.artifact_manifest],
     prefix="snap",
-    json={"artifact_manifest": lambda value: tuple(ManifestEntry(**e) for e in value)},
+    json={"artifact_manifest": _manifest},
     split={"time_window": ("time_window_start", "time_window_end")},
 )
 @dataclass(frozen=True)
@@ -257,7 +282,7 @@ class SnapshotRecord(_Record):
     "representations",
     blobs=lambda r: [r.encoded_artifact_ref],
     prefix="repr",
-    json={"params": None},
+    json={"params": _object},
     references=("snapshot_id",),
 )
 @dataclass(frozen=True)
@@ -548,10 +573,13 @@ class Store:
         return f"{self._blob_root}{sep}{ref[:2]}{sep}{ref[2:4]}{sep}{ref}"
 
     def put_blob(self, data: bytes) -> str:
-        """Store bytes under their content hash and return it; re-storing is a no-op."""
+        """Store bytes under their content hash and return it; re-storing is
+        a no-op, and a directory at its path is refused."""
         ref = canon.payload_hash(data)
         path = self._blob_path(ref)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
+            if os.path.isdir(path):
+                raise StoreOpenError(f"blob {ref} cannot be written: its path is a directory")
             parent = path[: -len(ref) - 1]
             # One mkdir in the common cases; makedirs for a new first level.
             try:
@@ -594,11 +622,11 @@ class Store:
             raise StoreOpenError(f"blob {ref} cannot be read: {exc}") from exc
 
     def has_blob(self, ref: str) -> bool:
-        return os.path.exists(self._blob_path(ref))
+        return os.path.isfile(self._blob_path(ref))
 
     def iter_blob_hashes(self) -> Iterator[str]:
         for path in sorted(self.blob_dir.glob("*/*/*")):
-            if not path.name.startswith("."):
+            if not path.name.startswith(".") and path.is_file():
                 yield path.name
 
     def blob_count(self) -> int:

@@ -276,11 +276,11 @@ class _Status:
     under the plan's engine and query, as (run id, raw_output_ref); and
     its rows on the plan's map in query_fmap order, as (run id, decision
     id, complete), where a complete row's whole chain is stored. A part
-    not read is None."""
+    not read is empty, as is a part the store holds nothing for."""
 
-    stored: Optional[tuple[str, ...]] = None
-    runs: Optional[list[tuple[str, str]]] = None
-    rows: Optional[list[tuple[str, str, bool]]] = None
+    stored: tuple[str, ...] = ()
+    runs: list[tuple[str, str]] = field(default_factory=list)
+    rows: list[tuple[str, str, bool]] = field(default_factory=list)
 
 
 def _statuses(
@@ -293,11 +293,8 @@ def _statuses(
 ) -> defaultdict[str, _Status]:
     """Each of a plan's points' status by repr id, one statement for each
     part read (all three by default); with ``repr_id``, that one point's,
-    each statement a keyed read. Every point the store holds nothing for
-    reads as empty in each part read."""
-    statuses = defaultdict(
-        lambda: _Status(() if stored else None, [] if runs else None, [] if rows else None)
-    )
+    each statement a keyed read."""
+    statuses = defaultdict(_Status)
     family = (plan.snapshot_id, plan.factory_name, plan.factory_version)
     if stored:
         for rep_id, ref, created_at in store.read("stored", family, repr_id):
@@ -314,29 +311,19 @@ def _statuses(
     return statuses
 
 
-class _KeyedStatuses(dict):
-    """A plan's statuses read one point at a time, for a call that
-    decides a few points of a large plan. A point's first lookup reads
-    its representation row and its map rows by key; its ok runs are read
-    only when it is stored with no map row, the one case a call runs it
-    from them. Runs are read through the representation row, so a point
-    without one has none. That keyed read of ok runs scans engine_runs
-    (``EXPLAIN QUERY PLAN`` shows ``SCAN e``), which has no index on
-    repr_id, so it grows with the store until the store format adds one."""
-
-    def __init__(self, store: Store, plan: SweepPlan):
-        super().__init__()
-        self.store, self.plan = store, plan
-
-    def __missing__(self, rep_id: str) -> _Status:
-        status = _statuses(self.store, self.plan, runs=False, repr_id=rep_id)[rep_id]
-        if not status.stored:
-            status.runs = []
-        elif not status.rows:
-            keyed = _statuses(self.store, self.plan, stored=False, rows=False, repr_id=rep_id)
-            status.runs = keyed[rep_id].runs
-        self[rep_id] = status
-        return status
+def _keyed_status(store: Store, plan: SweepPlan, rep_id: str) -> _Status:
+    """One point's status read by key, for a call that decides a few
+    points of a large plan: its representation row and its map rows, and
+    its ok runs only when it is stored with no map row, the one case a
+    call runs it from them. Runs are read through the representation
+    row, so a point without one has none. That keyed read of ok runs
+    scans engine_runs (``EXPLAIN QUERY PLAN`` shows ``SCAN e``), which
+    has no index on repr_id, so it grows with the store until the store
+    format adds one."""
+    status = _statuses(store, plan, runs=False, repr_id=rep_id)[rep_id]
+    if status.stored and not status.rows:
+        status.runs = _statuses(store, plan, stored=False, rows=False, repr_id=rep_id)[rep_id].runs
+    return status
 
 
 class _PlanRun:
@@ -348,15 +335,16 @@ class _PlanRun:
     the persisted plan and loads the policy. Last, without ``axis``, it
     reads every point's status once, inside the call's batch: the
     representation rows alone without an engine, and their ok runs and
-    map rows as well with one; with ``axis`` it reads each point's
-    status by key when first needed. A call decides each point at most
-    once, so nothing updates a status after a write. A point whose
-    representation row and blob are stored is trusted and not encoded; a
-    point with exactly one ok run takes its decision from that run; and
-    a chain whose map row is complete is not written again. The
-    decision record of each distinct extracted payload is derived once a
-    call, keeping that time, and put with the first chain written that
-    names it. The snapshot's artifacts are loaded on the first encode.
+    map rows as well with one; with ``axis`` refine puts each point's
+    status, read by key, into ``statuses`` before it decides the point.
+    A call decides each point at most once, so nothing updates a status
+    after a write. A point whose representation row and blob are stored
+    is trusted and not encoded; a point with exactly one ok run takes
+    its decision from that run; and a chain whose map row is complete is
+    not written again. The decision record of each distinct extracted
+    payload is derived once a call, keeping that time, and put with the
+    first chain written that names it. The snapshot's artifacts are
+    loaded on the first encode.
     """
 
     def __init__(
@@ -382,11 +370,8 @@ class _PlanRun:
                 raise PlanNotFoundError(f"plan {plan.plan_id} has not been persisted")
             self.policy = load_policy(store, plan.policy_id)
             self.decisions, self.written = {}, set()
-        if axis is None:
-            executes = engine is not None
-            self.statuses = _statuses(store, plan, runs=executes, rows=executes)
-        else:
-            self.statuses = _KeyedStatuses(store, plan)
+        executes = engine is not None
+        self.statuses = _statuses(store, plan, runs=executes, rows=executes) if axis is None else {}
 
     @functools.cached_property
     def artifacts(self) -> dict[str, bytes]:
@@ -666,34 +651,21 @@ def _single_axis_base(plan: SweepPlan, axis: str) -> dict[str, str]:
 def classify_axis(dmap: DecisionMap, axis: str) -> AxisStructureReport:
     """Segment an axis into runs of constant decision.
 
-    Boundaries are reported as the open interval between adjacent sampled
-    values whose decisions differ; the sweep never locates a crossing
-    more precisely than its sampling.
+    Every other axis must have one value, so each evaluated point of the
+    map lies on the axis, in grid order, and the map's points are its
+    samples. Boundaries are reported as the open interval between
+    adjacent sampled values whose decisions differ; the sweep never
+    locates a crossing more precisely than its sampling.
     """
-    plan = dmap.plan
-    base = _single_axis_base(plan, axis)
-    values = next(a.values for a in plan.axes if a.param == axis)
-    sampled = []
-    for value in values:
-        point = dmap.get({**base, axis: value})
-        if point is not None:
-            sampled.append((value, point.decision_id))
-    if not sampled:
-        raise ValidationError(f"map has no evaluated points along axis {axis!r}")
+    _single_axis_base(dmap.plan, axis)
     segments = []
-    boundaries = []
-    seg_lo, seg_hi, seg_dec = sampled[0][0], sampled[0][0], sampled[0][1]
-    for value, decision in sampled[1:]:
-        if decision == seg_dec:
-            seg_hi = value
-        else:
-            segments.append(Segment(lo=seg_lo, hi=seg_hi, decision_id=seg_dec))
-            boundaries.append(BoundaryInterval(lo=seg_hi, hi=value))
-            seg_lo, seg_hi, seg_dec = value, value, decision
-    segments.append(Segment(lo=seg_lo, hi=seg_hi, decision_id=seg_dec))
-    return AxisStructureReport(
-        axis=axis, segments=tuple(segments), boundaries=tuple(boundaries)
-    )
+    for decision, run in itertools.groupby(dmap.values(), lambda point: point.decision_id):
+        values = [point.params[axis] for point in run]
+        segments.append(Segment(lo=values[0], hi=values[-1], decision_id=decision))
+    if not segments:
+        raise ValidationError(f"map has no evaluated points along axis {axis!r}")
+    boundaries = tuple(BoundaryInterval(lo=a.hi, hi=b.lo) for a, b in zip(segments, segments[1:]))
+    return AxisStructureReport(axis=axis, segments=tuple(segments), boundaries=boundaries)
 
 
 @dataclass(frozen=True)
@@ -758,9 +730,9 @@ def refine_boundary(
             one, else a run through the full chain."""
             params = {**plan_run.base, axis: canon.decimal_string(value)}
             rep_id = plan.repr_id(params)
-            rows = plan_run.statuses[rep_id].rows
-            if rows:
-                return canon.parse_identifier(rows[0][1])
+            status = plan_run.statuses[rep_id] = _keyed_status(store, plan, rep_id)
+            if status.rows:
+                return canon.parse_identifier(status.rows[0][1])
             entry, failure = plan_run.run(params, rep_id)
             if entry is None:
                 raise SweepExecutionError(

@@ -62,6 +62,28 @@ def blob_into_directory(db, ref):
     path.mkdir()
 
 
+def edit_first_row(db, table, column, value):
+    """Set one column of a table's first row, past the store's checks; return the row's key."""
+    conn = sqlite3.connect(db / "store.sqlite")
+    with conn:
+        key = conn.execute(f"SELECT * FROM {table} ORDER BY rowid LIMIT 1").fetchone()[0]
+        first = f"(SELECT MIN(rowid) FROM {table})"
+        conn.execute(f"UPDATE {table} SET {column} = ? WHERE rowid = {first}", (value,))
+    conn.close()
+    return key
+
+
+# A stored column that does not decode into its field, as (table, column,
+# value, replay flags that read the row).
+UNDECODABLE = {
+    "run-query": ("engine_runs", "query", "{bad", []),
+    "run-repr-id": ("engine_runs", "repr_id", "garbage", []),
+    "decision-policy-id": ("decisions", "policy_id", "garbage", []),
+    "snapshot-manifest": ("snapshots", "artifact_manifest", "[1]", ["--deep"]),
+    "representation-params": ("representations", "params", "[1]", ["--deep"]),
+}
+
+
 def readme_output(command):
     """The output README's quickstart shows under ``$ decisiondb COMMAND``."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -292,6 +314,19 @@ class TestDemo:
         assert payload["boundaries"] == [{"between": ["1", "9"]}]
         assert cli.main([*argv, plans[1].plan_id]) == 1
         assert capsys.readouterr().err == "error: plan sweeps more than one axis; pick one with --axis\n"
+
+    def test_report_on_a_plan_of_one_point_picks_its_one_axis(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        with open_store(db) as st:
+            plan = make_plan(st, *setup_world(st), xs=("7",))
+            run_plan(st, plan)
+        argv = ["sweep", "report", "--db", str(db), "--experiment", "exp", "--plan", plan.plan_id]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["axis"] == "x"
+        assert [s["value_range"] for s in payload["segments"]] == [["7", "7"]]
+        assert cli.main(argv) == 0
+        assert "no boundary along x\n" in capsys.readouterr().out
 
     def test_report_rows_carry_route_sizes(self, demo_db, capsys):
         plan_ids = demo_plan_ids(capsys, demo_db)
@@ -650,6 +685,30 @@ class TestReplayCommand:
         ]
         assert broken
         assert all(line.endswith(f": decision row {decision} is missing") for line in broken)
+
+    @pytest.mark.parametrize("table, column, value, flags", UNDECODABLE.values(), ids=UNDECODABLE)
+    def test_a_row_that_does_not_decode_is_a_broken_chain(
+        self, demo_db, tmp_path, capsys, table, column, value, flags
+    ):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        key = edit_first_row(db, table, column, value)
+        code, payload = run_json(capsys, ["replay", *flags, "--experiment", "demo", "--db", str(db)])
+        assert code == 2
+        errors = [error["error"] for error in payload["errors"]]
+        assert errors and all(e.startswith(f"{table} row {key} column {column}: ") for e in errors)
+        # Every other entry is still verified.
+        assert payload["verified"] == payload["matched"] == 4 - len(errors)
+
+    def test_demo_sweep_over_an_undecodable_manifest_exits_one(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        key = edit_first_row(db, "snapshots", "artifact_manifest", "[1]")
+        assert cli.main(["demo", "sweep", "--db", str(db)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: snapshots row {key} column artifact_manifest: "
+            "not a list of {name, artifact_ref} objects of strings\n"
+        )
 
 
 def store_files(db):

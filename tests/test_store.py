@@ -19,6 +19,7 @@ import pytest
 from decisiondb import canon, cli, store as store_module
 from decisiondb.errors import (
     BlobCorruptionError,
+    BrokenChainError,
     DecisionDBError,
     IdentifierFormatError,
     IntegrityError,
@@ -323,6 +324,17 @@ class TestBlobs:
             with pytest.raises(StoreOpenError, match=message):
                 read(ref)
 
+    def test_a_directory_at_a_blob_path_is_no_blob(self, store):
+        ref = canon.payload_hash(b"payload")
+        path = Path(store._blob_path(ref))
+        path.mkdir(parents=True)
+        assert not store.has_blob(ref)
+        assert store.blob_count() == 0
+        with pytest.raises(StoreOpenError, match=f"^blob {ref} cannot be written: "):
+            store.put_blob(b"payload")
+        # Refused before a temp file was written beside it.
+        assert list(path.parent.iterdir()) == [path]
+
     def test_malformed_ref(self, store):
         with pytest.raises(IdentifierFormatError):
             store.get_blob("not-a-hash")
@@ -595,6 +607,29 @@ class TestLookups:
         chain = build_chain(store)
         assert store.get_record(chain["plan_id"]) is None
         assert store.get_record(chain["policy_id"]) is None
+
+    @pytest.mark.parametrize(
+        "table, column, value, message",
+        [
+            ("snapshots", "artifact_manifest", "[1]", "not a list of {name, artifact_ref} objects"),
+            ("snapshots", "artifact_manifest", '[{"name":"a"}]', "not a list of"),
+            ("snapshots", "artifact_manifest", '[{"artifact_ref":1,"name":"a"}]', "not a list of"),
+            ("snapshots", "artifact_manifest", '{"a":"b"}', "not a list of"),
+            ("representations", "params", "[1]", "not an object"),
+            ("engine_runs", "query", "{bad", "input is not valid JSON"),
+            ("engine_runs", "repr_id", "garbage", "malformed identifier: 'garbage'"),
+            ("decisions", "policy_id", "garbage", "malformed identifier: 'garbage'"),
+        ],
+    )
+    def test_a_column_that_does_not_decode_names_its_row(self, store, table, column, value, message):
+        build_chain(store)
+        key = store._conn.execute(f"SELECT * FROM {table}").fetchone()[0]
+        store._conn.execute("PRAGMA foreign_keys = OFF")
+        with store._conn:
+            store._conn.execute(f"UPDATE {table} SET {column} = ?", (value,))
+        expected = f"^{re.escape(f'{table} row {key} column {column}: {message}')}"
+        with pytest.raises(BrokenChainError, match=expected):
+            store.get_record(key)
 
     def test_get_record_malformed(self, store):
         with pytest.raises(IdentifierFormatError):

@@ -29,6 +29,7 @@ from decisiondb.errors import (
     InvalidComparisonError,
     PlanNotFoundError,
     ReferentialError,
+    StoreOpenError,
     SweepExecutionError,
     ValidationError,
 )
@@ -341,6 +342,17 @@ class TestDeclare:
         with pytest.raises(DeterminismError):
             sweep.declare_representations(st, plan, FlakyFactory())
 
+    def test_a_directory_at_a_representation_blob_path_is_refused(self, st, world):
+        plan = make_plan(st, *world)
+        table = {"table": canon.canonical_encode({"threshold": "5"})}
+        ref = canon.payload_hash(StepFactory().encode(table, {"x": "3"}))
+        Path(st._blob_path(ref)).mkdir(parents=True)
+        with pytest.raises(StoreOpenError, match=f"^blob {ref} cannot be written: "):
+            sweep.declare_representations(st, plan, StepFactory())
+        rows = raw_rows(st, "representations")
+        assert [row["params"] for row in rows] == ['{"x":"1"}']
+        assert ref not in [row["encoded_artifact_ref"] for row in rows]
+
 
 class TestExecute:
     def test_full_chain_counts_and_decisions(self, st, world):
@@ -512,9 +524,15 @@ class TestMaterialize:
 
 class TestClassify:
     def test_two_segments_one_boundary(self, st, world):
-        plan = make_plan(st, *world)
-        run_plan(st, plan)
-        report = sweep.classify_axis(sweep.materialize_map(st, plan.plan_id, "exp"), "x")
+        # A single-valued axis declared before x gives the same report.
+        gain = sweep.Axis(param="gain", values=("1",))
+        reports = []
+        for axes in (None, [gain, sweep.Axis(param="x", values=("9", "1", "7", "3"))]):
+            plan = make_plan(st, *world, axes=axes)
+            run_plan(st, plan)
+            reports.append(sweep.classify_axis(sweep.materialize_map(st, plan.plan_id, "exp"), "x"))
+        report = reports[0]
+        assert reports[1] == report
         assert [(s.lo, s.hi) for s in report.segments] == [("1", "3"), ("7", "9")]
         assert report.segments[0].decision_id != report.segments[1].decision_id
         assert [(b.lo, b.hi) for b in report.boundaries] == [("3", "7")]
@@ -1005,12 +1023,14 @@ class TestRerun:
     def test_refine_over_a_damaged_store_matches_a_whole_plan_read(
         self, tmp_path, monkeypatch, damage
     ):
-        # The reference refine holds every point's status from one
+        # The reference refine takes each point's status from a
         # whole-plan read.
         outcomes = []
         for name in ("keyed", "whole"):
             if name == "whole":
-                monkeypatch.setattr(sweep, "_KeyedStatuses", sweep._statuses)
+                monkeypatch.setattr(
+                    sweep, "_keyed_status", lambda st, plan, rep_id: sweep._statuses(st, plan)[rep_id]
+                )
             with open_store(tmp_path / name) as st:
                 plan = make_plan(st, *setup_world(st))
                 first = run_plan(st, plan)
