@@ -4,8 +4,11 @@ Replay walks one map entry's chain backward, rehashes what the blobs
 actually contain, and compares against what the rows claim. Mismatches
 are findings in the report, never exceptions, so one corrupt byte still
 yields a complete account of which fields diverged. Only a structurally
-broken chain (a missing row, or a missing or unreadable blob) raises,
-since then there is nothing left to compare against.
+broken chain raises, since then there is nothing left to compare
+against: a missing row, a missing or unreadable blob, or a row that does
+not decode, be it a cell that is not text, a malformed blob hash or the
+map entry's own f_map row. It is that entry's error, and every other
+entry is still replayed.
 
 When a blob fails its address check, the recomputed value falls back to
 the hash of the bytes actually present, so any single-byte change shows
@@ -38,7 +41,7 @@ from .policy import EquivalencePolicy, extracted_hash
 from .store import DecisionRecord, EngineRunRecord, FMapEntry, RepresentationRecord, Store
 
 
-# The map-entry fields a report names: all but the build time.
+# The map-entry fields a report names, in column order: all but the build time.
 _ENTRY_FIELDS = tuple(f.name for f in fields(FMapEntry) if f.name != "created_at")
 
 
@@ -364,11 +367,12 @@ class AggregateReport:
 def _replay(
     store: Store,
     subject: Mapping[str, str],
-    entries: list[FMapEntry],
+    rows: list[tuple],
     deep: bool,
     reexecute: Optional[Plugins],
 ) -> AggregateReport:
-    """Replay each entry, capturing a broken chain as an error line.
+    """Replay the entry each stored f_map row holds, capturing a broken
+    chain, the row's own among them, as an error line.
 
     The store never deletes a row, so one count of the tables on each
     side of the loop shows whether anything was written.
@@ -377,13 +381,15 @@ def _replay(
     memo = ReplayMemo()
     reports = []
     errors = []
-    for entry in entries:
+    for row in rows:
         try:
+            entry = FMapEntry.from_row(row)
             reports.append(
                 replay_entry(store, entry, deep=deep, memo=memo, reexecute=reexecute)
             )
         except BrokenChainError as exc:
-            errors.append((f"{entry.run_id}/{entry.decision_id}", str(exc)))
+            run_id, decision_id = (row[_ENTRY_FIELDS.index(f)] for f in ("run_id", "decision_id"))
+            errors.append((f"{run_id}/{decision_id}", str(exc)))
     return AggregateReport(
         subject=subject,
         reports=tuple(reports),
@@ -406,11 +412,11 @@ def replay_all(
     the map is still verified. ``deep`` and ``reexecute`` are
     ``replay_entry``'s.
     """
-    entries = store.query_fmap(experiment_id, plan_id=plan_id)
-    if not entries:
+    rows = store.fmap_rows(experiment_id, plan_id=plan_id)
+    if not rows:
         scope = "" if plan_id is None else f" for plan {plan_id}"
         raise ValidationError(f"experiment {experiment_id!r} has no map entries{scope}")
-    return _replay(store, {"experiment_id": experiment_id}, entries, deep, reexecute)
+    return _replay(store, {"experiment_id": experiment_id}, rows, deep, reexecute)
 
 
 def replay_decision(
@@ -418,9 +424,9 @@ def replay_decision(
 ) -> AggregateReport:
     """Replay every map entry behind one decision, like ``replay_all``."""
     decision_id = canon.parse_identifier(decision_id, "dec")
-    entries = store.query_fmap(decision_id=decision_id)
-    if not entries:
+    rows = store.fmap_rows(decision_id=decision_id)
+    if not rows:
         raise BrokenChainError(
             f"decision {decision_id} has no map entry linking it to a run"
         )
-    return _replay(store, {"decision_id": decision_id}, entries, deep, reexecute)
+    return _replay(store, {"decision_id": decision_id}, rows, deep, reexecute)

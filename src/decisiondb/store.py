@@ -19,7 +19,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, ClassVar, Optional, Union, get_type_hints
+from typing import Any, ClassVar, NewType, Optional, Union, get_type_hints
 
 from . import canon
 from .canon import Identifier, SCHEMA_VERSION
@@ -52,6 +52,10 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 
+# A column holding a blob's content hash; a row holding anything else does not decode.
+BlobHash = NewType("BlobHash", str)
+
+
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
@@ -63,11 +67,15 @@ class ManifestEntry:
 
 
 def _manifest(value: Any) -> tuple[ManifestEntry, ...]:
-    """A decoded artifact manifest: a list of {name, artifact_ref} objects of strings."""
+    """A decoded artifact manifest: a list of {name, artifact_ref} objects
+    of strings, each artifact_ref a blob hash."""
     shape = {"name": str, "artifact_ref": str}
     if isinstance(value, list) and all(
         isinstance(e, dict) and {k: type(v) for k, v in e.items()} == shape for e in value
     ):
+        bad = [e["artifact_ref"] for e in value if not canon.is_payload_hash(e["artifact_ref"])]
+        if bad:
+            raise IdentifierFormatError(f"malformed blob hash: {bad[0]!r}")
         return tuple(ManifestEntry(**e) for e in value)
     raise ValidationError("not a list of {name, artifact_ref} objects of strings")
 
@@ -90,12 +98,13 @@ class Table:
     over the named columns. A ``json`` field is stored as the canonical
     encoding of its entry in the identifying payload and read back
     through the given converter, which refuses a wrong shape (None keeps any value).
-    ``references`` lists identifier fields that must name an existing
-    row; each is the key column of the table it points into. ``links``
-    maps a reference to a column that the referenced row must share
-    with the record, and the message for a mismatch. ``blobs`` gives the
-    blob hashes a record references; a policy or plan spec blob is
-    addressed by its identifier's digest.
+    A field typed ``Identifier`` is parsed as one, and a ``BlobHash`` field
+    must hold a blob's hash. ``references`` lists identifier fields that
+    must name an existing row; each is the key column of the table it
+    points into. ``links`` maps a reference to a column that the
+    referenced row must share with the record, and the message for a
+    mismatch. ``blobs`` gives the blob hashes a record references; a
+    policy or plan spec blob is addressed by its identifier's digest.
 
     The table's DDL follows from the same description: every column is
     ``TEXT NOT NULL`` apart from the key, ``primary_key`` names the
@@ -134,9 +143,10 @@ class Table:
         self.key = fields(cls)[0].name if self.prefix else None
         self.values_of = attrgetter(*(f.name for f in fields(cls)))
         hints = get_type_hints(cls)
-        columns = []
+        self.columns = columns = []
         self.splits = []
         self.ids = []
+        self.hashes = []
         self.jsons = []
         for at, f in enumerate(fields(cls)):
             if f.name in self.split:
@@ -148,6 +158,8 @@ class Table:
                 self.jsons.append((at, f.name))
             elif hints[f.name] is Identifier:
                 self.ids.append((at, f.name))
+            elif hints[f.name] is BlobHash:
+                self.hashes.append((at, f.name))
         self.key_at = [columns.index(c) for c in self.primary_key or (self.key,)]
         # A referenced table is keyed by the referencing column and is
         # declared before the tables that point into it.
@@ -204,14 +216,22 @@ class Table:
         return values
 
     def record(self, row: Sequence[Any]):
-        """The record a stored row holds; a column that does not decode into
-        its field raises BrokenChainError naming the table, key and column."""
-        values = list(row)
-        for _, at, width in reversed(self.splits):
-            values[at : at + width] = [tuple(values[at : at + width])]
+        """The record a stored row holds. A cell that is not text (every
+        column is TEXT), checked before any cell is decoded, and a column
+        that does not decode into its field raise BrokenChainError naming
+        the table, key and column."""
         try:
+            for column, value in zip(self.columns, row):
+                if type(value) is not str:
+                    raise ValidationError(f"stored as {type(value).__name__}, not text")
+            values = list(row)
+            for _, at, width in reversed(self.splits):
+                values[at : at + width] = [tuple(values[at : at + width])]
             for at, column in self.ids:
                 values[at] = canon.parse_identifier(values[at])
+            for at, column in self.hashes:
+                if not canon.is_payload_hash(values[at]):
+                    raise IdentifierFormatError(f"malformed blob hash: {values[at]!r}")
             for at, column in self.jsons:
                 value = canon.canonical_decode(values[at].encode("utf-8"))
                 values[at] = value if self.json[column] is None else self.json[column](value)
@@ -240,6 +260,11 @@ class _Record:
         record = cls(None, *fields, **named, created_at=_now())
         object.__setattr__(record, key, record.derived_id())
         return record
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any]):
+        """The record a stored row of the class's table holds; see ``Table.record``."""
+        return cls.TABLE.record(row)
 
     def derived_id(self) -> Identifier:
         """The identifier this record's identifying payload hashes to."""
@@ -292,7 +317,7 @@ class RepresentationRecord(_Record):
     factory_name: str
     factory_version: str
     params: Mapping[str, str]
-    encoded_artifact_ref: str
+    encoded_artifact_ref: BlobHash
     version: str = SCHEMA_VERSION
     created_at: str = field(default="", compare=False)
 
@@ -323,7 +348,7 @@ class EngineRunRecord(_Record):
     engine_name: str
     engine_version: str
     query: Any
-    raw_output_ref: str
+    raw_output_ref: BlobHash
     exec_time_ms: str
     status: str = "ok"
     version: str = SCHEMA_VERSION
@@ -397,7 +422,7 @@ _COUNTS_SQL = "SELECT " + ", ".join(f"(SELECT COUNT(*) FROM {t})" for t in TABLE
 # is built on engine_runs; a map row is complete when every row it references exists.
 _READS = {
     "stored": (
-        "SELECT repr_id, encoded_artifact_ref, created_at FROM representations"
+        "SELECT repr_id, encoded_artifact_ref FROM representations"
         " WHERE snapshot_id = ? AND factory_name = ? AND factory_version = ?",
         "repr_id", ""),
     "runs": (
@@ -739,6 +764,17 @@ class Store:
         decision_id: Optional[str] = None,
     ) -> list[FMapEntry]:
         """Map rows matching every filter given, in the f_map table's order."""
+        rows = self.fmap_rows(experiment_id, plan_id, decision_id)
+        return [FMapEntry.from_row(row) for row in rows]
+
+    def fmap_rows(
+        self,
+        experiment_id: Optional[str] = None,
+        plan_id: Optional[str] = None,
+        decision_id: Optional[str] = None,
+    ) -> list[tuple]:
+        """``query_fmap``'s rows as stored, not decoded, so a reader can
+        decode each one (``FMapEntry.from_row``) on its own."""
         filters = {} if experiment_id is None else {"experiment_id": experiment_id}
         for column, prefix, value in (
             ("plan_id", "plan", plan_id),
@@ -749,8 +785,7 @@ class Store:
         table = FMapEntry.TABLE
         where = " AND ".join(f"{column} = ?" for column in filters)
         sql = f"{table.select_sql} WHERE {where}" if filters else table.select_sql
-        rows = self._execute(sql + table.order_sql, list(filters.values()))
-        return [table.record(row) for row in rows]
+        return self._execute(sql + table.order_sql, list(filters.values()))
 
 
 def open_store(location: Union[str, Path], create: bool = True) -> Store:

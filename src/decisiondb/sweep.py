@@ -272,13 +272,13 @@ def load_plan(
 @dataclass(slots=True)
 class _Status:
     """What the store holds for one representation of a plan: its row's
-    (encoded_artifact_ref, created_at), () without a row; its ok runs
-    under the plan's engine and query, as (run id, raw_output_ref); and
-    its rows on the plan's map in query_fmap order, as (run id, decision
-    id, complete), where a complete row's whole chain is stored. A part
-    not read is empty, as is a part the store holds nothing for."""
+    encoded_artifact_ref, "" without a row; its ok runs under the plan's
+    engine and query, as (run id, raw_output_ref); and its rows on the
+    plan's map in query_fmap order, as (run id, decision id, complete),
+    where a complete row's whole chain is stored. A part not read is
+    empty, as is a part the store holds nothing for."""
 
-    stored: tuple[str, ...] = ()
+    stored: str = ""
     runs: list[tuple[str, str]] = field(default_factory=list)
     rows: list[tuple[str, str, bool]] = field(default_factory=list)
 
@@ -297,8 +297,8 @@ def _statuses(
     statuses = defaultdict(_Status)
     family = (plan.snapshot_id, plan.factory_name, plan.factory_version)
     if stored:
-        for rep_id, ref, created_at in store.read("stored", family, repr_id):
-            statuses[rep_id].stored = (ref, created_at)
+        for rep_id, ref in store.read("stored", family, repr_id):
+            statuses[rep_id].stored = ref
     if runs:
         query = canon.canonical_encode(plan.query).decode("utf-8")
         engine = (plan.engine_name, plan.engine_version, query)
@@ -385,33 +385,31 @@ class _PlanRun:
         }
 
     def declare(self, params: Mapping[str, str], rep_id: Identifier) -> RepresentationRecord:
-        """The stored record of a point whose row and blob are stored, with
-        no encode. A stored point whose blob was deleted is encoded once,
-        refused if its bytes do not hash to the row's blob, and stored
-        again; any other point is encoded twice, refused if the bytes
-        differ, and stored under ``rep_id``."""
+        """The record of a point whose row and blob are stored, built with
+        no encode and no time. A stored point whose blob was deleted is
+        encoded once, refused if its bytes do not hash to the row's blob,
+        and stored again; any other point is encoded twice, refused if the
+        bytes differ, and its record stored under ``rep_id``, timed now."""
         store, plan = self.store, self.plan
-        stored = self.statuses[rep_id].stored
-        ref, created_at = stored or (None, _now())
-        if ref is None or not store.has_blob(ref):
+        ref = stored = self.statuses[rep_id].stored
+        if not stored or not store.has_blob(stored):
             first = self.factory.encode(self.artifacts, params)
-            if ref is None and first != self.factory.encode(self.artifacts, params):
+            if not stored and first != self.factory.encode(self.artifacts, params):
                 raise DeterminismError(
                     f"factory {self.factory.name} produced differing artifacts "
                     f"for params {dict(params)}"
                 )
-            if ref is not None and canon.payload_hash(first) != ref:
+            if stored and canon.payload_hash(first) != stored:
                 raise DeterminismError(
                     f"factory {self.factory.name} encodes params {dict(params)} to bytes "
                     f"other than those stored for {rep_id}"
                 )
             ref = store.put_blob(first)
-        record = RepresentationRecord(
-            rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref,
-            created_at=created_at,
-        )
-        if not stored:
-            store.put_record(record)
+        values = (rep_id, plan.snapshot_id, plan.factory_name, plan.factory_version, params, ref)
+        if stored:
+            return RepresentationRecord(*values)
+        record = RepresentationRecord(*values, created_at=_now())
+        store.put_record(record)
         return record
 
     def run(
@@ -429,7 +427,7 @@ class _PlanRun:
             raise ReferentialError(
                 f"representation not declared for params {dict(params)} ({rep_id})"
             )
-        ref = status.stored[0] if status.stored else self.declare(params, rep_id).encoded_artifact_ref
+        ref = status.stored or self.declare(params, rep_id).encoded_artifact_ref
         # Read verified even when the stored run's output is used instead.
         encoded = store.get_blob(ref)
         raw = None
@@ -557,19 +555,18 @@ class MapPoint:
     decision_id: Identifier
 
 
-def params_key(params: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(params.items()))
-
-
 @dataclass
 class DecisionMap:
-    """Grid point -> (representation, run, decision), in grid order."""
+    """A plan's evaluated points in grid order, keyed by representation id."""
 
     plan: SweepPlan
-    points: dict[tuple[tuple[str, str], ...], MapPoint]
+    points: dict[str, MapPoint]
 
     def get(self, params: Mapping[str, str]) -> Optional[MapPoint]:
-        return self.points.get(params_key(params))
+        try:  # params with no canonical form name no representation
+            return self.points.get(self.plan.repr_id(params))
+        except CanonicalizationError:
+            return None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -579,20 +576,19 @@ class DecisionMap:
 
 
 def materialize_map(store: Store, plan_id: str, experiment_id: str) -> DecisionMap:
-    """Read-only view of a plan's persisted grid results.
-
-    A point with more than one f_map row shows the first in query_fmap
-    order, the row refine_boundary reads for the same point.
+    """Read-only view of a plan's persisted grid results, read as the
+    points' statuses with their map rows alone. A point with more than
+    one f_map row shows the first of its status, the row refine_boundary
+    decides the same point by.
     """
     plan = load_plan(store, plan_id, experiment_id)
-    rows = store.read("map_rows", (plan.experiment_id, plan.plan_id))
-    first = {rep_id: (run_id, dec) for rep_id, run_id, dec, _ in reversed(rows)}
+    statuses = _statuses(store, plan, stored=False, runs=False)
     points = {}
     for params in plan.grid_points():
         rep_id = plan.repr_id(params)
-        if rep_id in first:
-            run_id, decision_id = map(canon.parse_identifier, first[rep_id])
-            points[params_key(params)] = MapPoint(dict(params), rep_id, run_id, decision_id)
+        if rep_id in statuses:
+            run_id, decision_id = map(canon.parse_identifier, statuses[rep_id].rows[0][:2])
+            points[rep_id] = MapPoint(params, rep_id, run_id, decision_id)
     return DecisionMap(plan=plan, points=points)
 
 

@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from decisiondb import canon, cli, routing, sweep
+from decisiondb.errors import SweepExecutionError
 from decisiondb.policy import EquivalencePolicy
 from decisiondb.store import TABLES, Store, open_store
-from test_store import raw_rows
-from toy_arena import make_plan, run_plan, setup_world
+from test_store import FRESH_SCHEMA, raw_rows
+from toy_arena import StepEngine, StepFactory, make_plan, run_plan, setup_world
 
 
 @pytest.fixture(scope="module")
@@ -63,17 +64,22 @@ def blob_into_directory(db, ref):
 
 
 def edit_first_row(db, table, column, value):
-    """Set one column of a table's first row, past the store's checks; return the row's key."""
+    """Set one column of a table's first row, past the store's checks; return
+    the row's key as an error names it: its key columns' stored text, joined by "/"."""
     conn = sqlite3.connect(db / "store.sqlite")
     with conn:
-        key = conn.execute(f"SELECT * FROM {table} ORDER BY rowid LIMIT 1").fetchone()[0]
         first = f"(SELECT MIN(rowid) FROM {table})"
         conn.execute(f"UPDATE {table} SET {column} = ? WHERE rowid = {first}", (value,))
+        info = sorted(conn.execute(f"PRAGMA table_info({table})"), key=lambda c: c[5])
+        keys = ", ".join(c[1] for c in info if c[5])
+        row = conn.execute(f"SELECT {keys} FROM {table} WHERE rowid = {first}").fetchone()
+        key = "/".join(map(str, row))
     conn.close()
     return key
 
 
-# A stored column that does not decode into its field, as (table, column,
+# A stored cell that does not decode into its field (a bytes value is
+# stored as a BLOB, where every column holds text), as (table, column,
 # value, replay flags that read the row).
 UNDECODABLE = {
     "run-query": ("engine_runs", "query", "{bad", []),
@@ -81,6 +87,19 @@ UNDECODABLE = {
     "decision-policy-id": ("decisions", "policy_id", "garbage", []),
     "snapshot-manifest": ("snapshots", "artifact_manifest", "[1]", ["--deep"]),
     "representation-params": ("representations", "params", "[1]", ["--deep"]),
+    "run-query-blob": ("engine_runs", "query", b"{}", []),
+    "decision-payload-hash-blob": ("decisions", "payload_hash", b"\x00", []),
+    "snapshot-manifest-blob": ("snapshots", "artifact_manifest", b"{}", ["--deep"]),
+    "representation-params-blob": ("representations", "params", b"{}", ["--deep"]),
+    "representation-factory-name-blob": ("representations", "factory_name", b"A", ["--deep"]),
+    "run-raw-output-ref": ("engine_runs", "raw_output_ref", "zz", []),
+    "representation-artifact-ref": (
+        "representations", "encoded_artifact_ref", "nothex", ["--deep"]
+    ),
+    "snapshot-manifest-artifact-ref": (
+        "snapshots", "artifact_manifest", '[{"artifact_ref":"zz","name":"graph"}]', ["--deep"]
+    ),
+    "fmap-run-id": ("f_map", "run_id", "garbage", []),
 }
 
 
@@ -715,6 +734,114 @@ def store_files(db):
     """The store file's hash and each blob file's path and size."""
     blobs = sorted((str(p.relative_to(db)), p.stat().st_size) for p in (db / "blobs").rglob("*"))
     return hashlib.sha256((db / "store.sqlite").read_bytes()).hexdigest(), blobs
+
+
+@pytest.fixture(scope="session")
+def toy_db(tmp_path_factory):
+    """A toy store: two plans of experiment "exp", one failed run and one
+    refine midpoint. Returns its path and the plan ids."""
+    path = tmp_path_factory.mktemp("toystore") / "db"
+    with open_store(path) as st:
+        snap, pol_id = setup_world(st)
+        first = make_plan(st, snap, pol_id)
+        run_plan(st, first)
+        sweep.refine_boundary(st, first, "x", ("3", "7"), StepEngine(), StepFactory(), max_evals=1)
+        second = make_plan(st, snap, pol_id, xs=("2", "4", "6"), fixed={"gain": "2"})
+        with pytest.raises(SweepExecutionError):
+            run_plan(st, second, StepEngine(refuse={"4"}))
+    return path, [first.plan_id, second.plan_id]
+
+
+DATA_COLUMNS = [(table, info[1]) for table in TABLES for info in FRESH_SCHEMA[table]["table_xinfo"]]
+# The kinds of value one damaged cell takes. SQLite stores a number bound
+# to a TEXT column as its text, so only the bytes reach a reader as other
+# than text.
+CELL_VALUES = {"blob": b"{}", "integer": 7, "real": 1.5, "empty": "", "garbage": "garbage"}
+# The column of a map entry that keys each table's row in its chain.
+ENTRY_KEYS = {
+    "snapshots": "snapshot_id",
+    "representations": "repr_id",
+    "engine_runs": "run_id",
+    "decisions": "decision_id",
+}
+
+
+class TestCellCorruption:
+    """One damaged cell at a time, in every column of every data table, of
+    the row the first map entry's chain reads from that table.
+
+    Every read command exits 0, 1 or 2 without a traceback and leaves the
+    store's file and blobs as they were. Deep replay exits 2, names each
+    entry whose chain reads the row and verifies every other entry, but
+    for the stated exceptions:
+
+    - ``created_at`` and ``exec_time_ms`` holding text: no check reads
+      either (ROADMAP item 6);
+    - ``f_map.experiment_id``: the entry leaves the audited experiment,
+      which only a check of the grid's map rows can see (item 2c);
+    - ``engine_runs.status``: its CHECK refuses every value kind.
+    """
+
+    @pytest.mark.parametrize(
+        "table, column", DATA_COLUMNS, ids=[f"{table}.{column}" for table, column in DATA_COLUMNS]
+    )
+    def test_one_damaged_cell(self, toy_db, tmp_path, capsys, table, column):
+        source, plan_ids = toy_db
+        conn = sqlite3.connect(f"file:{source / 'store.sqlite'}?mode=ro", uri=True)
+        conn.row_factory = sqlite3.Row
+        entries = conn.execute("SELECT rowid, * FROM f_map ORDER BY rowid").fetchall()
+        rowid = entries[0]["rowid"]
+        if table != "f_map":
+            key = ENTRY_KEYS[table]
+            target = entries[0][key]
+            (rowid,) = conn.execute(f"SELECT rowid FROM {table} WHERE {key} = ?", (target,)).fetchone()
+            damaged = {f"{e['run_id']}/{e['decision_id']}" for e in entries if e[key] == target}
+        conn.close()
+        commands = [["inspect"], ["replay", "--experiment", "exp"]]
+        for plan_id in plan_ids:
+            commands.append(["map", "--plan", plan_id, "--experiment", "exp"])
+            commands.append(["sweep", "report", "--plan", plan_id, "--experiment", "exp"])
+        deep = ["replay", "--deep", "--json", "--experiment", "exp"]
+        for kind, value in CELL_VALUES.items():
+            case = f"{table}.{column} = {kind}"
+            db = tmp_path / kind
+            shutil.copytree(source, db)
+            conn = sqlite3.connect(db / "store.sqlite")
+            try:
+                with conn:
+                    conn.execute(f"UPDATE {table} SET {column} = ? WHERE rowid = ?", (value, rowid))
+                if table == "f_map":
+                    run_id, decision_id = conn.execute(
+                        "SELECT run_id, decision_id FROM f_map WHERE rowid = ?", (rowid,)
+                    ).fetchone()
+                    damaged = {f"{run_id}/{decision_id}"}
+            except sqlite3.IntegrityError:
+                assert column == "status", case
+                continue
+            finally:
+                conn.close()
+            before = store_files(db)
+            for argv in [*commands, deep]:
+                code = cli.main([*argv, "--db", str(db)])
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (case, argv, err)
+                assert store_files(db) == before, (case, argv)
+            assert code != 1, (case, err)
+            payload = json.loads(out)
+            checked = (code, payload["verified"], payload["matched"])
+            if column == "experiment_id":
+                assert checked == (0, len(entries) - 1, len(entries) - 1), case
+            elif column in ("created_at", "exec_time_ms") and not isinstance(value, bytes):
+                assert checked == (0, len(entries), len(entries)), case
+            else:
+                named = {error["entry"] for error in payload["errors"]} | {
+                    f"{report['entry']['run_id']}/{report['entry']['decision_id']}"
+                    for report in payload["reports"]
+                    if not report["ok"]
+                }
+                assert code == 2 and named == damaged, (case, payload["errors"])
+                assert payload["matched"] == len(entries) - len(damaged), case
+                assert payload["verified"] + len(payload["errors"]) == len(entries), case
 
 
 class DriftedSurface(routing.CostSurfaceFactory):

@@ -619,6 +619,12 @@ class TestLookups:
             ("engine_runs", "query", "{bad", "input is not valid JSON"),
             ("engine_runs", "repr_id", "garbage", "malformed identifier: 'garbage'"),
             ("decisions", "policy_id", "garbage", "malformed identifier: 'garbage'"),
+            ("engine_runs", "query", b"{}", "stored as bytes, not text"),
+            ("decisions", "payload_hash", b"\x00", "stored as bytes, not text"),
+            ("representations", "factory_name", b"A", "stored as bytes, not text"),
+            ("engine_runs", "raw_output_ref", "zz", "malformed blob hash: 'zz'"),
+            ("representations", "encoded_artifact_ref", "nothex", "malformed blob hash: 'nothex'"),
+            ("snapshots", "artifact_manifest", '[{"artifact_ref":"zz","name":"a"}]', "malformed blob hash: 'zz'"),
         ],
     )
     def test_a_column_that_does_not_decode_names_its_row(self, store, table, column, value, message):
