@@ -381,7 +381,9 @@ def _replay(
     memo = ReplayMemo()
     reports = []
     errors = []
-    for row in rows:
+    rows.reverse()  # popped in stored order, each row let go once replayed
+    while rows:
+        row = rows.pop()
         try:
             entry = FMapEntry.from_row(row)
             reports.append(

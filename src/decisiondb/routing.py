@@ -16,11 +16,11 @@ import operator
 import random
 import re
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from itertools import repeat
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import canon, sweep
 from .canon import SCHEMA_VERSION, decimal_string
@@ -354,35 +354,30 @@ class RouteOutput:
     total_cost: str
 
 
-def _check_ends(known: set, start: int, end: int) -> None:
+def _check_ends(known: Container, start: int, end: int) -> None:
     if start not in known:
         raise EngineFailure(f"start node {start} is not in the graph")
     if end not in known:
         raise EngineFailure(f"end node {end} is not in the graph")
 
 
-def _search(
-    known: set, tails: Sequence, heads: Sequence, costs: Sequence, start: int, end: int
-) -> RouteOutput:
-    """The route search both representation readers share.
+def _search(incoming: Mapping, costs: Sequence, start: int, end: int) -> RouteOutput:
+    """The route search every representation reader shares.
 
-    ``tails[i] -> heads[i]`` is an edge whose cost ``Decimal(costs[i])``
-    is positive and finite; every tail and head, and start and end, are
-    in ``known``. One Dijkstra pass runs backward from the end and stops
-    once it settles the start. A heap entry ``(cost-to-end, node,
-    successor)`` carries the edge it came through, so the entry that
-    settles a node names its smallest successor on a cheapest route:
-    every successor's cost-to-end is strictly below the node's, so all
-    of them are settled, with their entries pushed, before the node's
-    first entry pops. Following those successors from the start gives
-    the cheapest route with the lexicographically smallest node
-    sequence. Costs stay exact Decimals throughout, so tie detection is
-    exact rather than approximate.
+    ``incoming[head]`` lists ``(tail, i)`` per edge into ``head``, in
+    edge order, whose cost ``Decimal(costs[i])`` is positive and finite;
+    start and end are keys of ``incoming``. Edges are held by index, so
+    ``DijkstraEngine`` keeps them while costs change. One Dijkstra pass
+    runs backward from the end and stops once it settles the start. A
+    heap entry ``(cost-to-end, node, successor)`` carries the edge it
+    came through, so the entry that settles a node names its smallest
+    successor on a cheapest route: every successor's cost-to-end is
+    strictly below the node's, so all of them are settled, with their
+    entries pushed, before the node's first entry pops. Following those
+    successors from the start gives the cheapest route with the
+    lexicographically smallest node sequence. Costs stay exact Decimals
+    throughout, so tie detection is exact rather than approximate.
     """
-    incoming: dict[int, list] = {node: [] for node in known}
-    # Group each edge's (tail, cost) under its head; map runs the appends
-    # in C, and the edges keep their order within each group.
-    deque(map(list.append, map(incoming.__getitem__, heads), zip(tails, costs)), maxlen=0)
     with localcontext() as ctx:
         ctx.prec = 50
         cost_to_end: dict[int, Decimal] = {}
@@ -396,9 +391,9 @@ def _search(
             successor[node] = after
             if node == start:
                 break
-            for tail, cost in incoming[node]:
+            for tail, index in incoming[node]:
                 if tail not in cost_to_end:
-                    heapq.heappush(heap, (dist + Decimal(cost), tail, node))
+                    heapq.heappush(heap, (dist + Decimal(costs[index]), tail, node))
     if start not in cost_to_end:
         raise UnreachableError(f"no route from {start} to {end}")
     route = [start]
@@ -424,7 +419,7 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
     if start == end:
         return RouteOutput(route_nodes=(start,), total_cost=decimal_string(_ZERO))
 
-    tails, heads, costs = [], [], []
+    incoming, costs = {node: [] for node in known}, []
     for (tail, head), cost_text in rep.edge_costs.items():
         try:
             cost = Decimal(cost_text)
@@ -441,10 +436,9 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
                 raise ValidationError(
                     f"edge ({tail}, {head}) names node {node!r}, which is not in nodes"
                 )
-        tails.append(tail)
-        heads.append(head)
+        incoming[head].append((tail, len(costs)))
         costs.append(cost)
-    return _search(known, tails, heads, costs, start, end)
+    return _search(incoming, costs, start, end)
 
 
 # The factory's byte layout, which DijkstraEngine.evaluate reads without
@@ -464,21 +458,46 @@ _EDGES_HEAD = '{"edges":['
 _NODES_HEAD = '],"nodes":['
 _PARAMS_HEAD = '],"params":'
 _VERSION_TAIL = f',"version":"{SCHEMA_VERSION}"}}'
+_COST_FIELD = re.compile(rf'"cost":"({_COST})"')
 
 
-def _read_layout(
-    representation: bytes,
-) -> Optional[tuple[set[int], list[int], list[int], tuple[str, ...]]]:
-    """The node set and edge columns of a representation in the factory's
-    exact layout, with at least one edge, every edge between known
-    nodes, each (tail, head) pair once and every cost positive; None for
-    any other bytes, which the generic decode reads. Costs stay text:
-    the search reads only those of the edges it relaxes.
+class _Layout(NamedTuple):
+    """A validated layout less its costs, and its edges as ``_search`` reads them."""
+
+    skeleton: str
+    edge_count: int
+    incoming: Mapping[int, list[tuple[int, int]]]
+
+
+def _split_costs(text: str, nodes_end: int) -> Optional[tuple[str, list[str]]]:
+    """The text before ``nodes_end`` with each ``"cost":"<_COST>"`` emptied,
+    and those costs; None unless a ``params`` mapping and version follow."""
+    if nodes_end < 0 or not text.startswith(_PARAMS_HEAD, nodes_end) or not text.endswith(_VERSION_TAIL):
+        return None
+    try:
+        params = canon.canonical_decode(
+            text[nodes_end + len(_PARAMS_HEAD):-len(_VERSION_TAIL)].encode("utf-8")
+        )
+    except CanonicalizationError:
+        return None
+    if not isinstance(params, Mapping):
+        return None
+    parts = _COST_FIELD.split(text[:nodes_end])
+    return '"cost":""'.join(parts[::2]), parts[1::2]
+
+
+def _read_layout(representation: bytes) -> Optional[tuple[_Layout, list[str]]]:
+    """The layout and costs of a representation in the factory's exact
+    layout, with at least one edge, every edge between known nodes, each
+    (tail, head) pair once and every cost positive; None for any other
+    bytes, which the generic decode reads. Costs stay text: the search
+    reads only those of the edges it relaxes.
 
     The edge matches must tile the edges section: their field lengths,
     the fixed characters of each edge and the commas between them sum to
     the section's length. The node list must be its integers' canonical
-    spelling, and ``params`` must decode to a mapping.
+    spelling, and ``params`` must decode to a mapping. The returned
+    ``_Layout`` is what ``DijkstraEngine`` keeps as its memo.
     """
     try:
         text = representation.decode("utf-8")
@@ -496,7 +515,8 @@ def _read_layout(
         return None
     nodes_start = edges_end + len(_NODES_HEAD)
     nodes_end = text.find("]", nodes_start)
-    if nodes_end < 0 or not text.startswith(_PARAMS_HEAD, nodes_end) or not text.endswith(_VERSION_TAIL):
+    split = _split_costs(text, nodes_end)
+    if split is None:
         return None
     nodes_text = text[nodes_start:nodes_end]
     try:
@@ -507,14 +527,6 @@ def _read_layout(
         heads = list(map(int, head_texts))
     except ValueError:  # not an integer, or one past int's digit limit
         return None
-    try:
-        params = canon.canonical_decode(
-            text[nodes_end + len(_PARAMS_HEAD):-len(_VERSION_TAIL)].encode("utf-8")
-        )
-    except CanonicalizationError:
-        return None
-    if not isinstance(params, Mapping):
-        return None
     known = set(node_ids)
     if (
         not known.issuperset(tails)
@@ -522,7 +534,21 @@ def _read_layout(
         or len(set(zip(tails, heads))) != len(edges)
     ):
         return None
-    return known, tails, heads, cost_texts
+    incoming: dict[int, list] = {node: [] for node in known}
+    # map runs the appends in C; each head keeps its edges in order.
+    deque(map(list.append, map(incoming.__getitem__, heads), zip(tails, range(len(edges)))), maxlen=0)
+    return _Layout(split[0], len(split[1]), incoming), split[1]
+
+
+def _memo_read(layout: _Layout, representation: bytes) -> Optional[tuple[_Layout, list[str]]]:
+    """``layout`` and the costs of bytes that are its own but for their costs."""
+    try:
+        text = representation.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    split = _split_costs(text, text.find(_PARAMS_HEAD))
+    same = split and split[0] == layout.skeleton and len(split[1]) == layout.edge_count
+    return (layout, split[1]) if same else None
 
 
 class CostSurfaceFactory:
@@ -557,6 +583,7 @@ class DijkstraEngine:
 
     name = ENGINE_NAME
     version = ENGINE_VERSION
+    _layout: Optional[_Layout] = None
 
     def evaluate(self, representation: bytes, query: Any) -> dict:
         """Route the query over a representation and return the raw output.
@@ -567,6 +594,15 @@ class DijkstraEngine:
         ``CostRepresentation.from_payload`` then ``dijkstra_route``. Both
         run the same search, so every input gets the route, output or
         exception message the generic path gives.
+
+        The engine keeps the last layout ``_read_layout`` accepted, which
+        every representation of one snapshot shares but for its costs.
+        ``_memo_read`` takes bytes whose text before ``],"params":``, with
+        each ``"cost":"<_COST>"`` emptied, is the memo's skeleton with as
+        many costs as it has edges, and whose tail passes the same checks:
+        the skeleton holds one empty cost per edge and no other, so each
+        match is an edge's cost. An empty, signed or exponent cost does
+        not match and misses. The memo is replaced whole, so threads may share it.
         """
         if (
             not isinstance(query, Mapping)
@@ -575,13 +611,15 @@ class DijkstraEngine:
         ):
             raise ValidationError(f"query must be {{start: int, end: int}}, got {query!r}")
         start, end = query["start"], query["end"]
-        layout = _read_layout(representation)
-        if layout is None:
+        memo = self._layout
+        read = (memo and _memo_read(memo, representation)) or _read_layout(representation)
+        if read is None:
             rep = CostRepresentation.from_payload(canon.canonical_decode(representation))
             route = dijkstra_route(rep, start, end)
         else:
-            _check_ends(layout[0], start, end)
-            route = _search(*layout, start, end)
+            self._layout, costs = read
+            _check_ends(read[0].incoming, start, end)
+            route = _search(read[0].incoming, costs, start, end)
         return {
             "route_nodes": list(route.route_nodes),
             "total_cost": route.total_cost,

@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 
@@ -531,9 +534,11 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def engine_outcome(representation, query):
+def engine_outcome(representation, query, engine=None):
+    """The engine's result, from a fresh engine unless one is given."""
+
     def route():
-        out = routing.DijkstraEngine().evaluate(representation, query)
+        out = (engine or routing.DijkstraEngine()).evaluate(representation, query)
         return tuple(out["route_nodes"]), out["total_cost"]
 
     return outcome(route)
@@ -603,6 +608,8 @@ LAYOUT_CHANGES = {
     "version-2": lambda data: data.replace(b'"version":"1"}', b'"version":"2"}'),
     "no-edges": lambda data: re.sub(rb'"edges":\[[^\]]*\]', b'"edges":[]', data),
     "cost-zero": _first_cost("0.000"),
+    "cost-empty": _first_cost(""),
+    "cost-space": _first_cost(" 1.5"),
     "cost-negative": _first_cost("-1.5"),
     "cost-exponent": _first_cost("1e3"),
     "cost-leading-zero": _first_cost("01.5"),
@@ -633,32 +640,49 @@ LAYOUT_CHANGES = {
 }
 
 
+def encode_at(graph, second_order_weights, neighbor_weight="0.5"):
+    """The factory's output for a graph at each second-order weight."""
+    artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
+    factory = routing.CostSurfaceFactory()
+    return [
+        factory.encode(artifacts, {"neighbor_weight": neighbor_weight, "second_order_weight": sw})
+        for sw in second_order_weights
+    ]
+
+
+def warm_engine(representation):
+    """An engine that has evaluated ``representation``, so its memo holds
+    that layout when the layout reader accepts it."""
+    engine = routing.DijkstraEngine()
+    outcome(lambda: engine.evaluate(representation, {"start": 0, "end": 0}))
+    return engine
+
+
 class TestLayoutReader:
     """DijkstraEngine.evaluate reads factory output in place and anything
-    else through the generic path, with the same result either way."""
+    else through the generic path, with the same result either way, from
+    an engine with an empty memo and from one holding the layout of the
+    snapshot's other factory output."""
 
     @settings(deadline=None, max_examples=150)
     @given(graph=_graphs, nw=_weights, sw=_weights, data=st.data())
     def test_engine_agrees_with_the_generic_path(self, graph, nw, sw, data):
-        artifacts = {"graph": canon.canonical_encode(graph.to_payload())}
-        encoded = routing.CostSurfaceFactory().encode(
-            artifacts, {"neighbor_weight": nw, "second_order_weight": sw}
-        )
+        (encoded,) = encode_at(graph, [sw], nw)
         assert encoded == canon.canonical_encode(build_cost_representation(graph, nw, sw).to_payload())
         costs = [edge["cost"] for edge in canon.canonical_decode(encoded)["edges"]]
         assert all(re.fullmatch(r"[0-9]+\.[0-9]{12}", cost) for cost in costs)
         ids = st.integers(-1, len(graph.nodes))
         query = {"start": data.draw(ids), "end": data.draw(ids)}
-        assert engine_outcome(encoded, query) == reference_outcome(encoded, query)
+        warm = warm_engine(*encode_at(graph, ["1"], "1"))
+        for engine in (routing.DijkstraEngine(), warm):
+            assert engine_outcome(encoded, query, engine) == reference_outcome(encoded, query)
         in_place = bool(costs) and all(Decimal(cost) > 0 for cost in costs)
         assert (routing._read_layout(encoded) is not None) == in_place
+        assert warm._layout is None or (routing._memo_read(warm._layout, encoded) is not None) == in_place
 
     @pytest.fixture(scope="class")
     def factory_output(self):
-        artifacts = {"graph": canon.canonical_encode(generate_demo_graph(6, 12).to_payload())}
-        return routing.CostSurfaceFactory().encode(
-            artifacts, {"neighbor_weight": "0.5", "second_order_weight": "0.25"}
-        )
+        return encode_at(generate_demo_graph(6, 12), ["0.25"])[0]
 
     QUERY = {"start": 0, "end": 11}
 
@@ -666,7 +690,10 @@ class TestLayoutReader:
     def test_changed_factory_output_gets_the_generic_result(self, factory_output, change):
         changed = LAYOUT_CHANGES[change](factory_output)
         assert changed != factory_output
-        assert engine_outcome(changed, self.QUERY) == reference_outcome(changed, self.QUERY)
+        warm = warm_engine(factory_output)
+        assert warm._layout is not None
+        for engine in (routing.DijkstraEngine(), warm):
+            assert engine_outcome(changed, self.QUERY, engine) == reference_outcome(changed, self.QUERY)
 
     def spy(self, monkeypatch, representation):
         """Count the whole-representation decodes and from_payload calls."""
@@ -695,9 +722,70 @@ class TestLayoutReader:
     def test_changed_factory_output_takes_the_generic_path(self, factory_output, change, monkeypatch):
         changed = LAYOUT_CHANGES[change](factory_output)
         decodes = outcome(lambda: canon.canonical_decode(changed))[0] == "ok"
+        engines = (routing.DijkstraEngine(), warm_engine(factory_output))
         calls = self.spy(monkeypatch, changed)
-        outcome(lambda: routing.DijkstraEngine().evaluate(changed, self.QUERY))
-        assert calls == {"decode": 1, "from_payload": int(decodes)}
+        for engine in engines:
+            outcome(lambda: engine.evaluate(changed, self.QUERY))
+        assert calls == {"decode": 2, "from_payload": 2 * int(decodes)}
+
+    def test_a_second_evaluate_of_one_snapshot_skips_the_full_validator(self, monkeypatch):
+        first, second = encode_at(generate_demo_graph(6, 12), ["0.25", "0.75"])
+        read = []
+        read_layout = routing._read_layout
+        monkeypatch.setattr(routing, "_read_layout", lambda data: read.append(data) or read_layout(data))
+        engine = routing.DijkstraEngine()
+        for representation in (first, second, first):
+            assert engine_outcome(representation, self.QUERY, engine) == reference_outcome(representation, self.QUERY)
+        assert read == [first]
+
+    def test_alternating_graphs_get_the_generic_result(self):
+        graph_a, graph_b = generate_demo_graph(6, 12), generate_demo_graph(7, 12)
+        engine = routing.DijkstraEngine()
+        for graph, sw in ((graph_a, "0.25"), (graph_b, "0.25"), (graph_a, "0.75")):
+            (representation,) = encode_at(graph, [sw])
+            assert engine_outcome(representation, self.QUERY, engine) == reference_outcome(representation, self.QUERY)
+
+    def test_two_threads_sharing_an_engine_get_the_generic_results(self):
+        groups = [encode_at(generate_demo_graph(seed, 60), ["0.25", "0.5", "0.75"]) for seed in (6, 7)]
+        query = {"start": 0, "end": 59}
+        expected = {rep: reference_outcome(rep, query) for group in groups for rep in group}
+        engine = routing.DijkstraEngine()
+        seen = []
+
+        def evaluate(first_group):
+            for i in range(25):
+                representation = groups[(first_group + i) % 2][i % 3]
+                seen.append((representation, engine_outcome(representation, query, engine)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(group,)) for group in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 50
+        assert all(out == expected[rep] for rep, out in seen)
+
+    def test_a_warm_evaluate_allocates_a_bounded_multiple_of_its_bytes(self):
+        """On Python 3.11 a warm evaluate of the demo representation peaks
+        near 5.2 times its length and a cold one, which reads the layout
+        in full, near 11.5; a regex that backtracks over the joined costs
+        would add some 1.2 MB, about 10 times the length."""
+        first, second = encode_at(generate_demo_graph(routing.DEMO_SEED), ["0.25", "0.5"])
+        engine = warm_engine(first)
+        assert engine._layout is not None
+        tracemalloc.start()
+        try:
+            engine.evaluate(second, routing.DEMO_QUERY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * len(second)
 
 
 class TestDemoArena:
