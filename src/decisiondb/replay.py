@@ -260,11 +260,12 @@ def replay_entry(
 
     The basic pass verifies the raw output blob, the policy blob, the
     extracted payload hash, and the decision identifier. ``deep`` also
-    rehashes the upstream representation and snapshot blobs, re-derives
-    every row identifier from its own columns, and re-checks the
-    row-to-row links. ``reexecute`` also runs the chain again with its
-    plugins: the factory on the snapshot's artifacts and the row's
-    params (``reexec:encoded_artifact_ref``), the engine on the stored
+    rehashes the upstream representation and snapshot blobs and the
+    plan's spec blob (``plan_spec``), re-derives every row identifier
+    from its own columns, and re-checks the row-to-row links.
+    ``reexecute`` also runs the chain again with its plugins: the
+    factory on the snapshot's artifacts and the row's params
+    (``reexec:encoded_artifact_ref``), the engine on the stored
     representation bytes and the run's query (``reexec:raw_output_ref``),
     and the decision's policy on that answer (``reexec:decision_id``).
     Entries replayed with one ``memo`` share what it has read and run;
@@ -299,6 +300,7 @@ def replay_entry(
             (f"artifact:{manifest_entry.name}", manifest_entry.artifact_ref, "snapshot artifact")
             for manifest_entry in snapshot.artifact_manifest
         )
+        blobs.append(("plan_spec", entry.plan_id.digest16, "plan spec"))
         checks.extend(
             FieldCheck(field, ref, memo.once(("hash", ref), _hash, store, ref, what))
             for field, ref, what in blobs

@@ -15,7 +15,6 @@ import math
 import operator
 import random
 import re
-from collections import deque
 from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
@@ -402,23 +401,12 @@ def _search(incoming: Mapping, costs: Sequence, start: int, end: int) -> RouteOu
     return RouteOutput(route_nodes=tuple(route), total_cost=decimal_string(_q12(cost_to_end[start])))
 
 
-def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput:
-    """Minimum-cost route; ties broken toward the smaller node sequence.
-
-    Checks the endpoints, then every edge for a finite, positive cost
-    between known nodes, each with a ValidationError naming the edge,
-    and runs the search ``DijkstraEngine.evaluate``'s layout reader also
-    runs (``_search``). A route from a node to itself is that node alone,
-    whatever the edges hold.
+def _edges(rep: CostRepresentation, known: Container) -> tuple[dict, list[Decimal]]:
+    """Every edge of ``rep`` as ``_search`` reads it: ``incoming`` maps each
+    known node to ``(tail, i)`` per edge into it, and ``costs[i]`` is that
+    edge's cost. An edge whose cost is not a finite, positive decimal, or
+    that names a node not in ``known``, raises a ValidationError naming it.
     """
-    try:
-        known = set(rep.node_ids)
-    except TypeError as exc:
-        raise ValidationError(f"representation nodes are malformed: {exc}") from exc
-    _check_ends(known, start, end)
-    if start == end:
-        return RouteOutput(route_nodes=(start,), total_cost=decimal_string(_ZERO))
-
     incoming, costs = {node: [] for node in known}, []
     for (tail, head), cost_text in rep.edge_costs.items():
         try:
@@ -438,31 +426,43 @@ def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput
                 )
         incoming[head].append((tail, len(costs)))
         costs.append(cost)
-    return _search(incoming, costs, start, end)
+    return incoming, costs
 
 
-# The factory's byte layout, which DijkstraEngine.evaluate reads without
-# building the object tree:
-#   {"edges":[{"cost":"C","from":I,"to":I},...],"nodes":[I,...],"params":{...},"version":"1"}
-# An edge's integers are canonical JSON integers and its cost a plain,
-# non-zero decimal with no sign, exponent or leading zero, so a positive
-# one; the trailing comma or end of the edges section is part of each
-# match.
-_INT = r"0|-?[1-9][0-9]*"
+def dijkstra_route(rep: CostRepresentation, start: int, end: int) -> RouteOutput:
+    """Minimum-cost route; ties broken toward the smaller node sequence.
+
+    Checks the endpoints, then every edge (``_edges``), and runs the
+    search ``DijkstraEngine.evaluate``'s memo also runs (``_search``). A
+    route from a node to itself is that node alone, whatever the edges
+    hold.
+    """
+    try:
+        known = set(rep.node_ids)
+    except TypeError as exc:
+        raise ValidationError(f"representation nodes are malformed: {exc}") from exc
+    _check_ends(known, start, end)
+    if start == end:
+        return RouteOutput(route_nodes=(start,), total_cost=decimal_string(_ZERO))
+    return _search(*_edges(rep, known), start, end)
+
+
+# A plain, non-zero decimal with no sign, exponent or leading zero, so a
+# positive one: the costs the engine's memo takes in place.
 _COST = r"[1-9][0-9]*(?:\.[0-9]+)?|0\.0*[1-9][0-9]*"
-_LAYOUT_EDGE = re.compile(
-    rf'\{{"cost":"({_COST})","from":({_INT}),"to":({_INT})\}}(?:,|\Z)'
-)
-_EDGE_FIXED = len('{"cost":"","from":,"to":}')
-_EDGES_HEAD = '{"edges":['
-_NODES_HEAD = '],"nodes":['
 _PARAMS_HEAD = '],"params":'
 _VERSION_TAIL = f',"version":"{SCHEMA_VERSION}"}}'
 _COST_FIELD = re.compile(rf'"cost":"({_COST})"')
 
 
 class _Layout(NamedTuple):
-    """A validated layout less its costs, and its edges as ``_search`` reads them."""
+    """The memo ``DijkstraEngine`` keeps, which every representation of one
+    snapshot shares but for its costs: the text before ``],"params":``
+    with each edge's cost emptied, the edge count, and the edges as
+    ``_search`` reads them. The skeleton holds one empty cost per edge
+    and no other, so in bytes whose ``_split_costs`` gives the skeleton
+    and ``edge_count`` costs, each cost sits at an edge's place; an
+    empty, signed or exponent cost does not match and misses."""
 
     skeleton: str
     edge_count: int
@@ -486,57 +486,28 @@ def _split_costs(text: str, nodes_end: int) -> Optional[tuple[str, list[str]]]:
     return '"cost":""'.join(parts[::2]), parts[1::2]
 
 
-def _read_layout(representation: bytes) -> Optional[tuple[_Layout, list[str]]]:
-    """The layout and costs of a representation in the factory's exact
-    layout, with at least one edge, every edge between known nodes, each
-    (tail, head) pair once and every cost positive; None for any other
-    bytes, which the generic decode reads. Costs stay text: the search
-    reads only those of the edges it relaxes.
+def _layout_of(rep: CostRepresentation, representation: bytes) -> Optional[tuple[_Layout, list[str]]]:
+    """The layout and costs of ``representation``, which decoded to ``rep``,
+    when its bytes are ``canonical_encode(rep.to_payload())``, every edge
+    passes ``_edges`` and each edge's cost is a ``_COST``; None otherwise,
+    and ``dijkstra_route`` gives the result or the error.
 
-    The edge matches must tile the edges section: their field lengths,
-    the fixed characters of each edge and the commas between them sum to
-    the section's length. The node list must be its integers' canonical
-    spelling, and ``params`` must decode to a mapping. The returned
-    ``_Layout`` is what ``DijkstraEngine`` keeps as its memo.
+    ``to_payload`` writes the edges in (tail, head) order with the keys
+    ``cost``, ``from`` and ``to``, and ``_edges`` numbers them in the
+    order ``rep`` holds them, which is that order when the bytes match.
+    The canonical text holds ``"cost":"`` only as an edge's key, so when
+    the split finds one cost per edge, its i-th cost is edge i's.
     """
     try:
-        text = representation.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    edges_end = text.find("]")
-    if not text.startswith(_EDGES_HEAD) or not text.startswith(_NODES_HEAD, edges_end):
-        return None
-    edges = _LAYOUT_EDGE.findall(text, len(_EDGES_HEAD), edges_end)
-    if not edges:
-        return None
-    cost_texts, tail_texts, head_texts = zip(*edges)
-    field_chars = sum(map(len, cost_texts)) + sum(map(len, tail_texts)) + sum(map(len, head_texts))
-    if field_chars + (_EDGE_FIXED + 1) * len(edges) - 1 != edges_end - len(_EDGES_HEAD):
-        return None
-    nodes_start = edges_end + len(_NODES_HEAD)
-    nodes_end = text.find("]", nodes_start)
-    split = _split_costs(text, nodes_end)
-    if split is None:
-        return None
-    nodes_text = text[nodes_start:nodes_end]
-    try:
-        node_ids = list(map(int, nodes_text.split(",")))
-        if ",".join(map(str, node_ids)) != nodes_text:
+        if canon.canonical_encode(rep.to_payload()) != representation:
             return None
-        tails = list(map(int, tail_texts))
-        heads = list(map(int, head_texts))
-    except ValueError:  # not an integer, or one past int's digit limit
+        incoming, _ = _edges(rep, set(rep.node_ids))
+    except (TypeError, CanonicalizationError, ValidationError):  # unsortable node ids, a bad edge
         return None
-    known = set(node_ids)
-    if (
-        not known.issuperset(tails)
-        or not known.issuperset(heads)
-        or len(set(zip(tails, heads))) != len(edges)
-    ):
+    text = representation.decode("utf-8")
+    split = _split_costs(text, text.find(_PARAMS_HEAD))
+    if split is None or len(split[1]) != len(rep.edge_costs):
         return None
-    incoming: dict[int, list] = {node: [] for node in known}
-    # map runs the appends in C; each head keeps its edges in order.
-    deque(map(list.append, map(incoming.__getitem__, heads), zip(tails, range(len(edges)))), maxlen=0)
     return _Layout(split[0], len(split[1]), incoming), split[1]
 
 
@@ -588,43 +559,36 @@ class DijkstraEngine:
     def evaluate(self, representation: bytes, query: Any) -> dict:
         """Route the query over a representation and return the raw output.
 
-        A representation in the factory's exact layout with at least one
-        edge, all of them valid, is read in place (``_read_layout``); any
-        other bytes take the generic path, ``canonical_decode`` then
-        ``CostRepresentation.from_payload`` then ``dijkstra_route``. Both
-        run the same search, so every input gets the route, output or
-        exception message the generic path gives.
-
-        The engine keeps the last layout ``_read_layout`` accepted, which
-        every representation of one snapshot shares but for its costs.
-        ``_memo_read`` takes bytes whose text before ``],"params":``, with
-        each ``"cost":"<_COST>"`` emptied, is the memo's skeleton with as
-        many costs as it has edges, and whose tail passes the same checks:
-        the skeleton holds one empty cost per edge and no other, so each
-        match is an edge's cost. An empty, signed or exponent cost does
-        not match and misses. The memo is replaced whole, so threads may share it.
+        The engine keeps one memo, the last ``_Layout`` that ``_layout_of``
+        gave. Bytes ``_memo_read`` takes go straight to the search. Others
+        take the generic path, ``canonical_decode`` then
+        ``CostRepresentation.from_payload``; their layout, when
+        ``_layout_of`` gives one, replaces the memo before the endpoints
+        are checked, and ``dijkstra_route`` routes the rest. Every path
+        runs ``_search``, so every input gets the route, output or
+        exception message the generic path gives. The memo is replaced
+        whole, so threads may share it.
         """
-        if (
-            not isinstance(query, Mapping)
-            or not isinstance(query.get("start"), int)
-            or not isinstance(query.get("end"), int)
-        ):
+        ends = (query.get("start"), query.get("end")) if isinstance(query, Mapping) else (None,)
+        if not all(isinstance(node, int) and not isinstance(node, bool) for node in ends):
             raise ValidationError(f"query must be {{start: int, end: int}}, got {query!r}")
-        start, end = query["start"], query["end"]
+        start, end = ends
         memo = self._layout
-        read = (memo and _memo_read(memo, representation)) or _read_layout(representation)
-        if read is None:
+        read = memo and _memo_read(memo, representation)
+        if not read:
             rep = CostRepresentation.from_payload(canon.canonical_decode(representation))
-            route = dijkstra_route(rep, start, end)
-        else:
+            read = _layout_of(rep, representation)
+        if read:
             self._layout, costs = read
             _check_ends(read[0].incoming, start, end)
             route = _search(read[0].incoming, costs, start, end)
+        else:
+            route = dijkstra_route(rep, start, end)
         return {
             "route_nodes": list(route.route_nodes),
             "total_cost": route.total_cost,
             "engine": {"name": self.name, "version": self.version},
-            "query": {"start": query["start"], "end": query["end"]},
+            "query": {"start": start, "end": end},
             "version": SCHEMA_VERSION,
         }
 

@@ -687,7 +687,7 @@ class TestReplayCommand:
 
         monkeypatch.setattr(Store, "read_blob_unverified", counted)
         assert cli.main(["replay", "--deep", "--experiment", "demo", "--db", str(demo_db)]) == 0
-        assert len(refs) == len(set(refs)) == 8
+        assert len(refs) == len(set(refs)) == 10
 
     def test_missing_decision_row_is_a_broken_chain(self, demo_db, tmp_path, capsys):
         db = tmp_path / "db"
@@ -842,6 +842,106 @@ class TestCellCorruption:
                 assert code == 2 and named == damaged, (case, payload["errors"])
                 assert payload["matched"] == len(entries) - len(damaged), case
                 assert payload["verified"] + len(payload["errors"]) == len(entries), case
+
+
+# The ways one blob file is damaged: deleted, its last byte cut, its middle
+# byte flipped, emptied, or replaced by a directory.
+BLOB_DAMAGE = ("delete", "truncate", "flip", "empty", "directory")
+
+
+def damage_blob(path, kind):
+    """Damage one blob file in one of ``BLOB_DAMAGE``'s ways."""
+    data = path.read_bytes()
+    if kind in ("delete", "directory"):
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+    elif kind == "flip":
+        middle = len(data) // 2
+        path.write_bytes(data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1:])
+    else:
+        path.write_bytes(data[:-1] if kind == "truncate" else b"")
+
+
+def chain_blobs(source):
+    """Each map entry, named as replay names it, with the blobs its chain
+    reads; and the blobs of the failed runs, which no entry reads."""
+    conn = sqlite3.connect(f"file:{source / 'store.sqlite'}?mode=ro", uri=True)
+    try:
+        rows = conn.execute(
+            "SELECT f.run_id, f.decision_id, f.plan_id, e.raw_output_ref, r.encoded_artifact_ref,"
+            " d.policy_id, s.artifact_manifest FROM f_map AS f"
+            " JOIN engine_runs AS e ON e.run_id = f.run_id"
+            " JOIN representations AS r ON r.repr_id = f.repr_id"
+            " JOIN decisions AS d ON d.decision_id = f.decision_id"
+            " JOIN snapshots AS s ON s.snapshot_id = f.snapshot_id"
+        ).fetchall()
+        failed = conn.execute(
+            "SELECT e.raw_output_ref, r.encoded_artifact_ref FROM engine_runs AS e"
+            " JOIN representations AS r ON r.repr_id = e.repr_id WHERE e.status = 'failed'"
+        ).fetchall()
+    finally:
+        conn.close()
+    chains = {
+        f"{run_id}/{decision_id}": {
+            plan_id[-16:], raw_ref, encoded_ref, policy_id[-16:],
+            *(item["artifact_ref"] for item in json.loads(manifest)),
+        }
+        for run_id, decision_id, plan_id, raw_ref, encoded_ref, policy_id, manifest in rows
+    }
+    return chains, {ref for run in failed for ref in run}
+
+
+class TestBlobCorruption:
+    """One damaged blob at a time, every blob of the toy store, in each of
+    ``BLOB_DAMAGE``'s ways, under ``TestCellCorruption``'s commands.
+
+    Every read command exits 0, 1 or 2 without a traceback and leaves the
+    store's file and blobs as they were. Deep replay exits 2, names each
+    entry whose chain reads the blob (its raw output, encoded
+    representation, decision's policy, snapshot artifacts and plan spec)
+    and verifies every other entry, but for the stated exceptions:
+
+    - the failed run's raw output and its representation's bytes: no map
+      entry reads either, so deep replay verifies every entry and exits 0.
+    """
+
+    @pytest.mark.parametrize("kind", BLOB_DAMAGE)
+    def test_one_damaged_blob(self, toy_db, tmp_path, capsys, kind):
+        source, plan_ids = toy_db
+        chains, unread = chain_blobs(source)
+        commands = [["inspect"], ["replay", "--experiment", "exp"]]
+        for plan_id in plan_ids:
+            commands.append(["map", "--plan", plan_id, "--experiment", "exp"])
+            commands.append(["sweep", "report", "--plan", plan_id, "--experiment", "exp"])
+        deep = ["replay", "--deep", "--json", "--experiment", "exp"]
+        blobs = sorted(path.relative_to(source) for path in (source / "blobs").rglob("*") if path.is_file())
+        assert len(blobs) == 20 and unread < {path.name for path in blobs}
+        for blob in blobs:
+            case = f"{blob.name} {kind}"
+            db = tmp_path / blob.name
+            shutil.copytree(source, db)
+            damage_blob(db / blob, kind)
+            before = store_files(db)
+            for argv in [*commands, deep]:
+                code = cli.main([*argv, "--db", str(db)])
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2) and "Traceback" not in err, (case, argv, err)
+                assert store_files(db) == before, (case, argv)
+            payload = json.loads(out)
+            damaged = {entry for entry, refs in chains.items() if blob.name in refs}
+            named = {error["entry"] for error in payload["errors"]} | {
+                f"{report['entry']['run_id']}/{report['entry']['decision_id']}"
+                for report in payload["reports"]
+                if not report["ok"]
+            }
+            if not damaged:
+                assert blob.name in unread, case
+                assert (code, payload["verified"], payload["matched"]) == (0, len(chains), len(chains)), case
+                continue
+            assert code == 2 and named == damaged, (case, payload["errors"])
+            assert payload["matched"] == len(chains) - len(damaged), case
+            assert payload["verified"] + len(payload["errors"]) == len(chains), case
 
 
 class DriftedSurface(routing.CostSurfaceFactory):
@@ -1017,7 +1117,7 @@ class TestOutput:
             "demo sweep": "99292973767a54557b9103519ecc654ce1f22f22e15657beddbb6c006e16010f",
             "map": "ca10a36332b1c9449ac1e2d24c4c35282ec301c60907cbd83f607159851be389",
             "sweep report": "e77381d36f287828554d640c52e47ff8384cf85d93ef9919e741bedaac4f38a6",
-            "replay --deep": "fa895c8caf81152fc38c941c9f0435ec6114ff1252d4ce8081fe6e2ea490a058",
+            "replay --deep": "5a226fffa96b5f823c6fce0e92028a25ed9398387da7ee0b724a589b2e043ee6",
         }
 
 

@@ -85,6 +85,7 @@ class TestCleanReplay:
         for expected in (
             "encoded_artifact_ref",
             "artifact:table",
+            "plan_spec",
             "snapshot_row",
             "representation_row",
             "run_row",
@@ -153,9 +154,9 @@ class TestCleanReplay:
 
 class TestReads:
     # 4 entries with 2 decisions, 4 raw outputs, 1 policy, 4 encoded
-    # artifacts and 1 snapshot artifact: each row and blob is read once,
-    # and the run and representation rows once per entry.
-    @pytest.mark.parametrize("deep, rows, blobs", [(False, 6, 5), (True, 11, 10)])
+    # artifacts, 1 snapshot artifact and 1 plan spec: each row and blob is
+    # read once, and the run and representation rows once per entry.
+    @pytest.mark.parametrize("deep, rows, blobs", [(False, 6, 5), (True, 11, 11)])
     def test_each_row_and_blob_is_read_once(self, st, executed, monkeypatch, deep, rows, blobs):
         calls = {"get_record": 0, "read_blob_unverified": 0}
         for name in calls:
@@ -185,7 +186,7 @@ class TestReexecute:
         for r in report.reports:
             fields = [check.field for check in r.checks]
             assert fields[:4] == BASIC_FIELDS and fields[-3:] == REEXEC_FIELDS
-            assert len(fields) == (15 if deep else 7)
+            assert len(fields) == (16 if deep else 7)
 
     @pytest.mark.parametrize(
         "plugins, flagged",

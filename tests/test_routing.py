@@ -469,7 +469,8 @@ class TestAdapters:
 
     @pytest.mark.parametrize(
         "query",
-        [None, [], {"start": 0}, {"end": 3}, {"start": "0", "end": 3}, {"start": 0.0, "end": 3}],
+        [None, [], {"start": 0}, {"end": 3}, {"start": "0", "end": 3}, {"start": 0.0, "end": 3},
+         {"start": True, "end": 11}],
     )
     def test_engine_rejects_malformed_query(self, artifacts, query):
         factory = routing.CostSurfaceFactory()
@@ -598,6 +599,14 @@ def _repeated_pair(data):
     return data.replace(first.group(0), first.group(0) + b',{"cost":"7.5"' + first.group(1), 1)
 
 
+def _exponent_repeat_first(data):
+    """A copy of the second edge, with an exponent cost, put first: one
+    cost per distinct edge still matches ``_COST``, but each of the first
+    two sits at the other edge's place in the decoded order."""
+    second = re.findall(rb'\{"cost":"[^"]*"(,"from":[0-9]+,"to":[0-9]+\})', data)[1]
+    return data.replace(b'"edges":[', b'"edges":[{"cost":"1e3"' + second + b",", 1)
+
+
 # One change each to factory output, all of which the generic path reads.
 LAYOUT_CHANGES = {
     "whitespace": lambda data: data.replace(b',"nodes":', b', "nodes":', 1),
@@ -623,6 +632,7 @@ LAYOUT_CHANGES = {
     "edge-from-007": lambda data: data.replace(b'"from":7,', b'"from":007,', 1),
     "edge-to-1.0": lambda data: data.replace(b'"to":1}', b'"to":1.0}', 1),
     "repeated-pair": _repeated_pair,
+    "exponent-repeat-first": _exponent_repeat_first,
     "unknown-node": lambda data: data.replace(b'"to":1}', b'"to":99}', 1),
     "params-list": lambda data: re.sub(rb'"params":\{[^}]*\}', b'"params":["ab"]', data),
     "params-number": lambda data: re.sub(rb'"params":\{[^}]*\}', b'"params":5', data),
@@ -652,17 +662,18 @@ def encode_at(graph, second_order_weights, neighbor_weight="0.5"):
 
 def warm_engine(representation):
     """An engine that has evaluated ``representation``, so its memo holds
-    that layout when the layout reader accepts it."""
+    that layout when the bytes re-encode exactly with every edge valid."""
     engine = routing.DijkstraEngine()
     outcome(lambda: engine.evaluate(representation, {"start": 0, "end": 0}))
     return engine
 
 
 class TestLayoutReader:
-    """DijkstraEngine.evaluate reads factory output in place and anything
-    else through the generic path, with the same result either way, from
-    an engine with an empty memo and from one holding the layout of the
-    snapshot's other factory output."""
+    """DijkstraEngine.evaluate reads factory output through its memo once
+    it holds the snapshot's layout, and anything else through the generic
+    path, with the same result either way, from an engine with an empty
+    memo and from one holding the layout of the snapshot's other factory
+    output."""
 
     @settings(deadline=None, max_examples=150)
     @given(graph=_graphs, nw=_weights, sw=_weights, data=st.data())
@@ -674,11 +685,11 @@ class TestLayoutReader:
         ids = st.integers(-1, len(graph.nodes))
         query = {"start": data.draw(ids), "end": data.draw(ids)}
         warm = warm_engine(*encode_at(graph, ["1"], "1"))
+        memo = all(Decimal(cost) > 0 for cost in costs)
         for engine in (routing.DijkstraEngine(), warm):
             assert engine_outcome(encoded, query, engine) == reference_outcome(encoded, query)
-        in_place = bool(costs) and all(Decimal(cost) > 0 for cost in costs)
-        assert (routing._read_layout(encoded) is not None) == in_place
-        assert warm._layout is None or (routing._memo_read(warm._layout, encoded) is not None) == in_place
+            held = engine._layout is not None and routing._memo_read(engine._layout, encoded) is not None
+            assert held == memo
 
     @pytest.fixture(scope="class")
     def factory_output(self):
@@ -713,10 +724,13 @@ class TestLayoutReader:
         return calls
 
     def test_factory_output_is_read_in_place(self, factory_output, monkeypatch):
+        warm = warm_engine(*encode_at(generate_demo_graph(6, 12), ["0.75"]))
         calls = self.spy(monkeypatch, factory_output)
-        out = routing.DijkstraEngine().evaluate(factory_output, self.QUERY)
+        out = warm.evaluate(factory_output, self.QUERY)
         assert calls == {"decode": 0, "from_payload": 0}
         assert out["route_nodes"][0] == 0 and out["route_nodes"][-1] == 11
+        assert routing.DijkstraEngine().evaluate(factory_output, self.QUERY) == out
+        assert calls == {"decode": 1, "from_payload": 1}
 
     @pytest.mark.parametrize("change", sorted(LAYOUT_CHANGES))
     def test_changed_factory_output_takes_the_generic_path(self, factory_output, change, monkeypatch):
@@ -730,13 +744,18 @@ class TestLayoutReader:
 
     def test_a_second_evaluate_of_one_snapshot_skips_the_full_validator(self, monkeypatch):
         first, second = encode_at(generate_demo_graph(6, 12), ["0.25", "0.75"])
-        read = []
-        read_layout = routing._read_layout
-        monkeypatch.setattr(routing, "_read_layout", lambda data: read.append(data) or read_layout(data))
+        sequence = (first, second, first)
+        expected = [reference_outcome(representation, self.QUERY) for representation in sequence]
+        decoded = []
+        decode = canon.canonical_decode
+        monkeypatch.setattr(canon, "canonical_decode", lambda data: decoded.append(data) or decode(data))
         engine = routing.DijkstraEngine()
-        for representation in (first, second, first):
-            assert engine_outcome(representation, self.QUERY, engine) == reference_outcome(representation, self.QUERY)
-        assert read == [first]
+        reads = []
+        for representation, result in zip(sequence, expected):
+            assert engine_outcome(representation, self.QUERY, engine) == result
+            reads.append(decoded.count(representation))
+            decoded.clear()
+        assert reads == [1, 0, 0]
 
     def test_alternating_graphs_get_the_generic_result(self):
         graph_a, graph_b = generate_demo_graph(6, 12), generate_demo_graph(7, 12)
@@ -773,9 +792,10 @@ class TestLayoutReader:
 
     def test_a_warm_evaluate_allocates_a_bounded_multiple_of_its_bytes(self):
         """On Python 3.11 a warm evaluate of the demo representation peaks
-        near 5.2 times its length and a cold one, which reads the layout
-        in full, near 11.5; a regex that backtracks over the joined costs
-        would add some 1.2 MB, about 10 times the length."""
+        near 5.2 times its length and a cold one, which decodes it and
+        re-encodes what it decoded to, near 19; a regex that backtracks
+        over the joined costs would add some 1.2 MB, about 10 times the
+        length."""
         first, second = encode_at(generate_demo_graph(routing.DEMO_SEED), ["0.25", "0.5"])
         engine = warm_engine(first)
         assert engine._layout is not None
