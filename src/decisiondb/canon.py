@@ -229,6 +229,58 @@ def canonical_decode(data: bytes) -> CanonicalValue:
         raise CanonicalizationError(f"input nests too deeply: {exc}") from exc
 
 
+class EncodedList:
+    """A JSON list kept as each item's canonical encoding, made as each
+    item is appended. ``write_canonical`` copies the encodings unchanged;
+    iterating decodes one item at a time."""
+
+    __slots__ = ("items",)
+
+    def __init__(self):
+        self.items: list[bytes] = []
+
+    def append(self, value: CanonicalValue) -> None:
+        self.items.append(canonical_encode(value))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return map(canonical_decode, self.items)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is EncodedList and self.items == other.items
+
+
+def write_canonical(value: Mapping[str, Any], stream) -> None:
+    """Write a mapping's canonical encoding to a text stream, one member at
+    a time; an ``EncodedList`` member is written as the list of its items.
+
+    The text is ``canonical_encode`` of the same mapping with each
+    ``EncodedList`` decoded. Every other member is encoded, and refused as
+    ``canonical_encode`` refuses it, before anything is written.
+    """
+    for key in value:
+        if not isinstance(key, str):
+            raise CanonicalizationError(f"non-string mapping key {key!r} at $")
+    members = [
+        (canonical_encode(key), member)
+        if type(member) is EncodedList
+        # "key":value, as the whole mapping's encoding spells the member
+        else (canonical_encode({key: member})[1:-1], None)
+        for key, member in sorted(value.items())
+    ]
+    stream.write("{")
+    for n, (head, spooled) in enumerate(members):
+        stream.write(("," if n else "") + head.decode("utf-8"))
+        if spooled is not None:
+            stream.write(":[")
+            for i, item in enumerate(spooled.items):
+                stream.write(("," if i else "") + item.decode("utf-8"))
+            stream.write("]")
+    stream.write("}")
+
+
 def payload_hash(data: bytes) -> str:
     """First 16 hex chars of the SHA-256 digest of raw bytes."""
     return hashlib.sha256(data).hexdigest()[:DIGEST_LENGTH]

@@ -298,8 +298,8 @@ def cmd_replay(store: Store, args) -> dict:
     plugins = replay.Plugins(routing.FACTORIES, routing.ENGINES) if args.reexecute else None
     checks = {"deep": args.deep, "reexecute": plugins}
     if args.decision:
-        return replay.replay_decision(store, args.decision, **checks).to_payload()
-    return replay.replay_all(store, args.experiment, plan_id=args.plan, **checks).to_payload()
+        return replay.replay_decision(store, args.decision, **checks).spooled_payload()
+    return replay.replay_all(store, args.experiment, plan_id=args.plan, **checks).spooled_payload()
 
 
 def arg(*flags: str, **kwargs) -> tuple:
@@ -410,7 +410,8 @@ def main(argv=None) -> int:
             payload = args.handler(store, args)
             if args.json:
                 payload = {**payload, "version": canon.SCHEMA_VERSION}
-                print(canon.canonical_encode(payload).decode("utf-8"))
+                canon.write_canonical(payload, sys.stdout)
+                print()
             else:
                 args.render(store, payload)
     except DecisionDBError as exc:

@@ -23,7 +23,7 @@ shows up as a mismatch. A missing or failing plugin is a finding too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, NamedTuple, Optional
@@ -78,6 +78,18 @@ class ReplayReport:
     def mismatches(self) -> tuple[FieldCheck, ...]:
         return tuple(check for check in self.checks if not check.match)
 
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ReplayReport":
+        """The report whose ``to_payload`` is ``payload``."""
+        entry = [payload["entry"][name] for name in _ENTRY_FIELDS]
+        return cls(
+            entry=FMapEntry.from_row([*entry, ""]),
+            checks=tuple(
+                FieldCheck(check["field"], check["persisted"], check["recomputed"])
+                for check in payload["checks"]
+            ),
+        )
+
     def to_payload(self) -> dict:
         return {
             "entry": {name: getattr(self.entry, name) for name in _ENTRY_FIELDS},
@@ -92,6 +104,19 @@ def _row(store: Store, ident: Identifier, what: str):
     if record is None:
         raise BrokenChainError(f"{what} row {ident} is missing")
     return record
+
+
+def _linked(store: Store, chain: Sequence, at: int, cls, ident: Identifier, what: str):
+    """The ``cls`` row ``ident`` names: decoded from ``chain[at]``, its
+    cells of the chain read, or read by its key when the chain read holds
+    no such cells. A None key marks a missing row, reported as ``_row``
+    reports it."""
+    if len(chain) <= at:
+        return _row(store, ident, what)
+    cells = chain[at]
+    if cells[0] is None:
+        raise BrokenChainError(f"{what} row {ident} is missing")
+    return cls.from_row(cells)
 
 
 def _read(store: Store, ref: str, what: str) -> bytes:
@@ -255,6 +280,7 @@ def replay_entry(
     deep: bool = False,
     memo: Optional[ReplayMemo] = None,
     reexecute: Optional[Plugins] = None,
+    chain: Sequence = (),
 ) -> ReplayReport:
     """Re-derive the entry's decision from its stored raw output.
 
@@ -269,11 +295,14 @@ def replay_entry(
     representation bytes and the run's query (``reexec:raw_output_ref``),
     and the decision's policy on that answer (``reexec:decision_id``).
     Entries replayed with one ``memo`` share what it has read and run;
-    without one, the entry gets a memo of its own.
+    without one, the entry gets a memo of its own. ``chain`` holds the
+    cells of the entry's run row and then, when deep or re-executing, of
+    its representation row, as the chain read (``_replay``) returns them;
+    a row without cells there is read by its key.
     """
     if memo is None:
         memo = ReplayMemo()
-    run = _row(store, entry.run_id, "engine run")
+    run = _linked(store, chain, 0, EngineRunRecord, entry.run_id, "engine run")
     decision = memo.once(("row", entry.decision_id), _row, store, entry.decision_id, "decision")
     raw_ref = run.raw_output_ref
     pol_ref = decision.policy_id.digest16
@@ -293,7 +322,7 @@ def replay_entry(
 
     rep = None
     if deep:
-        rep = _row(store, entry.repr_id, "representation")
+        rep = _linked(store, chain, 1, RepresentationRecord, entry.repr_id, "representation")
         snapshot = memo.once(("row", entry.snapshot_id), _row, store, entry.snapshot_id, "snapshot")
         blobs = [("encoded_artifact_ref", rep.encoded_artifact_ref, "encoded artifact")]
         blobs.extend(
@@ -318,7 +347,7 @@ def replay_entry(
         checks.extend(FieldCheck(*row) for row in rows)
 
     if reexecute is not None:
-        rep = rep or _row(store, entry.repr_id, "representation")
+        rep = rep or _linked(store, chain, 1, RepresentationRecord, entry.repr_id, "representation")
         checks.extend(_reexecute(store, memo, reexecute, entry, run, rep, decision))
 
     return ReplayReport(entry=entry, checks=tuple(checks))
@@ -326,10 +355,16 @@ def replay_entry(
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Replay outcomes for every entry of one experiment or one decision."""
+    """Replay outcomes for every entry of one experiment or one decision.
+
+    Each entry's report is kept only as the canonical encoding of its
+    payload, in stored order (``spool``), together with the count of
+    entries whose every check matched.
+    """
 
     subject: Mapping[str, str]
-    reports: tuple[ReplayReport, ...]
+    spool: canon.EncodedList
+    matched: int
     errors: tuple[tuple[str, str], ...]
     counts_before: Mapping[str, int]
     counts_after: Mapping[str, int]
@@ -340,17 +375,20 @@ class AggregateReport:
 
     @property
     def verified(self) -> int:
-        return len(self.reports)
+        return len(self.spool)
 
     @cached_property
-    def matched(self) -> int:
-        return sum(1 for report in self.reports if report.ok)
+    def reports(self) -> tuple[ReplayReport, ...]:
+        """Every entry's report in stored order, rebuilt from the spool."""
+        return tuple(map(ReplayReport.from_payload, self.spool))
 
     @property
     def store_unchanged(self) -> bool:
         return dict(self.counts_before) == dict(self.counts_after)
 
-    def to_payload(self) -> dict:
+    def spooled_payload(self) -> dict:
+        """``to_payload`` with the reports left as the spool, for
+        ``canon.write_canonical`` to copy."""
         return {
             **self.subject,
             "verified": self.verified,
@@ -360,10 +398,13 @@ class AggregateReport:
                 {"entry": entry, "error": message}
                 for entry, message in self.errors
             ],
-            "reports": [report.to_payload() for report in self.reports],
+            "reports": self.spool,
             "ok": self.ok,
             "store_unchanged": self.store_unchanged,
         }
+
+    def to_payload(self) -> dict:
+        return {**self.spooled_payload(), "reports": list(self.spool)}
 
 
 def _replay(
@@ -373,34 +414,48 @@ def _replay(
     deep: bool,
     reexecute: Optional[Plugins],
 ) -> AggregateReport:
-    """Replay the entry each stored f_map row holds, capturing a broken
-    chain, the row's own among them, as an error line.
+    """Replay the entry each chain row holds, capturing a broken chain,
+    the f_map row's own among them, as an error line. Each report is
+    spooled as its payload's canonical encoding once made.
 
     The store never deletes a row, so one count of the tables on each
     side of the loop shows whether anything was written.
     """
     counts_before = store.table_counts()
     memo = ReplayMemo()
-    reports = []
+    spool = canon.EncodedList()
+    matched = 0
     errors = []
     rows.reverse()  # popped in stored order, each row let go once replayed
     while rows:
         row = rows.pop()
         try:
-            entry = FMapEntry.from_row(row)
-            reports.append(
-                replay_entry(store, entry, deep=deep, memo=memo, reexecute=reexecute)
+            entry = FMapEntry.from_row(row[0])
+            report = replay_entry(
+                store, entry, deep=deep, memo=memo, reexecute=reexecute, chain=row[1:]
             )
         except BrokenChainError as exc:
-            run_id, decision_id = (row[_ENTRY_FIELDS.index(f)] for f in ("run_id", "decision_id"))
+            run_id, decision_id = (row[0][_ENTRY_FIELDS.index(f)] for f in ("run_id", "decision_id"))
             errors.append((f"{run_id}/{decision_id}", str(exc)))
+            continue
+        spool.append(report.to_payload())
+        matched += report.ok
     return AggregateReport(
         subject=subject,
-        reports=tuple(reports),
+        spool=spool,
+        matched=matched,
         errors=tuple(errors),
         counts_before=counts_before,
         counts_after=store.table_counts(),
     )
+
+
+def _chain_rows(store: Store, deep: bool, reexecute: Optional[Plugins], **filters) -> list[tuple]:
+    """The chain read: each selected f_map row with its engine_runs row
+    and, when deep or re-executing, its representations row."""
+    linked = deep or reexecute is not None
+    join = (EngineRunRecord, RepresentationRecord) if linked else (EngineRunRecord,)
+    return store.fmap_rows(**filters, join=join)
 
 
 def replay_all(
@@ -416,7 +471,7 @@ def replay_all(
     the map is still verified. ``deep`` and ``reexecute`` are
     ``replay_entry``'s.
     """
-    rows = store.fmap_rows(experiment_id, plan_id=plan_id)
+    rows = _chain_rows(store, deep, reexecute, experiment_id=experiment_id, plan_id=plan_id)
     if not rows:
         scope = "" if plan_id is None else f" for plan {plan_id}"
         raise ValidationError(f"experiment {experiment_id!r} has no map entries{scope}")
@@ -428,7 +483,7 @@ def replay_decision(
 ) -> AggregateReport:
     """Replay every map entry behind one decision, like ``replay_all``."""
     decision_id = canon.parse_identifier(decision_id, "dec")
-    rows = store.fmap_rows(decision_id=decision_id)
+    rows = _chain_rows(store, deep, reexecute, decision_id=decision_id)
     if not rows:
         raise BrokenChainError(
             f"decision {decision_id} has no map entry linking it to a run"

@@ -113,6 +113,10 @@ def _distance(a: tuple[int, int], b: tuple[int, int]) -> str:
         return decimal_string(squared.sqrt().quantize(THREE_PLACES))
 
 
+# Every stress a demo edge can draw, k/1000 for k in 0..1000, spelled once.
+_STRESSES = tuple(decimal_string(Decimal(k).scaleb(-3)) for k in range(1001))
+
+
 def generate_demo_graph(seed: int, n_nodes: int = DEMO_NODE_COUNT) -> GraphSnapshot:
     """Deterministic jittered-grid graph with per-edge stress in [0, 1].
 
@@ -145,16 +149,18 @@ def generate_demo_graph(seed: int, n_nodes: int = DEMO_NODE_COUNT) -> GraphSnaps
             pairs.append((i, i + side + 1))
             pairs.append((i + side + 1, i))
 
+    # A baseline cost depends only on the edge's (|dx|, |dy|): each distinct
+    # offset is priced once.
+    costs: dict[tuple[int, int], str] = {}
     edges = []
     for tail, head in pairs:
-        stress = decimal_string(Decimal(rng.randrange(0, 1001)).scaleb(-3))
+        (tail_x, tail_y), (head_x, head_y) = positions[tail], positions[head]
+        offset = (abs(tail_x - head_x), abs(tail_y - head_y))
+        cost = costs.get(offset)
+        if cost is None:
+            cost = costs[offset] = _distance((0, 0), offset)
         edges.append(
-            Edge(
-                tail=tail,
-                head=head,
-                baseline_cost=_distance(positions[tail], positions[head]),
-                stress=stress,
-            )
+            Edge(tail=tail, head=head, baseline_cost=cost, stress=_STRESSES[rng.randrange(0, 1001)])
         )
     edges.sort(key=lambda e: (e.tail, e.head))
     return GraphSnapshot(nodes=nodes, edges=tuple(edges))

@@ -134,6 +134,7 @@ class Table:
         self.links = links or {}
         self.primary_key = primary_key
         self.allowed = allowed or {}
+        self.order = order
         self.order_sql = f" ORDER BY {', '.join(order)}" if order else ""
 
     def __call__(self, cls):
@@ -184,9 +185,8 @@ class Table:
         self.insert_sql = (
             f"INSERT INTO {name} ({names}) VALUES ({marks}) ON CONFLICT DO NOTHING"
         )
-        self.select_sql = f"SELECT {names} FROM {name}"
         if self.key:
-            self.select_by_key_sql = f"{self.select_sql} WHERE {self.key} = ?"
+            self.select_by_key_sql = f"SELECT {names} FROM {name} WHERE {self.key} = ?"
         cls.TABLE = _TABLES[cls] = self
         return cls
 
@@ -772,9 +772,18 @@ class Store:
         experiment_id: Optional[str] = None,
         plan_id: Optional[str] = None,
         decision_id: Optional[str] = None,
+        join: Sequence[type] = (),
     ) -> list[tuple]:
         """``query_fmap``'s rows as stored, not decoded, so a reader can
-        decode each one (``FMapEntry.from_row``) on its own."""
+        decode each one (``FMapEntry.from_row``) on its own.
+
+        ``join`` lists record classes whose key is an f_map column
+        (``EngineRunRecord``, ``RepresentationRecord``). Each row is then a
+        tuple of cell tuples: the f_map row's, then, per class in that
+        order, those of the row its key names, all None where that row is
+        missing. So one statement reads every entry's chain. The f_map
+        rows and their order are the same with or without ``join``.
+        """
         filters = {} if experiment_id is None else {"experiment_id": experiment_id}
         for column, prefix, value in (
             ("plan_id", "plan", plan_id),
@@ -783,9 +792,23 @@ class Store:
             if value is not None:
                 filters[column] = canon.parse_identifier(value, prefix)
         table = FMapEntry.TABLE
-        where = " AND ".join(f"{column} = ?" for column in filters)
-        sql = f"{table.select_sql} WHERE {where}" if filters else table.select_sql
-        return self._execute(sql + table.order_sql, list(filters.values()))
+        columns = [f"f.{column}" for column in table.columns]
+        joins = ""
+        bounds = [0, len(columns)]
+        for n, cls in enumerate(join):
+            other = cls.TABLE
+            columns.extend(f"j{n}.{column}" for column in other.columns)
+            joins += f" LEFT JOIN {other.name} AS j{n} ON j{n}.{other.key} = f.{other.key}"
+            bounds.append(len(columns))
+        sql = f"SELECT {', '.join(columns)} FROM {table.name} AS f{joins}"
+        if filters:
+            sql += " WHERE " + " AND ".join(f"f.{column} = ?" for column in filters)
+        sql += " ORDER BY " + ", ".join(f"f.{column}" for column in table.order)
+        rows = self._execute(sql, list(filters.values()))
+        if join:
+            parts = list(zip(bounds, bounds[1:]))
+            rows = [tuple(row[start:end] for start, end in parts) for row in rows]
+        return rows
 
 
 def open_store(location: Union[str, Path], create: bool = True) -> Store:

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import types
@@ -181,6 +182,39 @@ def test_refusal_messages_are_unchanged(value, message):
     with pytest.raises(CanonicalizationError) as raised:
         canon.canonical_encode(value)
     assert str(raised.value) == message
+
+
+def _written(value) -> str:
+    out = io.StringIO()
+    canon.write_canonical(value, out)
+    return out.getvalue()
+
+
+@settings(max_examples=200)
+@given(_payloads, st.lists(_values, max_size=4), _text)
+def test_writer_copies_encoded_lists_into_the_encoding(payload, items, key):
+    # A member written from an EncodedList is the list its items make.
+    spooled = canon.EncodedList()
+    for item in items:
+        spooled.append(item)
+    assert list(spooled) == [canon.canonical_decode(canon.canonical_encode(i)) for i in items]
+    assert _written(payload) == canon.canonical_encode(payload).decode("utf-8")
+    expected = canon.canonical_encode({**payload, key: items}).decode("utf-8")
+    assert _written({**payload, key: spooled}) == expected
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"a": "x", "w": [0.25]}, "binary float at $.w[0]; fractional numbers must be decimal strings"),
+        ({"a": "x", 1: "y"}, "non-string mapping key 1 at $"),
+    ],
+)
+def test_writer_refuses_before_writing(value, message):
+    out = io.StringIO()
+    with pytest.raises(CanonicalizationError) as raised:
+        canon.write_canonical(value, out)
+    assert str(raised.value) == message and out.getvalue() == ""
 
 
 _OPAQUE = object()

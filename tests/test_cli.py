@@ -6,17 +6,21 @@ and corruption tests work on throwaway copies.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import re
 import shutil
 import sqlite3
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from decisiondb import canon, cli, routing, sweep
-from decisiondb.errors import SweepExecutionError
+from decisiondb import canon, cli, replay, routing, sweep
+from decisiondb.errors import BrokenChainError, SweepExecutionError
 from decisiondb.policy import EquivalencePolicy
 from decisiondb.store import TABLES, Store, open_store
 from test_store import FRESH_SCHEMA, raw_rows
@@ -705,6 +709,37 @@ class TestReplayCommand:
         assert broken
         assert all(line.endswith(f": decision row {decision} is missing") for line in broken)
 
+    @pytest.mark.parametrize(
+        "table, column, what, flags",
+        [
+            ("engine_runs", "run_id", "engine run", []),
+            ("representations", "repr_id", "representation", ["--deep"]),
+            ("representations", "repr_id", "representation", ["--reexecute"]),
+        ],
+        ids=["run", "representation-deep", "representation-reexecute"],
+    )
+    def test_a_row_the_chain_read_misses_is_the_keyed_reads_broken_chain(
+        self, demo_db, tmp_path, capsys, table, column, what, flags
+    ):
+        # The chain read's NULL cells give the broken chain that replaying
+        # the entry on its own, by keyed reads, raises.
+        db = tmp_path / "db"
+        shutil.copytree(demo_db, db)
+        raw = sqlite3.connect(db / "store.sqlite")
+        ident = raw.execute(f"SELECT {column} FROM f_map LIMIT 1").fetchone()[0]
+        with raw:
+            raw.execute(f"DELETE FROM {table} WHERE {column} = ?", (ident,))
+        raw.close()
+        code, payload = run_json(capsys, ["replay", *flags, "--experiment", "demo", "--db", str(db)])
+        assert code == 2 and payload["errors"]
+        assert all(e["error"] == f"{what} row {ident} is missing" for e in payload["errors"])
+        plugins = replay.Plugins(routing.FACTORIES, routing.ENGINES) if "--reexecute" in flags else None
+        with open_store(db, create=False) as st:
+            for entry in st.query_fmap("demo"):
+                if getattr(entry, column) == ident:
+                    with pytest.raises(BrokenChainError, match=f"^{what} row {ident} is missing$"):
+                        replay.replay_entry(st, entry, deep="--deep" in flags, reexecute=plugins)
+
     @pytest.mark.parametrize("table, column, value, flags", UNDECODABLE.values(), ids=UNDECODABLE)
     def test_a_row_that_does_not_decode_is_a_broken_chain(
         self, demo_db, tmp_path, capsys, table, column, value, flags
@@ -1034,6 +1069,68 @@ class TestReexecute:
             assert check["recomputed"] == (
                 "no decision: hash_source path 'route_nodes' does not resolve: missing 'route_nodes'"
             )
+
+
+class TestSpooledReplay:
+    """``replay --json`` copies each entry's report as it was spooled: it
+    prints the fresh encoding of the aggregate's payload, and the text
+    renderer, which decodes one spooled report at a time, prints what it
+    prints from that payload."""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["basic", "deep"])
+    @pytest.mark.parametrize("damage", [None, "flip", "delete"], ids=["clean", "mismatch", "broken"])
+    def test_output_is_the_fresh_encoding(self, toy_db, tmp_path, capsys, damage, deep):
+        source, _ = toy_db
+        db = tmp_path / "db"
+        shutil.copytree(source, db)
+        if damage:
+            # The first map entry's raw output: flipped, a mismatch; deleted,
+            # a broken chain (TestBlobCorruption's cases).
+            chains, _ = chain_blobs(source)
+            with open_store(db, create=False) as st:
+                ref = st.get_record(next(iter(chains)).split("/")[0]).raw_output_ref
+            damage_blob(db / "blobs" / ref[:2] / ref[2:4] / ref, damage)
+        argv = ["replay", "--experiment", "exp", "--db", str(db), *(["--deep"] if deep else [])]
+        with open_store(db, create=False) as st:
+            payload = replay.replay_all(st, "exp", deep=deep).to_payload()
+            cli.render_replay(st, payload)
+        text = capsys.readouterr().out
+        assert (payload["ok"], bool(payload["errors"])) == (not damage, damage == "delete")
+        code = 0 if payload["ok"] else 2
+        assert cli.main(argv + ["--json"]) == code
+        expected = canon.canonical_encode({**payload, "version": canon.SCHEMA_VERSION})
+        assert capsys.readouterr().out.encode("utf-8") == expected + b"\n"
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == text
+
+    def test_deep_json_peaks_within_three_times_its_output(self, tmp_path):
+        """On Python 3.11 the deep replay of a 2,000-entry toy store prints
+        3.33 MB and peaks near 2.1 times that, the spool and the captured
+        output; holding every report and the whole payload tree peaked
+        near 4.8 times."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        )
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        toy = inputs.ToyInputs(22, 2000)
+        db = tmp_path / "db"
+        with open_store(db) as st:
+            plan = toy.setup(st)
+            sweep.declare_representations(st, plan, toy.factory)
+            sweep.execute_sweep(st, plan, toy.engine)
+        out = io.StringIO()
+        argv = ["replay", "--deep", "--json", "--experiment", inputs.EXPERIMENT, "--db", str(db)]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        printed = len(out.getvalue().encode("utf-8"))
+        assert json.loads(out.getvalue())["verified"] == 2000
+        assert peak <= 3 * printed, (peak, printed)
 
 
 class TestOutput:

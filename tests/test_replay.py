@@ -118,16 +118,18 @@ class TestCleanReplay:
 
     def test_payload_reads_each_check_twice(self, st, executed, monkeypatch):
         # Once for its report's ok, which the aggregate's ok, matched and
-        # mismatched share, and once for the check's own payload.
-        report = replay.replay_all(st, "exp", deep=True)
+        # mismatched share, and once for the check's own payload, both while
+        # the report is spooled; the aggregate's payload reads the spool.
         visits = []
         match = replay.FieldCheck.match.fget
         monkeypatch.setattr(
             replay.FieldCheck, "match", property(lambda c: visits.append(c) or match(c))
         )
+        report = replay.replay_all(st, "exp", deep=True)
+        spooled = len(visits)
         payload = report.to_payload()
         assert (payload["ok"], payload["matched"], payload["mismatched"]) == (True, 4, 0)
-        assert len(visits) == 2 * sum(len(r.checks) for r in report.reports)
+        assert spooled == len(visits) == 2 * sum(len(r["checks"]) for r in payload["reports"])
 
     def test_scoped_to_plan(self, st, executed):
         plan, _ = executed
@@ -154,21 +156,36 @@ class TestCleanReplay:
 
 class TestReads:
     # 4 entries with 2 decisions, 4 raw outputs, 1 policy, 4 encoded
-    # artifacts, 1 snapshot artifact and 1 plan spec: each row and blob is
-    # read once, and the run and representation rows once per entry.
-    @pytest.mark.parametrize("deep, rows, blobs", [(False, 6, 5), (True, 11, 11)])
-    def test_each_row_and_blob_is_read_once(self, st, executed, monkeypatch, deep, rows, blobs):
-        calls = {"get_record": 0, "read_blob_unverified": 0}
-        for name in calls:
-            method = getattr(Store, name)
-
-            def counted(self, ident, _method=method, _name=name):
-                calls[_name] += 1
-                return _method(self, ident)
-
-            monkeypatch.setattr(Store, name, counted)
+    # artifacts, 1 snapshot artifact and 1 plan spec: each blob is read
+    # once.
+    @pytest.mark.parametrize("deep, blobs", [(False, 5), (True, 11)])
+    def test_each_blob_is_read_once(self, st, executed, monkeypatch, deep, blobs):
+        calls = []
+        method = Store.read_blob_unverified
+        monkeypatch.setattr(
+            Store, "read_blob_unverified", lambda self, ref: calls.append(ref) or method(self, ref)
+        )
         assert replay.replay_all(st, "exp", deep=deep).ok
-        assert calls == {"get_record": rows, "read_blob_unverified": blobs}
+        assert len(calls) == len(set(calls)) == blobs
+
+    # Two table counts, the chain read, the 2 decision rows and, deep, the
+    # snapshot row: no statement per entry, so 4 and 40 entries run as many.
+    @pytest.mark.parametrize("deep, statements", [(False, 5), (True, 6)])
+    def test_statements_do_not_grow_with_the_entries(self, st, deep, statements):
+        snap, pol_id = setup_world(st)
+        small = make_plan(st, snap, pol_id)
+        run_plan(st, small)
+        large = make_plan(st, snap, pol_id, xs=[str(x) for x in range(1, 41)], experiment="large")
+        run_plan(st, large)
+        for experiment, entries in (("exp", 4), ("large", 40)):
+            traced = []
+            st._conn.set_trace_callback(traced.append)
+            try:
+                report = replay.replay_all(st, experiment, deep=deep)
+            finally:
+                st._conn.set_trace_callback(None)
+            assert report.ok and report.verified == entries
+            assert len(traced) == statements, (experiment, traced)
 
 
 REEXEC_FIELDS = ["reexec:encoded_artifact_ref", "reexec:raw_output_ref", "reexec:decision_id"]

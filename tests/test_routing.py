@@ -7,6 +7,7 @@ so the fast implementations never define their own expected values.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -51,6 +52,23 @@ class TestGenerator:
         assert canon.canonical_encode(a.to_payload()) == canon.canonical_encode(
             b.to_payload()
         )
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "6e2a93596c6b8183dd880ba4b8dfd38c821af945aef68424ce68f4146c92ea6c"),
+            (1, "9dd86829f557d81cb4dddb4ffa3041bff6039fcf52151f09bf7ad7095f5011cc"),
+            (2, "755777e12c0f611a7cc2773a03510b454941c813558997dc1e0c6f6531990c3d"),
+            (3, "81d9c40ee7ac8bb14438a686da47593137a3ff0a98cb587b4f44a12587e7e1bc"),
+            (4, "5870807414ac519fdd1808fc2507a0b5710b680212164d0e4afa96a081785e2f"),
+            (22, "827f9520f88dde1536e25c860c8e409ca72057c615b28625345be37cb7b195bb"),
+        ],
+    )
+    def test_demo_graph_bytes_are_pinned(self, seed, digest):
+        # sha256 of the demo graph's canonical payload: the generator draws
+        # the same values in the same order and spells them the same way.
+        data = canon.canonical_encode(generate_demo_graph(seed).to_payload())
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_different_seed_different_bytes(self):
         a = generate_demo_graph(1, 100)
